@@ -33,7 +33,7 @@ FUZZ_TARGETS = \
 	.:FuzzManifest \
 	.:FuzzShard
 
-.PHONY: all build test race bench bench-compare cover lint fuzz serve-smoke shard-smoke proxy-smoke metrics-smoke remote-smoke loadgen-smoke
+.PHONY: all build test race bench bench-compare cover lint fuzz shard-smoke proxy-smoke metrics-smoke remote-smoke loadgen-smoke
 
 all: build lint test
 
@@ -79,37 +79,12 @@ fuzz:
 		$(GO) test -run=NONE -fuzz="^$$name\$$" -fuzztime=$(FUZZTIME) $$pkg; \
 	done
 
-# serve-smoke boots the `ftroute serve` daemon against a freshly built
-# scheme, probes /v1/healthz and a query endpoint, and checks graceful
-# shutdown — the same end-to-end path the CI serve-smoke job runs.
-serve-smoke:
-	@set -e; \
-	tmp=$$(mktemp -d); \
-	trap 'kill $$pid 2>/dev/null || true; rm -rf "$$tmp"' EXIT; \
-	$(GO) build -o "$$tmp/ftroute" ./cmd/ftroute; \
-	"$$tmp/ftroute" build -type conn -graph fattree -ft-k 4 -f 3 -out "$$tmp/scheme.ftlb"; \
-	"$$tmp/ftroute" serve -in "$$tmp/scheme.ftlb" -addr 127.0.0.1:0 > "$$tmp/serve.log" 2>&1 & pid=$$!; \
-	addr=""; \
-	for i in $$(seq 1 50); do \
-		addr=$$(sed -n 's/^listening on //p' "$$tmp/serve.log"); \
-		[ -n "$$addr" ] && break; \
-		sleep 0.2; \
-	done; \
-	[ -n "$$addr" ] || { echo "daemon never announced an address" >&2; cat "$$tmp/serve.log" >&2; exit 1; }; \
-	curl -fsS "http://$$addr/v1/healthz"; echo; \
-	curl -fsS -d '{"pairs":[[20,35],[0,1]],"faults":[7,9]}' "http://$$addr/v1/connected"; echo; \
-	curl -fsS -d '{"pairs":[[20,35],[0,1]],"faults":[7,9]}' "http://$$addr/v1/connected"; echo; \
-	curl -fsS "http://$$addr/v1/stats"; echo; \
-	kill -TERM $$pid; \
-	wait $$pid; \
-	cat "$$tmp/serve.log"; \
-	echo "serve-smoke OK"
-
-# shard-smoke proves the sharded pipeline end to end: build a
-# multi-component scheme, split it into a manifest + shards, serve the
-# manifest, and check the daemon's answers are byte-identical to the
-# monolithic daemon's for the same requests — the same path the CI
-# shard-smoke job runs.
+# shard-smoke proves the serving pipeline end to end: build a
+# multi-component scheme, split it into a manifest + shards, serve both
+# the scheme file and the manifest, probe the scheme daemon's healthz
+# and stats, check the two daemons' answers are byte-identical for the
+# same requests, and check both exit 0 on SIGTERM after draining — the
+# same path the CI shard-smoke job runs.
 shard-smoke:
 	@set -e; \
 	tmp=$$(mktemp -d); \
@@ -128,6 +103,7 @@ shard-smoke:
 		sleep 0.2; \
 	done; \
 	[ -n "$$maddr" ] && [ -n "$$saddr" ] || { echo "daemons never announced addresses" >&2; cat "$$tmp"/*.log >&2; exit 1; }; \
+	curl -fsS "http://$$maddr/v1/healthz"; echo; \
 	for body in '{"pairs":[[0,39],[0,41],[41,79],[80,119]],"faults":[1,2]}' \
 	            '{"pairs":[[5,7],[120,159]],"faults":[3,3,9]}' \
 	            '{"pairs":[[0,999]]}' \
@@ -136,10 +112,12 @@ shard-smoke:
 		curl -sS -d "$$body" "http://$$saddr/v1/connected" > "$$tmp/shard.out"; \
 		cmp "$$tmp/mono.out" "$$tmp/shard.out" || { echo "answers diverge for $$body" >&2; cat "$$tmp/mono.out" "$$tmp/shard.out" >&2; exit 1; }; \
 	done; \
+	curl -fsS "http://$$maddr/v1/stats"; echo; \
 	curl -fsS "http://$$saddr/v1/stats" | grep -q '"shards"' || { echo "stats missing per-shard block" >&2; exit 1; }; \
 	kill -TERM $$mpid $$spid; \
-	wait $$mpid $$spid; \
-	cat "$$tmp/shard.log"; \
+	wait $$mpid; \
+	wait $$spid; \
+	cat "$$tmp/mono.log" "$$tmp/shard.log"; \
 	echo "shard-smoke OK"
 
 # proxy-smoke proves the fan-out tier end to end: build a multi-island

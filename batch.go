@@ -112,19 +112,37 @@ func checkVertex(name string, v int32, n int) error {
 // checkFaults validates fault edge ids and, when bound >= 0, enforces the
 // scheme's fault bound f on the number of distinct faults.
 func checkFaults(faults []EdgeID, m int, bound int) error {
-	distinct := make(map[EdgeID]bool, len(faults))
 	for _, id := range faults {
 		if id < 0 || int(id) >= m {
 			return &QueryError{Code: CodeFaultRange, Pair: -1,
 				msg: fmt.Sprintf("ftrouting: fault edge id %d out of range [0,%d)", id, m)}
 		}
+	}
+	if bound < 0 || len(faults) <= bound {
+		return nil // no bound, or too few ids to exceed it
+	}
+	distinct := make(map[EdgeID]bool, len(faults))
+	for _, id := range faults {
 		distinct[id] = true
 	}
-	if bound >= 0 && len(distinct) > bound {
+	if len(distinct) > bound {
 		return &QueryError{Code: CodeFaultBound, Pair: -1,
 			msg: fmt.Sprintf("ftrouting: %d distinct faults exceed the scheme's fault bound f=%d", len(distinct), bound)}
 	}
 	return nil
+}
+
+// checkQuery applies the batch path's range checks to one single-pair
+// query: fault ids first, then the endpoints. The fault bound is not
+// enforced here — the single-pair facade never has.
+func checkQuery(g *Graph, s, t int32, faults []EdgeID) error {
+	if err := checkFaults(faults, g.M(), -1); err != nil {
+		return err
+	}
+	if err := checkVertex("s", s, g.N()); err != nil {
+		return err
+	}
+	return checkVertex("t", t, g.N())
 }
 
 // CanonicalFaults returns the canonical form of a fault list: the
@@ -605,9 +623,13 @@ func (m *Manifest) PlanBatch(b QueryBatch) (*BatchPlan, error) {
 	p.faults = make([][]EdgeID, len(m.shards))
 	for _, id := range b.Faults {
 		shard := m.shard[m.comp[m.g.Edge(id).U]]
-		if touched[shard] {
-			p.faults[shard] = append(p.faults[shard], id)
+		if !touched[shard] {
+			continue
 		}
+		if p.faults[shard] == nil {
+			p.faults[shard] = make([]EdgeID, 0, len(b.Faults))
+		}
+		p.faults[shard] = append(p.faults[shard], id)
 	}
 	p.distinct = m.distinctFaultCount(b.Faults)
 	return p, nil

@@ -1,4 +1,4 @@
-// Benchmark harness: one benchmark per experiment of EXPERIMENTS.md /
+// Benchmark harness: one benchmark per experiment of the index in
 // DESIGN.md §2. Each BenchmarkE<i>* target regenerates the corresponding
 // table or figure measurement:
 //
@@ -821,7 +821,7 @@ func BenchmarkQueryBatchRouteFT(b *testing.B) {
 
 // TestExperimentsSuite regenerates every experiment table with a fixed seed
 // and asserts the invariant columns (zero violations, zero misclassified,
-// zero invalid paths). This is the executable form of EXPERIMENTS.md.
+// zero invalid paths). This is the executable form of DESIGN.md §2.
 func TestExperimentsSuite(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment suite is seconds-long; skipped in -short")

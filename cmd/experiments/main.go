@@ -1,6 +1,6 @@
 // Command experiments regenerates every table and figure of the paper's
 // quantitative claims (Table 1, Figures 1-4, and the theorem bounds) and
-// prints them as aligned text tables. EXPERIMENTS.md records one run.
+// prints them as aligned text tables. DESIGN.md §2 indexes them.
 // E15 additionally measures the persisted schemes of internal/codec:
 // scheme-file sizes and encoded label sizes in bits, on the wire. E16
 // measures batch query throughput (queries/sec) against batch size and

@@ -21,6 +21,7 @@ import (
 	"ftrouting/internal/experiments"
 	"ftrouting/internal/obs"
 	"ftrouting/serve"
+	"ftrouting/serve/api"
 )
 
 const (
@@ -63,7 +64,7 @@ func obsCost(seed uint64) *experiments.Table {
 		defer ts.Close()
 		url := ts.URL + "/v1/connected"
 		client := ts.Client()
-		req := serve.QueryRequest{Pairs: pairs, Faults: faults}
+		req := api.QueryRequest{Pairs: pairs, Faults: faults}
 		// Prime the fault context outside the clock; every timed request
 		// hits the prepared-context cache.
 		if err := e17Post(client, url, req); err != nil {

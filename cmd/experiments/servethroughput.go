@@ -22,6 +22,7 @@ import (
 	"ftrouting"
 	"ftrouting/internal/experiments"
 	"ftrouting/serve"
+	"ftrouting/serve/api"
 )
 
 // e17 request shape: small batches make fault preparation the dominant
@@ -32,7 +33,7 @@ const (
 )
 
 // e17Client posts one batch and fails on any non-200.
-func e17Post(client *http.Client, url string, req serve.QueryRequest) error {
+func e17Post(client *http.Client, url string, req api.QueryRequest) error {
 	raw, err := json.Marshal(req)
 	if err != nil {
 		return err
@@ -134,7 +135,7 @@ func serveThroughput(seed uint64) *experiments.Table {
 				// Warm regimes keep their repeated context across reps —
 				// that persistence is exactly what is being measured — so
 				// prime it once outside the clock.
-				if err := e17Post(client, url, serve.QueryRequest{Pairs: pairs, Faults: repeated}); err != nil {
+				if err := e17Post(client, url, api.QueryRequest{Pairs: pairs, Faults: repeated}); err != nil {
 					ts.Close()
 					return fail(err)
 				}
@@ -148,7 +149,7 @@ func serveThroughput(seed uint64) *experiments.Table {
 							faults = fresh[freshAt]
 							freshAt++
 						}
-						if err := e17Post(client, url, serve.QueryRequest{Pairs: pairs, Faults: faults}); err != nil {
+						if err := e17Post(client, url, api.QueryRequest{Pairs: pairs, Faults: faults}); err != nil {
 							ts.Close()
 							return fail(err)
 						}

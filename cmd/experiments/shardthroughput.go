@@ -20,6 +20,7 @@ import (
 	"ftrouting"
 	"ftrouting/internal/experiments"
 	"ftrouting/serve"
+	"ftrouting/serve/api"
 )
 
 const (
@@ -102,7 +103,7 @@ func shardThroughput(seed uint64) *experiments.Table {
 		defer ts.Close()
 		url := ts.URL + "/v1/connected"
 		client := ts.Client()
-		req := serve.QueryRequest{Pairs: pairs, Faults: faults}
+		req := api.QueryRequest{Pairs: pairs, Faults: faults}
 		if err := e17Post(client, url, req); err != nil {
 			return 0, err
 		}

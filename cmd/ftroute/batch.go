@@ -67,82 +67,102 @@ func openPairs(spec string) ([]ftrouting.Pair, error) {
 }
 
 // chunked yields the pair list in batchChunk-sized windows.
-func chunked(pairs []ftrouting.Pair, fn func(offset int, chunk []ftrouting.Pair) error) error {
+func chunked(pairs []ftrouting.Pair, fn func(chunk []ftrouting.Pair) error) error {
 	for off := 0; off < len(pairs); off += batchChunk {
-		end := off + batchChunk
-		if end > len(pairs) {
-			end = len(pairs)
-		}
-		if err := fn(off, pairs[off:end]); err != nil {
+		if err := fn(pairs[off:min(off+batchChunk, len(pairs))]); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// runQueryBatch answers every pair from the loaded scheme, streaming one
-// line per pair: "s t connected|distance-estimate|reached cost stretch".
-func runQueryBatch(scheme any, pairs []ftrouting.Pair, faults []ftrouting.EdgeID, par int, forbidden bool, w io.Writer) error {
+// runQueryPlan answers `ftroute query` over a manifest — a scheme file
+// arrives as the single resident shard ftrouting.ManifestOf wraps it in.
+// The whole batch is planned once, so the fault set and every pair are
+// validated before any output; only the touched shards load. Pairs are
+// then evaluated and streamed in chunks, one line per pair: "s t
+// connected|distance-estimate|reached cost stretch". single selects the
+// one-pair report instead.
+func runQueryPlan(m *ftrouting.Manifest, header string, pairs []ftrouting.Pair, faults []ftrouting.EdgeID, par int, forbidden, single bool, w io.Writer) error {
+	plan, err := m.PlanBatch(ftrouting.QueryBatch{Pairs: pairs, Faults: faults})
+	if err != nil {
+		return err
+	}
+	if err := plan.FirstPairError(); err != nil {
+		return err
+	}
+	ctxs := make(map[int]any)
+	for _, id := range plan.ShardIDs() {
+		sh, err := m.LoadShard(id)
+		if err != nil {
+			return fmt.Errorf("loading shard %d: %w", id, err)
+		}
+		if ctxs[id], err = plan.PrepareShard(sh); err != nil {
+			return err
+		}
+	}
 	bw := bufio.NewWriter(w)
 	defer bw.Flush()
+	if single {
+		fmt.Fprintf(bw, "%s (%d shards, %d touched)\n", header, m.NumShards(), len(plan.ShardIDs()))
+		fmt.Fprintf(bw, "query: s=%d t=%d |F|=%d\n", pairs[0].S, pairs[0].T, len(faults))
+	}
 	opts := ftrouting.BatchOptions{Parallelism: par}
-	switch v := scheme.(type) {
-	case *ftrouting.ConnLabels:
-		ctx, err := v.PrepareFaults(faults)
+	return chunked(pairs, func(chunk []ftrouting.Pair) error {
+		// Contexts prepared for the whole plan serve every chunk's plan:
+		// a shard's fault restriction and the global distinct-fault count
+		// depend only on the fault set.
+		cp, err := m.PlanBatch(ftrouting.QueryBatch{Pairs: chunk, Faults: faults})
 		if err != nil {
 			return err
 		}
-		return chunked(pairs, func(off int, chunk []ftrouting.Pair) error {
-			res, err := ctx.ConnectedBatch(chunk, opts)
+		switch m.Kind() {
+		case "conn":
+			res, err := cp.ConnectedBatch(ctxs, opts)
 			if err != nil {
 				return err
 			}
 			for i, p := range chunk {
-				fmt.Fprintf(bw, "%d %d %v\n", p.S, p.T, res[i])
-			}
-			return bw.Flush()
-		})
-	case *ftrouting.DistLabels:
-		ctx, err := v.PrepareFaults(faults)
-		if err != nil {
-			return err
-		}
-		return chunked(pairs, func(off int, chunk []ftrouting.Pair) error {
-			res, err := ctx.EstimateBatch(chunk, opts)
-			if err != nil {
-				return err
-			}
-			for i, p := range chunk {
-				if res[i] == ftrouting.Unreachable {
-					fmt.Fprintf(bw, "%d %d unreachable\n", p.S, p.T)
+				if single {
+					fmt.Fprintf(bw, "connected in G\\F: %v\n", res[i])
 				} else {
+					fmt.Fprintf(bw, "%d %d %v\n", p.S, p.T, res[i])
+				}
+			}
+		case "dist":
+			res, err := cp.EstimateBatch(ctxs, opts)
+			if err != nil {
+				return err
+			}
+			for i, p := range chunk {
+				switch {
+				case single && res[i] == ftrouting.Unreachable:
+					fmt.Fprintln(bw, "estimate: unreachable")
+				case single:
+					fmt.Fprintf(bw, "estimate: %d\n", res[i])
+				case res[i] == ftrouting.Unreachable:
+					fmt.Fprintf(bw, "%d %d unreachable\n", p.S, p.T)
+				default:
 					fmt.Fprintf(bw, "%d %d %d\n", p.S, p.T, res[i])
 				}
 			}
-			return bw.Flush()
-		})
-	case *ftrouting.Router:
-		ctx, err := v.PrepareFaults(faults)
-		if err != nil {
-			return err
-		}
-		return chunked(pairs, func(off int, chunk []ftrouting.Pair) error {
-			var res []ftrouting.RouteResult
-			var err error
+		default: // router
+			exec := cp.RouteBatch
 			if forbidden {
-				res, err = ctx.RouteForbiddenBatch(chunk, opts)
-			} else {
-				res, err = ctx.RouteBatch(chunk, opts)
+				exec = cp.RouteForbiddenBatch
 			}
+			res, err := exec(ctxs, opts)
 			if err != nil {
 				return err
 			}
 			for i, p := range chunk {
-				fmt.Fprintf(bw, "%d %d %v %d %.2f\n", p.S, p.T, res[i].Reached, res[i].Cost, res[i].Stretch)
+				if single {
+					printRouteResult(bw, res[i])
+				} else {
+					fmt.Fprintf(bw, "%d %d %v %d %.2f\n", p.S, p.T, res[i].Reached, res[i].Cost, res[i].Stretch)
+				}
 			}
-			return bw.Flush()
-		})
-	default:
-		return fmt.Errorf("unsupported scheme type %T", v)
-	}
+		}
+		return bw.Flush()
+	})
 }

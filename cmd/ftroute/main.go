@@ -388,7 +388,7 @@ func runRoute(args []string) error {
 	fmt.Printf("route: s=%d t=%d |F|=%d\n", *gf.s, *gf.t, len(faults))
 	fmt.Printf("max table: %.1f Kbit   label(t): %d bits\n",
 		float64(router.MaxTableBits())/1024, router.LabelBits(int32(*gf.t)))
-	printRouteResult(res)
+	printRouteResult(os.Stdout, res)
 	return nil
 }
 

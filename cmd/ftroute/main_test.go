@@ -266,3 +266,37 @@ func TestUnifiedSourceResolution(t *testing.T) {
 		t.Fatal("proxy accepted an unreachable replica")
 	}
 }
+
+// TestQueryOutOfRangeVertex proves `ftroute query` rejects a vertex
+// beyond the graph with the typed vertex_out_of_range code, for scheme
+// files and manifests alike, in single-pair and -pairs mode.
+func TestQueryOutOfRangeVertex(t *testing.T) {
+	dir := t.TempDir()
+	connFile := filepath.Join(dir, "conn.ftl")
+	if err := runBuild([]string{"-type", "conn", "-graph", "random", "-n", "30", "-extra", "40", "-f", "2", "-out", connFile}); err != nil {
+		t.Fatal(err)
+	}
+	routeFile := filepath.Join(dir, "route.ftl")
+	if err := runBuild([]string{"-type", "route", "-graph", "path", "-n", "12", "-f", "1", "-out", routeFile}); err != nil {
+		t.Fatal(err)
+	}
+	shardDir := filepath.Join(dir, "shards")
+	if err := runShard([]string{"-in", connFile, "-out-dir", shardDir}); err != nil {
+		t.Fatal(err)
+	}
+	pairsFile := filepath.Join(dir, "pairs.txt")
+	if err := os.WriteFile(pairsFile, []byte("0 1\n2 500\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"-in", connFile, "-s", "0", "-t", "500"},
+		{"-in", shardDir, "-s", "500", "-t", "0"},
+		{"-in", routeFile, "-s", "0", "-t", "500", "-forbidden"},
+		{"-in", connFile, "-pairs", pairsFile},
+	} {
+		err := runQuery(args)
+		if got := ftrouting.CodeOf(err); got != ftrouting.CodeVertexRange {
+			t.Errorf("query %v: err %v (code %q), want %q", args, err, got, ftrouting.CodeVertexRange)
+		}
+	}
+}

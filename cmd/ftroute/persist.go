@@ -8,6 +8,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -103,54 +104,21 @@ func runQuery(args []string) error {
 	if err != nil {
 		return err
 	}
-	if m := src.Manifest(); m != nil {
-		return runQueryManifest(m, src.Ref(), *s, *t, faults, *pairsFlag, *par, *forbidden)
+	m, what := src.Manifest(), "manifest"
+	if m == nil {
+		if m, err = ftrouting.ManifestOf(src.Scheme()); err != nil {
+			return err
+		}
+		what = "scheme"
 	}
-	scheme := src.Scheme()
+	header := fmt.Sprintf("loaded %s %s from %s", m.Kind(), what, src.Ref())
+	pairs := []ftrouting.Pair{{S: int32(*s), T: int32(*t)}}
 	if *pairsFlag != "" {
-		pairs, err := openPairs(*pairsFlag)
-		if err != nil {
+		if pairs, err = openPairs(*pairsFlag); err != nil {
 			return err
 		}
-		return runQueryBatch(scheme, pairs, faults, *par, *forbidden, os.Stdout)
 	}
-	switch v := scheme.(type) {
-	case *ftrouting.ConnLabels:
-		connected, err := v.Connected(int32(*s), int32(*t), faults)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("loaded connectivity labeling from %s\n", src.Ref())
-		fmt.Printf("query: s=%d t=%d |F|=%d\n", *s, *t, len(faults))
-		fmt.Printf("connected in G\\F: %v\n", connected)
-	case *ftrouting.DistLabels:
-		est, err := v.Estimate(int32(*s), int32(*t), faults)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("loaded distance labeling from %s\n", src.Ref())
-		fmt.Printf("query: s=%d t=%d |F|=%d\n", *s, *t, len(faults))
-		if est == ftrouting.Unreachable {
-			fmt.Println("estimate: unreachable")
-		} else {
-			fmt.Printf("estimate: %d  (guarantee <= %dx)\n", est, v.StretchBound(len(faults)))
-		}
-	case *ftrouting.Router:
-		var res ftrouting.RouteResult
-		if *forbidden {
-			res, err = v.RouteForbidden(int32(*s), int32(*t), faults)
-		} else {
-			res, err = v.Route(int32(*s), int32(*t), ftrouting.NewEdgeSet(faults...))
-		}
-		if err != nil {
-			return err
-		}
-		fmt.Printf("loaded router from %s\n", src.Ref())
-		printRouteResult(res)
-	default:
-		return fmt.Errorf("unsupported scheme type %T", v)
-	}
-	return nil
+	return runQueryPlan(m, header, pairs, faults, *par, *forbidden, *pairsFlag == "", os.Stdout)
 }
 
 // parseFaultList parses a comma-separated edge id list.
@@ -171,12 +139,12 @@ func parseFaultList(spec string) ([]ftrouting.EdgeID, error) {
 }
 
 // printRouteResult renders a routing simulation outcome.
-func printRouteResult(res ftrouting.RouteResult) {
+func printRouteResult(w io.Writer, res ftrouting.RouteResult) {
 	if !res.Reached {
-		fmt.Println("result: destination unreachable in G\\F")
+		fmt.Fprintln(w, "result: destination unreachable in G\\F")
 		return
 	}
-	fmt.Printf("result: delivered, cost=%d (optimal %d, stretch %.2f)\n", res.Cost, res.Opt, res.Stretch)
-	fmt.Printf("        hops=%d detections=%d probes=%d header<=%d bits\n",
+	fmt.Fprintf(w, "result: delivered, cost=%d (optimal %d, stretch %.2f)\n", res.Cost, res.Opt, res.Stretch)
+	fmt.Fprintf(w, "        hops=%d detections=%d probes=%d header<=%d bits\n",
 		res.Hops, res.Detections, res.Probes, res.MaxHeaderBits)
 }

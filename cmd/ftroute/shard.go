@@ -237,101 +237,3 @@ func boundString(bound int) string {
 	}
 	return fmt.Sprintf("f=%d", bound)
 }
-
-// manifestContexts loads every shard a plan touches and prepares its
-// fault context — the one-shot (non-daemon) counterpart of the serve
-// router's two-level cache.
-func manifestContexts(m *ftrouting.Manifest, plan *ftrouting.BatchPlan) (map[int]any, error) {
-	ctxs := make(map[int]any)
-	for _, id := range plan.ShardIDs() {
-		sh, err := m.LoadShard(id)
-		if err != nil {
-			return nil, fmt.Errorf("loading shard %d: %w", id, err)
-		}
-		ctx, err := plan.PrepareShard(sh)
-		if err != nil {
-			return nil, err
-		}
-		ctxs[id] = ctx
-	}
-	return ctxs, nil
-}
-
-// runQueryManifest answers `ftroute query` over a loaded shard manifest:
-// plan the batch, load only the touched shards, and print the same
-// output the equivalent monolithic file produces.
-func runQueryManifest(m *ftrouting.Manifest, path string, s, t int, faults []ftrouting.EdgeID, pairsSpec string, par int, forbidden bool) error {
-	single := pairsSpec == ""
-	var err error
-	var pairs []ftrouting.Pair
-	if single {
-		pairs = []ftrouting.Pair{{S: int32(s), T: int32(t)}}
-	} else {
-		if pairs, err = openPairs(pairsSpec); err != nil {
-			return err
-		}
-	}
-	plan, err := m.PlanBatch(ftrouting.QueryBatch{Pairs: pairs, Faults: faults})
-	if err != nil {
-		return err
-	}
-	ctxs, err := manifestContexts(m, plan)
-	if err != nil {
-		return err
-	}
-	if single {
-		fmt.Printf("loaded %s manifest from %s (%d shards, %d touched)\n",
-			m.Kind(), path, m.NumShards(), len(plan.ShardIDs()))
-		fmt.Printf("query: s=%d t=%d |F|=%d\n", s, t, len(faults))
-	}
-	opts := ftrouting.BatchOptions{Parallelism: par}
-	switch m.Kind() {
-	case "conn":
-		res, err := plan.ConnectedBatch(ctxs, opts)
-		if err != nil {
-			return err
-		}
-		if single {
-			fmt.Printf("connected in G\\F: %v\n", res[0])
-			return nil
-		}
-		for i, p := range pairs {
-			fmt.Printf("%d %d %v\n", p.S, p.T, res[i])
-		}
-	case "dist":
-		res, err := plan.EstimateBatch(ctxs, opts)
-		if err != nil {
-			return err
-		}
-		for i, p := range pairs {
-			switch {
-			case single && res[i] == ftrouting.Unreachable:
-				fmt.Println("estimate: unreachable")
-			case single:
-				fmt.Printf("estimate: %d\n", res[i])
-			case res[i] == ftrouting.Unreachable:
-				fmt.Printf("%d %d unreachable\n", p.S, p.T)
-			default:
-				fmt.Printf("%d %d %d\n", p.S, p.T, res[i])
-			}
-		}
-	default: // router
-		var res []ftrouting.RouteResult
-		if forbidden {
-			res, err = plan.RouteForbiddenBatch(ctxs, opts)
-		} else {
-			res, err = plan.RouteBatch(ctxs, opts)
-		}
-		if err != nil {
-			return err
-		}
-		if single {
-			printRouteResult(res[0])
-			return nil
-		}
-		for i, p := range pairs {
-			fmt.Printf("%d %d %v %d %.2f\n", p.S, p.T, res[i].Reached, res[i].Cost, res[i].Stretch)
-		}
-	}
-	return nil
-}

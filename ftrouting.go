@@ -380,6 +380,9 @@ func (c *ConnLabels) Query(s, t VertexLabel, faults []EdgeLabel) (bool, error) {
 
 // Connected is the convenience form of Query over vertex/edge ids.
 func (c *ConnLabels) Connected(s, t int32, faults []EdgeID) (bool, error) {
+	if err := checkQuery(c.g, s, t, faults); err != nil {
+		return false, err
+	}
 	fl := make([]EdgeLabel, len(faults))
 	for i, id := range faults {
 		fl[i] = c.EdgeLabel(id)
@@ -409,6 +412,9 @@ func BuildDistanceLabels(g *Graph, f, k int, seed uint64) (*DistLabels, error) {
 // satisfying dist <= estimate <= (8k-2)(|F|+1) * dist w.h.p., or
 // Unreachable.
 func (d *DistLabels) Estimate(s, t int32, faults []EdgeID) (int64, error) {
+	if err := checkQuery(d.inner.Graph(), s, t, faults); err != nil {
+		return 0, err
+	}
 	fl := make([]distlabel.EdgeLabel, len(faults))
 	for i, id := range faults {
 		fl[i] = d.inner.EdgeLabel(id)
@@ -464,12 +470,18 @@ func NewRouter(g *Graph, f, k int, opts RouterOptions) (*Router, error) {
 // Route delivers a message from s to t under an unknown fault set
 // (Theorem 5.8): stretch at most 32k(|F|+1)^2 w.h.p. for |F| <= f.
 func (r *Router) Route(s, t int32, faults EdgeSet) (RouteResult, error) {
+	if err := checkQuery(r.inner.Graph(), s, t, CanonicalFaults(faults.Slice())); err != nil {
+		return RouteResult{}, err
+	}
 	return r.inner.RouteFT(s, t, faults)
 }
 
 // RouteForbidden delivers under known faults (Theorem 5.3): stretch at
 // most (8k-2)(|F|+1) w.h.p.
 func (r *Router) RouteForbidden(s, t int32, faults []EdgeID) (RouteResult, error) {
+	if err := checkQuery(r.inner.Graph(), s, t, faults); err != nil {
+		return RouteResult{}, err
+	}
 	return r.inner.RouteForbidden(s, t, faults)
 }
 

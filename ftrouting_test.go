@@ -207,6 +207,54 @@ func TestFacadeErrors(t *testing.T) {
 	}
 }
 
+// TestFacadeRangeChecks proves the single-pair facade methods reject
+// out-of-range vertices and fault ids with the batch API's typed codes
+// instead of panicking or answering, and enforce no fault bound.
+func TestFacadeRangeChecks(t *testing.T) {
+	g := RandomConnected(30, 40, 5)
+	conn, err := BuildConnectivityLabels(g, ConnOptions{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dist, err := BuildDistanceLabels(g, 1, 2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	router, err := NewRouter(g, 1, 2, RouterOptions{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	methods := map[string]func(s, t int32, faults []EdgeID) error{
+		"Connected": func(s, t int32, f []EdgeID) error { _, err := conn.Connected(s, t, f); return err },
+		"Estimate":  func(s, t int32, f []EdgeID) error { _, err := dist.Estimate(s, t, f); return err },
+		"Route": func(s, t int32, f []EdgeID) error {
+			_, err := router.Route(s, t, NewEdgeSet(f...))
+			return err
+		},
+		"RouteForbidden": func(s, t int32, f []EdgeID) error { _, err := router.RouteForbidden(s, t, f); return err },
+	}
+	cases := []struct {
+		s, t   int32
+		faults []EdgeID
+		want   ErrorCode
+	}{
+		{0, 99, nil, CodeVertexRange},
+		{-1, 3, nil, CodeVertexRange},
+		{0, 3, []EdgeID{9999}, CodeFaultRange},
+		{0, 3, []EdgeID{1, -2}, CodeFaultRange},
+		{0, 99, []EdgeID{9999}, CodeFaultRange}, // faults first, as in the batch path
+		{0, 3, nil, ""},
+		{0, 3, []EdgeID{1, 2, 3}, ""}, // beyond f=1: the facade enforces no bound
+	}
+	for name, call := range methods {
+		for _, c := range cases {
+			if got := CodeOf(call(c.s, c.t, c.faults)); got != c.want {
+				t.Errorf("%s(%d, %d, %v): code %q, want %q", name, c.s, c.t, c.faults, got, c.want)
+			}
+		}
+	}
+}
+
 func TestDefaultSchemeIsSketchBased(t *testing.T) {
 	g := Path(5)
 	labels, err := BuildConnectivityLabels(g, ConnOptions{Seed: 1})

@@ -4,9 +4,9 @@
 // size / table size / header size / stretch / decode-time claims of
 // Theorems 1.3-1.6, 3.6, 3.7, 5.3, 5.5 and 5.8.
 //
-// Each runner returns a Table; cmd/experiments prints them all (the output
-// recorded in EXPERIMENTS.md), and bench_test.go at the repository root
-// exposes one benchmark per experiment.
+// Each runner returns a Table; cmd/experiments prints them all (DESIGN.md
+// §2 indexes them), and bench_test.go at the repository root exposes one
+// benchmark per experiment.
 package experiments
 
 import (

@@ -88,13 +88,6 @@ func New(baseURL string, opts ...Option) *Client {
 	return c
 }
 
-// NewClient is the pre-options constructor.
-//
-// Deprecated: use New with WithHTTPClient.
-func NewClient(baseURL string, httpClient *http.Client) *Client {
-	return New(baseURL, WithHTTPClient(httpClient))
-}
-
 // BaseURL returns the server address the client was built with.
 func (c *Client) BaseURL() string { return c.base }
 

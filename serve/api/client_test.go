@@ -124,13 +124,15 @@ func TestClientPerAttemptTimeout(t *testing.T) {
 	}
 }
 
-func TestClientDeprecatedConstructor(t *testing.T) {
+// TestClientNilHTTPClient proves WithHTTPClient(nil) falls back to
+// http.DefaultClient instead of leaving the client without a transport.
+func TestClientNilHTTPClient(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprint(w, `{"results":[false]}`)
 	}))
 	defer ts.Close()
-	got, err := NewClient(ts.URL, nil).Connected(context.Background(), &QueryRequest{})
+	got, err := New(ts.URL, WithHTTPClient(nil)).Connected(context.Background(), &QueryRequest{})
 	if err != nil || len(got) != 1 || got[0] {
-		t.Fatalf("NewClient path: %v %v", got, err)
+		t.Fatalf("nil http.Client: %v %v", got, err)
 	}
 }

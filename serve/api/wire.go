@@ -156,8 +156,8 @@ type HealthResponse struct {
 	// monolithic scheme file and every sharding of it, so a proxy can
 	// reject an upstream serving a foreign or incompatible build.
 	Digest string `json:"digest,omitempty"`
-	// Components and Shards describe a sharded server's manifest; both are
-	// omitted by monolithic servers.
+	// Components and Shards describe the manifest of a server or proxy;
+	// both are omitted by a server over a whole scheme (serve.New).
 	Components int `json:"components,omitempty"`
 	Shards     int `json:"shards,omitempty"`
 	// Replicas is the upstream count of a proxy; omitted by servers that
@@ -247,9 +247,10 @@ type StageSummary struct {
 	MeanNanos int64  `json:"mean_nanos"`
 }
 
-// StatsResponse answers /v1/stats. For sharded servers Cache aggregates
-// every shard's prepared-fault-context counters and Shards breaks the
-// resident-shard cache out per shard; monolithic servers omit Shards.
+// StatsResponse answers /v1/stats. For servers Cache aggregates every
+// shard's prepared-fault-context counters and Shards breaks the
+// resident-shard cache out per shard; a server over a whole scheme
+// (serve.New) omits Shards.
 // Proxies report one Upstreams row per replica and omit the local cache
 // blocks. Latency (per endpoint) and Stages (per serving stage) summarize
 // the live latency histograms; both are omitted when metrics are

@@ -78,7 +78,7 @@ func benchServeOpts(b *testing.B, scheme any, endpoint string, g *ftrouting.Grap
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		raw, err := json.Marshal(QueryRequest{Pairs: pairs, Faults: faultsFor(i)})
+		raw, err := json.Marshal(api.QueryRequest{Pairs: pairs, Faults: faultsFor(i)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -251,7 +251,7 @@ func benchServeSharded(b *testing.B, budget int64, faultsFor func(i int) []ftrou
 	url := ts.URL + "/v1/connected"
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		raw, err := json.Marshal(QueryRequest{Pairs: pairs, Faults: faultsFor(i)})
+		raw, err := json.Marshal(api.QueryRequest{Pairs: pairs, Faults: faultsFor(i)})
 		if err != nil {
 			b.Fatal(err)
 		}

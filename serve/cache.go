@@ -17,6 +17,7 @@ import (
 	"sync"
 
 	"ftrouting"
+	"ftrouting/serve/api"
 )
 
 // faultKey renders a canonical fault list (distinct ids, ascending) as a
@@ -66,9 +67,9 @@ func newContextCache(capacity int) *contextCache {
 
 // get returns the prepared context stored under key, running prep at
 // most once per cached entry, and reports whether the lookup hit. The
-// key must determine the prepared context (the monolithic server keys by
-// canonical fault set; a sharded server adds the global distinct-fault
-// count the shard's restriction cannot see). Exactly one of the hit/miss
+// key must determine the prepared context (a server keys by the shard's
+// canonical fault restriction plus the global distinct-fault count the
+// restriction cannot see). Exactly one of the hit/miss
 // counters advances per call, matching the returned flag; an errored
 // lookup counts (and reports) a miss even when it joined another
 // caller's in-flight preparation, since it handed out no context.
@@ -128,10 +129,10 @@ func (c *contextCache) get(key string, prep func() (any, error)) (any, bool, err
 }
 
 // stats snapshots the counters.
-func (c *contextCache) stats() CacheStats {
+func (c *contextCache) stats() api.CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return CacheStats{
+	return api.CacheStats{
 		Capacity:  c.capacity,
 		Size:      c.order.Len(),
 		Hits:      c.hits,

@@ -18,6 +18,7 @@ import (
 	"testing"
 
 	"ftrouting"
+	"ftrouting/serve/api"
 )
 
 func TestFaultKey(t *testing.T) {
@@ -263,7 +264,7 @@ func TestServeCacheRace(t *testing.T) {
 					errs <- err
 					return
 				}
-				var body ConnectedResponse
+				var body api.ConnectedResponse
 				err = decodeBody(resp, &body)
 				if err != nil {
 					errs <- err

@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"ftrouting"
+	"ftrouting/serve/api"
 )
 
 // fuzzServers lazily builds one tiny server per scheme kind (once per
@@ -99,7 +100,7 @@ func FuzzServeRequest(f *testing.F) {
 			body := rec.Body.Bytes()
 			if resp.StatusCode == http.StatusOK {
 				// One result per requested pair, mirroring the batch API.
-				var echo QueryRequest
+				var echo api.QueryRequest
 				if err := json.Unmarshal(data, &echo); err != nil {
 					t.Fatalf("%s: 200 for undecodable input %q", endpoint, data)
 				}
@@ -115,7 +116,7 @@ func FuzzServeRequest(f *testing.F) {
 				}
 				continue
 			}
-			var eb ErrorBody
+			var eb api.ErrorBody
 			if err := json.Unmarshal(body, &eb); err != nil {
 				t.Fatalf("%s: status %d body %q is not an error envelope: %v",
 					endpoint, resp.StatusCode, body, err)

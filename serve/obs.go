@@ -2,8 +2,8 @@ package serve
 
 // The observability layer of a serving tier: per-endpoint request and
 // latency instruments, per-stage timings, request tracing and structured
-// access logs, shared verbatim by the monolithic daemon, the sharded
-// replica and the fan-out proxy. Everything is opt-in — a zero
+// access logs, shared verbatim by every server and the fan-out proxy.
+// Everything is opt-in — a zero
 // Observability keeps a tier byte-for-byte on its uninstrumented
 // behavior — and nil-safe, so call sites never branch on whether metrics
 // are enabled.
@@ -37,9 +37,9 @@ type Observability struct {
 
 // Serving stage names: the keys of the per-stage histograms, the stats
 // stage summaries and the ?debug=timing echo. Each tier reports the
-// subset it runs: a monolithic server times decode/context/eval, a
-// sharded one adds validate (batch planning), the proxy times
-// decode/validate/eval (the fan-out) /merge.
+// subset it runs: a server times decode/validate (batch
+// planning)/context/eval, the proxy decode/validate/eval (the fan-out)
+// /merge.
 const (
 	stageDecode   = "decode"
 	stageValidate = "validate"
@@ -90,12 +90,11 @@ func newTierObs(o Observability) *tierObs {
 	t.requests = make(map[string]*obs.Counter)
 	t.failures = make(map[string]*obs.Counter)
 	t.latency = make(map[string]*obs.Histogram)
-	endpoints := make([]string, 0, len(queryEndpoints)+2)
-	for name := range queryEndpoints {
-		endpoints = append(endpoints, name)
+	names := []string{"healthz", "stats"}
+	for _, ep := range endpoints {
+		names = append(names, ep.name)
 	}
-	endpoints = append(endpoints, "healthz", "stats")
-	for _, name := range endpoints {
+	for _, name := range names {
 		l := obs.L("endpoint", name)
 		t.requests[name] = m.Counter("ftroute_requests_total",
 			"Requests received, by endpoint.", l)
@@ -338,26 +337,6 @@ func (ro *reqObs) timing() *api.Timing {
 		Stages:     ro.stages,
 		Upstreams:  ro.upstreams,
 	}
-}
-
-// attachTiming grafts a timing echo onto a query payload. A nil echo
-// returns the payload untouched.
-func attachTiming(payload any, t *api.Timing) any {
-	if t == nil {
-		return payload
-	}
-	switch v := payload.(type) {
-	case ConnectedResponse:
-		v.Timing = t
-		return v
-	case EstimateResponse:
-		v.Timing = t
-		return v
-	case RouteResponse:
-		v.Timing = t
-		return v
-	}
-	return payload
 }
 
 // finish closes one request's observation: latency and traffic

@@ -279,10 +279,11 @@ func TestServeMetricsExposition(t *testing.T) {
 	if v := metricValue(t, body, "ftroute_pairs_served_total"); v != float64(3*len(pairs)) {
 		t.Fatalf("pairs_served_total = %v, want %d", v, 3*len(pairs))
 	}
-	// 4 misses: three distinct fault sets plus the failing request, whose
-	// empty fault set reaches context prep before pair validation fails.
-	if v := metricValue(t, body, "ftroute_context_cache_misses_total"); v != 4 {
-		t.Fatalf("cache_misses_total = %v, want 4", v)
+	// 3 misses: one per distinct fault set. The failing request's only
+	// pair is out of range, so its plan touches no shard and it never
+	// reaches context prep.
+	if v := metricValue(t, body, "ftroute_context_cache_misses_total"); v != 3 {
+		t.Fatalf("cache_misses_total = %v, want 3", v)
 	}
 	if v := metricValue(t, body, `ftroute_request_seconds_count{endpoint="connected"}`); v != 4 {
 		t.Fatalf("request_seconds_count = %v, want 4", v)

@@ -70,10 +70,8 @@ type upstream struct {
 // http.Handler with the exact endpoint surface of a Server and is safe
 // for concurrent requests.
 type Proxy struct {
-	m      *ftrouting.Manifest
-	kind   string
-	digest string
-	opts   ProxyOptions
+	tier
+	par int
 
 	ups []*upstream
 	// assign[shard] lists the replica indices holding the shard, in
@@ -81,11 +79,6 @@ type Proxy struct {
 	// a replication group shares its load.
 	assign [][]int
 	rr     atomic.Uint64
-
-	obs         *tierObs
-	mux         *http.ServeMux
-	counters    map[string]*endpointCounters
-	pairsServed atomic.Uint64
 }
 
 // PlanPlacement assigns shards to replicas balanced by shard bytes:
@@ -147,19 +140,12 @@ func NewProxy(ctx context.Context, m *ftrouting.Manifest, replicas []string, opt
 		return nil, fmt.Errorf("serve: replication factor %d needs 1..%d (the replica count)",
 			opts.Replication, len(replicas))
 	}
-	if opts.MaxRequestBytes == 0 {
-		opts.MaxRequestBytes = DefaultMaxRequestBytes
+	maxBytes, err := requestLimit(opts.MaxRequestBytes)
+	if err != nil {
+		return nil, err
 	}
-	if opts.MaxRequestBytes < 0 {
-		return nil, fmt.Errorf("serve: MaxRequestBytes must be positive, got %d", opts.MaxRequestBytes)
-	}
-	p := &Proxy{
-		m:      m,
-		kind:   m.Kind(),
-		digest: fmt.Sprintf("%08x", m.Digest()),
-		opts:   opts,
-		obs:    newTierObs(opts.Obs),
-	}
+	p := &Proxy{par: opts.Parallelism}
+	p.init(m, maxBytes, p, opts.Obs)
 	for _, base := range replicas {
 		u := &upstream{client: api.New(base, api.WithHTTPClient(opts.HTTPClient))}
 		u.lat, u.errCtr, u.failCtr = p.obs.upstreamInstruments(base)
@@ -180,7 +166,6 @@ func NewProxy(ctx context.Context, m *ftrouting.Manifest, replicas []string, opt
 			p.ups[rep].shards = append(p.ups[rep].shards, id)
 		}
 	}
-	p.initMux()
 	return p, nil
 }
 
@@ -195,9 +180,9 @@ func (p *Proxy) verifyReplica(ctx context.Context, c *api.Client) error {
 		return fmt.Errorf("reports status %q", h.Status)
 	case h.Kind != p.kind:
 		return fmt.Errorf("serves a %s scheme; the manifest holds a %s scheme", h.Kind, p.kind)
-	case h.Digest != p.digest:
-		return fmt.Errorf("serves scheme digest %s; the manifest's digest is %s (foreign build)",
-			h.Digest, p.digest)
+	case h.Digest != fmt.Sprintf("%08x", p.m.Digest()):
+		return fmt.Errorf("serves scheme digest %s; the manifest's digest is %08x (foreign build)",
+			h.Digest, p.m.Digest())
 	case h.FaultBound != p.m.FaultBound():
 		return fmt.Errorf("reports fault bound %d; the manifest's bound is %d", h.FaultBound, p.m.FaultBound())
 	case h.Vertices != p.m.Graph().N() || h.Edges != p.m.Graph().M():
@@ -206,38 +191,6 @@ func (p *Proxy) verifyReplica(ctx context.Context, c *api.Client) error {
 	}
 	return nil
 }
-
-// initMux installs the /v1 endpoint handlers, mirroring Server.initMux,
-// plus the /metrics scrape target when metrics are enabled.
-func (p *Proxy) initMux() {
-	p.counters = make(map[string]*endpointCounters)
-	p.mux = http.NewServeMux()
-	for name := range queryEndpoints {
-		name := name
-		p.counters[name] = &endpointCounters{}
-		p.mux.HandleFunc("/v1/"+name, instrumented(p.obs, p.counters, name,
-			func(w http.ResponseWriter, r *http.Request, ro *reqObs) *apiError {
-				return p.answerQuery(w, r, name, ro)
-			}))
-	}
-	for name, h := range map[string]func(http.ResponseWriter, *http.Request, *reqObs) *apiError{
-		"healthz": p.handleHealthz,
-		"stats":   p.handleStats,
-	} {
-		name, h := name, h
-		p.counters[name] = &endpointCounters{}
-		p.mux.HandleFunc("/v1/"+name, instrumented(p.obs, p.counters, name, h))
-	}
-	if h := p.obs.metricsHandler(); h != nil {
-		p.mux.Handle("/metrics", h)
-	}
-	p.mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		writeError(w, errorf(http.StatusNotFound, codeNotFound, "no such endpoint %s", r.URL.Path))
-	})
-}
-
-// Kind returns the fronted scheme kind: "conn", "dist" or "router".
-func (p *Proxy) Kind() string { return p.kind }
 
 // Placement returns each replica's assigned shard ids, in replica order.
 func (p *Proxy) Placement() [][]int {
@@ -248,71 +201,30 @@ func (p *Proxy) Placement() [][]int {
 	return out
 }
 
-// ServeHTTP dispatches to the /v1 endpoint handlers.
-func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	p.mux.ServeHTTP(w, r)
-}
-
-// subAnswer is one sub-batch's outcome: exactly one of the per-endpoint
-// result slices (matching the sub-batch's pairs) or a remapped error.
-// up records the answering replica's fan-out timing (and its own echoed
-// breakdown under ?debug=timing) for the merged timing envelope.
+// subAnswer is one sub-batch's outcome: the endpoint's result column
+// (matching the sub-batch's pairs) or a remapped error. up records the
+// answering replica's fan-out timing (and its own echoed breakdown under
+// ?debug=timing) for the merged timing envelope.
 type subAnswer struct {
-	conn  []bool
-	est   []int64
-	route []api.RouteResult
-	err   *apiError
-	up    api.UpstreamTiming
+	results any
+	err     *apiError
+	up      api.UpstreamTiming
 }
 
-// answerQuery is the proxy's query pipeline, mirroring the Server's
-// stage for stage so every error a single daemon would produce is
-// reproduced byte-identically: method and endpoint-kind checks, request
-// decoding, the batch API's empty-batch shortcut, global fault
-// validation and per-pair vertex checks via the manifest's plan — all
-// before any replica sees a byte. Only validation-clean sub-batches fan
-// out.
-func (p *Proxy) answerQuery(w http.ResponseWriter, r *http.Request, name string, ro *reqObs) *apiError {
-	if r.Method != http.MethodPost {
-		return errorf(http.StatusMethodNotAllowed, codeMethodNotAllowed,
-			"/v1/%s accepts POST, not %s", name, r.Method)
-	}
-	if want := queryEndpoints[name]; want != p.kind {
-		return errorf(http.StatusNotFound, codeUnsupported,
-			"/v1/%s serves %s schemes; this server holds a %s scheme", name, want, p.kind)
-	}
-	st := ro.now()
-	req, e := decodeQueryRequest(r.Body, p.opts.MaxRequestBytes)
-	if e != nil {
-		return e
-	}
-	ro.stage(stageDecode, st)
-	batch := req.Batch()
-	ro.setBatch(len(batch.Pairs), len(batch.Faults))
-	if len(batch.Pairs) == 0 {
-		writeJSON(w, attachTiming(emptyPayload(name), ro.timing()))
-		return nil
-	}
-	// Plan over the canonical fault set — the form every tier validates
-	// and prepares — and forward that same canonical list upstream, so a
-	// replica's own plan derives the identical per-shard restriction and
-	// global distinct-fault count (which distance estimates need and a
-	// shard-restricted list could not reconstruct).
-	st = ro.now()
-	canon := ftrouting.CanonicalFaults(batch.Faults)
-	plan, err := p.m.PlanBatch(ftrouting.QueryBatch{Pairs: batch.Pairs, Faults: canon})
-	if err != nil {
-		return fromBatchError(err)
-	}
+// answer is the proxy's backend: vertex checks via the plan first, so
+// validation failures never leave the proxy and every error a single
+// daemon would produce is reproduced byte-identically; then one
+// sub-batch per touched shard fans out, and the columns merge back in
+// pair order.
+func (p *Proxy) answer(ctx context.Context, ep *endpoint, plan *ftrouting.BatchPlan, canon []ftrouting.EdgeID, ro *reqObs) (any, *apiError) {
 	if err := plan.FirstPairError(); err != nil {
-		return fromBatchError(err)
+		return nil, fromBatchError(err)
 	}
-	ro.stage(stageValidate, st)
 	subs := plan.SubBatches()
 	answers := make([]subAnswer, len(subs))
-	st = ro.now()
-	parallel.ForEach(p.opts.Parallelism, len(subs), func(i int) error {
-		answers[i] = p.forwardSub(r.Context(), name, canon, subs[i], ro)
+	st := ro.now()
+	parallel.ForEach(p.par, len(subs), func(i int) error {
+		answers[i] = p.forwardSub(ctx, ep, canon, subs[i], ro)
 		return nil // errors merge below, under batch-order precedence
 	})
 	ro.stage(stageEval, st)
@@ -323,18 +235,16 @@ func (p *Proxy) answerQuery(w http.ResponseWriter, r *http.Request, name string,
 			ro.addUpstream(answers[i].up)
 		}
 	}
-	if e := pickSubError(subs, answers); e != nil {
-		return e
+	if e := pickSubError(answers); e != nil {
+		return nil, e
 	}
 	st = ro.now()
-	payload, e := p.mergeAnswers(name, plan, subs, answers)
+	results, e := ep.merge(plan, subs, answers)
 	if e != nil {
-		return e
+		return nil, e
 	}
 	ro.stage(stageMerge, st)
-	p.pairsServed.Add(uint64(len(batch.Pairs)))
-	writeJSON(w, attachTiming(payload, ro.timing()))
-	return nil
+	return results, nil
 }
 
 // forwardSub sends one sub-batch to the replicas assigned to its shard,
@@ -345,7 +255,7 @@ func (p *Proxy) answerQuery(w http.ResponseWriter, r *http.Request, name string,
 // rather than retried. When every assigned replica fails at the
 // transport level the sub-batch reports the typed upstream-failure
 // envelope.
-func (p *Proxy) forwardSub(ctx context.Context, name string, canon []ftrouting.EdgeID, sub ftrouting.SubBatch, ro *reqObs) subAnswer {
+func (p *Proxy) forwardSub(ctx context.Context, ep *endpoint, canon []ftrouting.EdgeID, sub ftrouting.SubBatch, ro *reqObs) subAnswer {
 	req := api.FromBatch(ftrouting.QueryBatch{Pairs: sub.Pairs, Faults: canon})
 	if ro != nil {
 		// Propagate the trace on every fan-out hop, and the timing opt-in
@@ -361,34 +271,17 @@ func (p *Proxy) forwardSub(ctx context.Context, name string, canon []ftrouting.E
 	for i := 0; i < len(reps); i++ {
 		u := p.ups[reps[(start+i)%len(reps)]]
 		u.requests.Add(1)
-		var ans subAnswer
-		var echoed *api.Timing
-		var err error
 		t0 := time.Now()
-		switch name {
-		case "connected":
-			var resp api.ConnectedResponse
-			err = u.client.Query(ctx, name, req, &resp)
-			ans.conn, echoed = resp.Results, resp.Timing
-		case "estimate":
-			var resp api.EstimateResponse
-			err = u.client.Query(ctx, name, req, &resp)
-			ans.est, echoed = resp.Estimates, resp.Timing
-		default: // route, route-forbidden
-			var resp api.RouteResponse
-			err = u.client.Query(ctx, name, req, &resp)
-			ans.route, echoed = resp.Results, resp.Timing
-		}
+		results, echoed, err := ep.query(ctx, u.client, req)
 		d := time.Since(t0)
 		u.lat.Observe(d)
 		if err == nil {
-			ans.up = api.UpstreamTiming{
+			return subAnswer{results: results, up: api.UpstreamTiming{
 				Shard:   sub.Shard,
 				Replica: u.client.BaseURL(),
 				Nanos:   int64(d),
 				Timing:  echoed,
-			}
-			return ans
+			}}
 		}
 		if ce, ok := err.(*api.Error); ok {
 			u.errors.Add(1)
@@ -400,7 +293,7 @@ func (p *Proxy) forwardSub(ctx context.Context, name string, canon []ftrouting.E
 		lastErr = err
 	}
 	p.obs.badGatewayInc()
-	return subAnswer{err: errorf(http.StatusBadGateway, codeUpstream,
+	return subAnswer{err: errorf(http.StatusBadGateway, api.CodeUpstream,
 		"shard %d: every assigned replica failed: %v", sub.Shard, lastErr)}
 }
 
@@ -428,7 +321,7 @@ func remapSubError(ce *api.Error, sub ftrouting.SubBatch) *apiError {
 // with the lowest batch index (the fan-out's lowest-index rule), then —
 // with no authoritative answer to prefer — the upstream failure of the
 // lowest shard id.
-func pickSubError(subs []ftrouting.SubBatch, answers []subAnswer) *apiError {
+func pickSubError(answers []subAnswer) *apiError {
 	var unscoped, scoped, upstreamE *apiError
 	for i := range answers {
 		e := answers[i].err
@@ -436,7 +329,7 @@ func pickSubError(subs []ftrouting.SubBatch, answers []subAnswer) *apiError {
 			continue
 		}
 		switch {
-		case e.code == codeUpstream:
+		case e.code == api.CodeUpstream:
 			if upstreamE == nil {
 				upstreamE = e
 			}
@@ -459,74 +352,17 @@ func pickSubError(subs []ftrouting.SubBatch, answers []subAnswer) *apiError {
 	return upstreamE
 }
 
-// mergeAnswers scatters the sub-batch results back into pair order and
-// answers the plan's trivial (cross-component) pairs from the directory:
-// never connected, Unreachable, or the trivial route simulation —
-// exactly the values a single daemon computes for them.
-func (p *Proxy) mergeAnswers(name string, plan *ftrouting.BatchPlan, subs []ftrouting.SubBatch, answers []subAnswer) (any, *apiError) {
-	n := plan.NumPairs()
-	badLen := func(sub ftrouting.SubBatch, got int) *apiError {
-		return errorf(http.StatusInternalServerError, codeInternal,
-			"shard %d: replica answered %d results for %d pairs", sub.Shard, got, len(sub.Pairs))
-	}
-	switch name {
-	case "connected":
-		out := make([]bool, n)
-		for i, sub := range subs {
-			if len(answers[i].conn) != len(sub.Pairs) {
-				return nil, badLen(sub, len(answers[i].conn))
-			}
-			for j, idx := range sub.Indices {
-				out[idx] = answers[i].conn[j]
-			}
-		}
-		// Trivial pairs stay false: different components never connect.
-		return ConnectedResponse{Results: out}, nil
-	case "estimate":
-		out := make([]int64, n)
-		for i, sub := range subs {
-			if len(answers[i].est) != len(sub.Pairs) {
-				return nil, badLen(sub, len(answers[i].est))
-			}
-			for j, idx := range sub.Indices {
-				out[idx] = answers[i].est[j]
-			}
-		}
-		for _, idx := range plan.TrivialPairs() {
-			out[idx] = ftrouting.Unreachable
-		}
-		return EstimateResponse{Estimates: out}, nil
-	default: // route, route-forbidden
-		out := make([]RouteResult, n)
-		for i, sub := range subs {
-			if len(answers[i].route) != len(sub.Pairs) {
-				return nil, badLen(sub, len(answers[i].route))
-			}
-			for j, idx := range sub.Indices {
-				out[idx] = answers[i].route[j]
-			}
-		}
-		for _, idx := range plan.TrivialPairs() {
-			out[idx] = fromRouteResult(ftrouting.TrivialRouteResult(plan.Pair(idx)))
-		}
-		return RouteResponse{Results: out}, nil
-	}
+// health adds the manifest's component and shard counts and the
+// replica count.
+func (p *Proxy) health(h *api.HealthResponse) {
+	h.Components, h.Shards, h.Replicas = p.m.NumComponents(), p.m.NumShards(), len(p.ups)
 }
 
-// Stats snapshots the proxy's counters: endpoint traffic, pairs served,
-// and one upstream row per replica. The cache blocks stay zero — the
-// proxy holds no labels and prepares no fault contexts.
-func (p *Proxy) Stats() StatsResponse {
-	resp := StatsResponse{
-		Kind:        p.kind,
-		Endpoints:   make(map[string]EndpointStats, len(p.counters)),
-		PairsServed: p.pairsServed.Load(),
-	}
-	for name, c := range p.counters {
-		resp.Endpoints[name] = EndpointStats{Requests: c.requests.Load(), Errors: c.errors.Load()}
-	}
+// stats adds one upstream row per replica. The cache blocks stay zero —
+// the proxy holds no labels and prepares no fault contexts.
+func (p *Proxy) stats(resp *api.StatsResponse) {
 	for _, u := range p.ups {
-		resp.Upstreams = append(resp.Upstreams, UpstreamStats{
+		resp.Upstreams = append(resp.Upstreams, api.UpstreamStats{
 			Replica:  u.client.BaseURL(),
 			Shards:   append([]int(nil), u.shards...),
 			Requests: u.requests.Load(),
@@ -534,39 +370,4 @@ func (p *Proxy) Stats() StatsResponse {
 			Failures: u.failures.Load(),
 		})
 	}
-	resp.Latency = p.obs.latencySummaries()
-	resp.Stages = p.obs.stageSummaries()
-	return resp
-}
-
-// handleHealthz answers GET /v1/healthz with the fronted scheme's facts
-// plus the proxy's replica count.
-func (p *Proxy) handleHealthz(w http.ResponseWriter, r *http.Request, _ *reqObs) *apiError {
-	if r.Method != http.MethodGet {
-		return errorf(http.StatusMethodNotAllowed, codeMethodNotAllowed,
-			"/v1/healthz accepts GET, not %s", r.Method)
-	}
-	writeJSON(w, HealthResponse{
-		Status:      "ok",
-		Kind:        p.kind,
-		Vertices:    p.m.Graph().N(),
-		Edges:       p.m.Graph().M(),
-		FaultBound:  p.m.FaultBound(),
-		Unreachable: ftrouting.Unreachable,
-		Digest:      p.digest,
-		Components:  p.m.NumComponents(),
-		Shards:      p.m.NumShards(),
-		Replicas:    len(p.ups),
-	})
-	return nil
-}
-
-// handleStats answers GET /v1/stats.
-func (p *Proxy) handleStats(w http.ResponseWriter, r *http.Request, _ *reqObs) *apiError {
-	if r.Method != http.MethodGet {
-		return errorf(http.StatusMethodNotAllowed, codeMethodNotAllowed,
-			"/v1/stats accepts GET, not %s", r.Method)
-	}
-	writeJSON(w, p.Stats())
-	return nil
 }

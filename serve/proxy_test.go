@@ -288,13 +288,13 @@ func TestProxyReplicaDown(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("healthy shard %d: status %d: %s", aliveShard, status, body)
 	}
-	var cr ConnectedResponse
+	var cr api.ConnectedResponse
 	if err := json.Unmarshal(body, &cr); err != nil || len(cr.Results) != 1 || !cr.Results[0] {
 		t.Fatalf("healthy shard %d: bad answer %s (err %v)", aliveShard, body, err)
 	}
 	// Dead replica's shard reports the typed envelope.
 	status, body = query(deadShard)
-	expectError(t, status, body, http.StatusBadGateway, codeUpstream, -1)
+	expectError(t, status, body, http.StatusBadGateway, api.CodeUpstream, -1)
 	// Validation failures still never touch a replica: a fault-bound error
 	// over the dead shard's component answers 400, not 502.
 	v := shardVertex[deadShard]

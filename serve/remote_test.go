@@ -19,6 +19,7 @@ import (
 
 	"ftrouting"
 	"ftrouting/internal/blob"
+	"ftrouting/serve/api"
 )
 
 // remoteFixture shards a conn scheme over shardMatrixGraph into a dir
@@ -86,7 +87,7 @@ func TestServeRemoteEquivalence(t *testing.T) {
 	defer coldTS.Close()
 	blobs.Close()
 	status, body := postRaw(t, coldTS.URL+"/v1/connected", `{"pairs":[[0,5]]}`)
-	expectError(t, status, body, http.StatusBadGateway, codeUpstream, -1)
+	expectError(t, status, body, http.StatusBadGateway, api.CodeUpstream, -1)
 }
 
 func mustHTTPStore(t *testing.T, base string, opts blob.HTTPOptions) *blob.HTTP {
@@ -119,7 +120,7 @@ func TestServeRemoteFetchFailureDoesNotPoison(t *testing.T) {
 	batch := `{"pairs":[[0,5],[6,13]]}`
 	fault.Enqueue(blob.FaultOp{}, blob.FaultOp{OpenErr: fmt.Errorf("%w: injected outage", blob.ErrFetch)})
 	status, body := postRaw(t, ts.URL+"/v1/connected", batch)
-	expectError(t, status, body, http.StatusBadGateway, codeUpstream, -1)
+	expectError(t, status, body, http.StatusBadGateway, api.CodeUpstream, -1)
 
 	// Queue drained: the identical batch answers like the monolith.
 	status, body = postRaw(t, ts.URL+"/v1/connected", batch)
@@ -161,11 +162,11 @@ func TestServeRemoteCorruptionRejected(t *testing.T) {
 	// Bit flip mid-payload: decode fails the CRC/structure checks.
 	fault.Enqueue(blob.FaultOp{FlipBit: shardBytes / 2})
 	status, body := postRaw(t, ts.URL+"/v1/connected", req)
-	expectError(t, status, body, http.StatusInternalServerError, codeInternal, -1)
+	expectError(t, status, body, http.StatusInternalServerError, api.CodeInternal, -1)
 	// Truncation: rejected by the manifest size check before decoding.
 	fault.Enqueue(blob.FaultOp{Truncate: shardBytes - 7})
 	status, body = postRaw(t, ts.URL+"/v1/connected", req)
-	expectError(t, status, body, http.StatusInternalServerError, codeInternal, -1)
+	expectError(t, status, body, http.StatusInternalServerError, api.CodeInternal, -1)
 
 	// Clean fetch serves the right answer — corrupt bytes never installed.
 	status, body = postRaw(t, ts.URL+"/v1/connected", req)

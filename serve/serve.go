@@ -1,12 +1,12 @@
 // Package serve is the long-running query daemon over persisted schemes:
-// it loads any scheme file written by ftroute build (connectivity,
-// distance or routing), and answers pair batches over an HTTP/JSON API
-// that dispatches to the root package's batch engine. This is the
-// deployment shape the paper's preprocessing/query split is designed for
-// — all graph-dependent work happened at build time, so the serving tier
-// is pure label decoding: load once, serve heavy traffic.
+// it answers pair batches over an HTTP/JSON API for a whole scheme (any
+// file ftroute build writes: connectivity, distance or routing) or a
+// shard manifest, and fans batches out over replicas as a proxy. This is
+// the deployment shape the paper's preprocessing/query split is designed
+// for — all graph-dependent work happened at build time, so the serving
+// tier is pure label decoding: load once, serve heavy traffic.
 //
-// Endpoints (all under /v1, POST bodies are QueryRequest JSON):
+// Endpoints (all under /v1, POST bodies are api.QueryRequest JSON):
 //
 //	POST /v1/connected        connectivity per pair (conn schemes)
 //	POST /v1/estimate         distance estimate per pair (dist schemes)
@@ -15,23 +15,29 @@
 //	GET  /v1/healthz          scheme kind, sizes, fault bound
 //	GET  /v1/stats            per-endpoint counters and cache statistics
 //
-// Responses are bit-identical to direct ConnectedBatch / EstimateBatch /
-// RouteBatch / RouteForbiddenBatch calls. A bounded LRU keyed by the
-// canonicalized fault set keeps prepared fault contexts warm, so repeated
-// queries against the same failures skip fault-set preparation (decoder
-// Steps 1–3) entirely. Errors carry the batch API's machine-readable
-// codes and pair indices in a structured JSON envelope.
+// There is one request pipeline. A whole scheme is served as the
+// single-shard manifest ftrouting.ManifestOf wraps it in, so a Server
+// over a scheme, a Server over a manifest and a Proxy over replicas all
+// run the same front half — decode, canonical faults, PlanBatch — and
+// differ only in the backend that answers the plan: the local shard
+// cache or the replica groups. Responses are bit-identical to direct
+// ConnectedBatch / EstimateBatch / RouteBatch / RouteForbiddenBatch
+// calls at every tier. A bounded LRU per resident shard, keyed by the
+// canonicalized fault set, keeps prepared fault contexts warm, so
+// repeated queries against the same failures skip fault-set preparation
+// (decoder Steps 1–3) entirely. Errors carry the batch API's
+// machine-readable codes and pair indices in a structured JSON envelope.
 package serve
 
 import (
+	"context"
 	"errors"
-	"fmt"
 	"net/http"
 	"strconv"
-	"sync/atomic"
 
 	"ftrouting"
 	"ftrouting/internal/blob"
+	"ftrouting/serve/api"
 )
 
 // Default limits; zero-valued Options fields select these.
@@ -41,8 +47,8 @@ const (
 	// DefaultMaxRequestBytes bounds a request body (8 MiB ≈ one million
 	// pairs per request).
 	DefaultMaxRequestBytes = 8 << 20
-	// DefaultShardBudgetBytes bounds the resident shards of a sharded
-	// server (measured as shard file bytes, the manifest's recorded cost).
+	// DefaultShardBudgetBytes bounds the resident shards of a server
+	// (measured as shard file bytes, the manifest's recorded cost).
 	DefaultShardBudgetBytes = 1 << 30
 )
 
@@ -52,28 +58,26 @@ type Options struct {
 	// pairs: 0 uses GOMAXPROCS, 1 evaluates sequentially (the root batch
 	// API's convention).
 	Parallelism int
-	// ContextCacheSize bounds the prepared-fault-context LRU: 0 selects
-	// DefaultContextCacheSize, negative disables caching. A sharded server
-	// applies the bound per resident shard (contexts die with their
-	// shard).
+	// ContextCacheSize bounds the prepared-fault-context LRU of each
+	// resident shard (contexts die with their shard): 0 selects
+	// DefaultContextCacheSize, negative disables caching.
 	ContextCacheSize int
 	// MaxRequestBytes bounds a request body: 0 selects
 	// DefaultMaxRequestBytes.
 	MaxRequestBytes int64
-	// ShardBudgetBytes bounds the resident shard bytes of a sharded
-	// server: 0 selects DefaultShardBudgetBytes, negative disables
-	// eviction. Shards pinned by in-flight requests are never evicted, so
-	// a single batch touching more than the budget transiently exceeds
-	// it. Ignored by monolithic servers.
+	// ShardBudgetBytes bounds the resident shard bytes: 0 selects
+	// DefaultShardBudgetBytes, negative disables eviction. Shards pinned
+	// by in-flight requests are never evicted, so a single batch touching
+	// more than the budget transiently exceeds it. The in-memory shard of
+	// a whole scheme (New) costs no budget and is never evicted.
 	ShardBudgetBytes int64
-	// ShardStore overrides where a sharded server fetches shards on
-	// resident-cache miss: nil uses the manifest's own store (the
-	// directory it was loaded from, or the remote backend a URL source
-	// resolved to). Every fetched shard is verified against the
-	// manifest's recorded checksum and scheme digest before install,
-	// whatever the store; transport-level fetch failures answer as typed
-	// upstream_failure envelopes (HTTP 502). Ignored by monolithic
-	// servers.
+	// ShardStore overrides where a server fetches shards on resident-cache
+	// miss: nil uses the manifest's own store (the directory it was
+	// loaded from, or the remote backend a URL source resolved to). Every
+	// fetched shard is verified against the manifest's recorded checksum
+	// and scheme digest before install, whatever the store;
+	// transport-level fetch failures answer as typed upstream_failure
+	// envelopes (HTTP 502). A whole scheme (New) fetches nothing.
 	ShardStore blob.Store
 	// Obs configures metrics, request tracing and access logging; the
 	// zero value disables the whole layer and keeps the server
@@ -81,307 +85,79 @@ type Options struct {
 	Obs Observability
 }
 
-// endpointCounters counts one endpoint's traffic (lock-free; read by
-// /v1/stats while requests are in flight).
-type endpointCounters struct {
-	requests atomic.Uint64
-	errors   atomic.Uint64
-}
-
-// Server answers batch queries for one loaded scheme — either a whole
-// scheme held in memory (New) or a shard manifest whose shards load and
-// evict lazily under a memory budget (NewSharded). It implements
-// http.Handler and is safe for concurrent requests. Both modes answer
-// any batch bit-identically: the sharded router splits each batch by
-// component id, evaluates per shard and merges in input order.
+// Server answers batch queries for one manifest from a local shard
+// cache. New serves a whole in-memory scheme as the manifest
+// ftrouting.ManifestOf builds: one resident shard, never evicted.
+// NewSharded serves a shard manifest whose shards load and evict lazily
+// under a memory budget. Both run the one pipeline, so they answer any
+// batch bit-identically. Server implements http.Handler and is safe for
+// concurrent requests.
 type Server struct {
-	kind   string // "conn", "dist" or "router"
-	conn   *ftrouting.ConnLabels
-	dist   *ftrouting.DistLabels
-	router *ftrouting.Router
-	g      *ftrouting.Graph
-	bound  int
-	digest uint32
-
-	// Sharded mode: manifest plus the two-level cache (shard -> fault
-	// context); nil for monolithic servers.
-	manifest *ftrouting.Manifest
-	shards   *shardCache
-
-	opts        Options
-	cache       *contextCache
-	obs         *tierObs
-	mux         *http.ServeMux
-	counters    map[string]*endpointCounters
-	pairsServed atomic.Uint64
+	tier
+	par    int
+	shards *shardCache
+	// whole marks a New server: its healthz, stats and metrics keep the
+	// shape of a server without shards.
+	whole bool
 }
 
-// endpoint name -> scheme kind that answers it.
-var queryEndpoints = map[string]string{
-	"connected":       "conn",
-	"estimate":        "dist",
-	"route":           "router",
-	"route-forbidden": "router",
-}
-
-// normalizeOptions applies the zero-value defaults.
-func normalizeOptions(opts Options) (Options, error) {
-	if opts.ContextCacheSize == 0 {
-		opts.ContextCacheSize = DefaultContextCacheSize
-	}
-	if opts.MaxRequestBytes == 0 {
-		opts.MaxRequestBytes = DefaultMaxRequestBytes
-	}
-	if opts.MaxRequestBytes < 0 {
-		return opts, fmt.Errorf("serve: MaxRequestBytes must be positive, got %d", opts.MaxRequestBytes)
-	}
-	if opts.ShardBudgetBytes == 0 {
-		opts.ShardBudgetBytes = DefaultShardBudgetBytes
-	}
-	return opts, nil
-}
-
-// New wraps a loaded scheme — the *ftrouting.ConnLabels, *DistLabels or
-// *Router a LoadScheme call returned — in a Server.
+// New serves a whole built or loaded scheme — the *ftrouting.ConnLabels,
+// *DistLabels or *Router a LoadScheme call returned — as the single-shard
+// manifest ftrouting.ManifestOf wraps it in. The scheme is neither
+// copied nor rebuilt.
 func New(scheme any, opts Options) (*Server, error) {
-	opts, err := normalizeOptions(opts)
+	m, err := ftrouting.ManifestOf(scheme)
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{opts: opts, cache: newContextCache(opts.ContextCacheSize), obs: newTierObs(opts.Obs)}
-	s.obs.cacheInstruments()
-	switch v := scheme.(type) {
-	case *ftrouting.ConnLabels:
-		s.kind, s.conn, s.g, s.bound = "conn", v, v.Graph(), v.FaultBound()
-	case *ftrouting.DistLabels:
-		s.kind, s.dist, s.g, s.bound = "dist", v, v.Graph(), v.FaultBound()
-	case *ftrouting.Router:
-		s.kind, s.router, s.g, s.bound = "router", v, v.Graph(), v.FaultBound()
-	default:
-		return nil, fmt.Errorf("serve: unsupported scheme type %T", scheme)
-	}
-	if s.digest, err = ftrouting.SchemeDigest(scheme); err != nil {
-		return nil, err
-	}
-	s.initMux()
-	return s, nil
+	return newServer(m, opts, true)
 }
 
 // NewSharded wraps a loaded shard manifest in a Server: the shard-aware
 // router mode of `ftroute serve` over a manifest. Shards load lazily on first
 // touch and evict least-recently-used under Options.ShardBudgetBytes;
 // each resident shard keeps its own prepared-fault-context LRU. Every
-// batch is answered bit-identically to a monolithic server over the same
-// scheme — including error envelopes and cross-component pairs, which
-// are answered from the manifest directory without loading any shard.
+// batch is answered bit-identically to a server over the whole scheme —
+// including error envelopes and cross-component pairs, which are
+// answered from the manifest directory without loading any shard.
 func NewSharded(m *ftrouting.Manifest, opts Options) (*Server, error) {
-	opts, err := normalizeOptions(opts)
+	return newServer(m, opts, false)
+}
+
+func newServer(m *ftrouting.Manifest, opts Options, whole bool) (*Server, error) {
+	if opts.ContextCacheSize == 0 {
+		opts.ContextCacheSize = DefaultContextCacheSize
+	}
+	if opts.ShardBudgetBytes == 0 {
+		opts.ShardBudgetBytes = DefaultShardBudgetBytes
+	}
+	maxBytes, err := requestLimit(opts.MaxRequestBytes)
 	if err != nil {
 		return nil, err
 	}
 	s := &Server{
-		opts:     opts,
-		kind:     m.Kind(),
-		g:        m.Graph(),
-		bound:    m.FaultBound(),
-		digest:   m.Digest(),
-		manifest: m,
-		shards:   newShardCache(m, opts.ShardStore, opts.ShardBudgetBytes, opts.ContextCacheSize),
-		obs:      newTierObs(opts.Obs),
+		par:    opts.Parallelism,
+		shards: newShardCache(m, opts.ShardStore, opts.ShardBudgetBytes, opts.ContextCacheSize),
+		whole:  whole,
 	}
+	s.init(m, maxBytes, s, opts.Obs)
 	s.obs.cacheInstruments()
-	s.shards.loadTime, s.shards.residentGauge, s.shards.evictedCtr = s.obs.shardInstruments()
-	s.shards.fetchTime, s.shards.retryCtr, s.shards.failCtr = s.obs.fetchInstruments()
-	if o, ok := s.shards.store.(blob.Observable); ok {
-		o.SetObserver(s.shards.observeFetch)
+	if !whole {
+		s.shards.loadTime, s.shards.residentGauge, s.shards.evictedCtr = s.obs.shardInstruments()
+		s.shards.fetchTime, s.shards.retryCtr, s.shards.failCtr = s.obs.fetchInstruments()
+		if o, ok := s.shards.store.(blob.Observable); ok {
+			o.SetObserver(s.shards.observeFetch)
+		}
 	}
-	s.initMux()
 	return s, nil
 }
 
-// initMux installs the /v1 endpoint handlers and their counters, plus
-// the /metrics scrape target when metrics are enabled.
-func (s *Server) initMux() {
-	s.counters = make(map[string]*endpointCounters)
-	s.mux = http.NewServeMux()
-	for name := range queryEndpoints {
-		name := name
-		s.counters[name] = &endpointCounters{}
-		s.mux.HandleFunc("/v1/"+name, instrumented(s.obs, s.counters, name,
-			func(w http.ResponseWriter, r *http.Request, ro *reqObs) *apiError {
-				return s.answerQuery(w, r, name, ro)
-			}))
-	}
-	for name, h := range map[string]func(http.ResponseWriter, *http.Request, *reqObs) *apiError{
-		"healthz": s.handleHealthz,
-		"stats":   s.handleStats,
-	} {
-		name, h := name, h
-		s.counters[name] = &endpointCounters{}
-		s.mux.HandleFunc("/v1/"+name, instrumented(s.obs, s.counters, name, h))
-	}
-	if h := s.obs.metricsHandler(); h != nil {
-		s.mux.Handle("/metrics", h)
-	}
-	s.mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		writeError(w, errorf(http.StatusNotFound, codeNotFound, "no such endpoint %s", r.URL.Path))
-	})
-}
-
-// Kind returns the loaded scheme kind: "conn", "dist" or "router".
-func (s *Server) Kind() string { return s.kind }
-
-// ServeHTTP dispatches to the /v1 endpoint handlers.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.mux.ServeHTTP(w, r)
-}
-
-// Stats snapshots the serving counters (the /v1/stats payload). For a
-// sharded server the cache block aggregates every shard's prepared-fault-
-// context counters and the shards block breaks residency, loads,
-// evictions and context traffic out per shard.
-func (s *Server) Stats() StatsResponse {
-	resp := StatsResponse{
-		Kind:        s.kind,
-		Endpoints:   make(map[string]EndpointStats, len(s.counters)),
-		PairsServed: s.pairsServed.Load(),
-	}
-	if s.shards != nil {
-		resp.Cache = s.shards.aggregateContextStats()
-		sh := s.shards.stats()
-		resp.Shards = &sh
-	} else {
-		resp.Cache = s.cache.stats()
-	}
-	for name, c := range s.counters {
-		resp.Endpoints[name] = EndpointStats{Requests: c.requests.Load(), Errors: c.errors.Load()}
-	}
-	resp.Latency = s.obs.latencySummaries()
-	resp.Stages = s.obs.stageSummaries()
-	return resp
-}
-
-// answerQuery is the shared query-endpoint pipeline: decode, look up (or
-// prepare) the fault context, fan the pairs out, respond.
-func (s *Server) answerQuery(w http.ResponseWriter, r *http.Request, name string, ro *reqObs) *apiError {
-	if r.Method != http.MethodPost {
-		return errorf(http.StatusMethodNotAllowed, codeMethodNotAllowed,
-			"/v1/%s accepts POST, not %s", name, r.Method)
-	}
-	if want := queryEndpoints[name]; want != s.kind {
-		return errorf(http.StatusNotFound, codeUnsupported,
-			"/v1/%s serves %s schemes; this server holds a %s scheme", name, want, s.kind)
-	}
+// answer evaluates a planned batch from the shard cache: pin (loading if
+// needed) every shard the plan touches, look up or prepare each shard's
+// fault context, and run the plan's one ordered fan-out.
+func (s *Server) answer(_ context.Context, ep *endpoint, plan *ftrouting.BatchPlan, _ []ftrouting.EdgeID, ro *reqObs) (any, *apiError) {
 	st := ro.now()
-	req, e := decodeQueryRequest(r.Body, s.opts.MaxRequestBytes)
-	if e != nil {
-		return e
-	}
-	ro.stage(stageDecode, st)
-	batch := req.Batch()
-	ro.setBatch(len(batch.Pairs), len(batch.Faults))
-	// Mirror the batch API: an empty pair list returns empty results
-	// without touching (or even validating) the fault set.
-	if len(batch.Pairs) == 0 {
-		writeJSON(w, attachTiming(emptyPayload(name), ro.timing()))
-		return nil
-	}
-	var payload any
-	if s.manifest != nil {
-		payload, e = s.evalSharded(name, batch, ro)
-	} else {
-		payload, e = s.evalMonolithic(name, batch, ro)
-	}
-	if e != nil {
-		return e
-	}
-	s.pairsServed.Add(uint64(len(batch.Pairs)))
-	writeJSON(w, attachTiming(payload, ro.timing()))
-	return nil
-}
-
-// prepare builds the fault context of the loaded scheme kind; the cache
-// calls it once per distinct fault set.
-func (s *Server) prepare(canon []ftrouting.EdgeID) (any, error) {
-	switch s.kind {
-	case "conn":
-		return s.conn.PrepareFaults(canon)
-	case "dist":
-		return s.dist.PrepareFaults(canon)
-	default:
-		return s.router.PrepareFaults(canon)
-	}
-}
-
-// evalMonolithic answers one batch from the whole in-memory scheme: one
-// cached fault context, one fan-out.
-func (s *Server) evalMonolithic(name string, batch ftrouting.QueryBatch, ro *reqObs) (any, *apiError) {
-	canon := ftrouting.CanonicalFaults(batch.Faults)
-	st := ro.now()
-	ctx, hit, err := s.cache.get(faultKey(canon), func() (any, error) { return s.prepare(canon) })
-	if err != nil {
-		return nil, fromBatchError(err)
-	}
-	ro.cacheResult(hit)
-	ro.stage(stageContext, st)
-	opts := ftrouting.BatchOptions{Parallelism: s.opts.Parallelism}
-	pairs := batch.Pairs
-	st = ro.now()
-	var payload any
-	switch name {
-	case "connected":
-		results, err := ctx.(*ftrouting.ConnFaultContext).ConnectedBatch(pairs, opts)
-		if err != nil {
-			return nil, fromBatchError(err)
-		}
-		payload = ConnectedResponse{Results: results}
-	case "estimate":
-		estimates, err := ctx.(*ftrouting.DistFaultContext).EstimateBatch(pairs, opts)
-		if err != nil {
-			return nil, fromBatchError(err)
-		}
-		payload = EstimateResponse{Estimates: estimates}
-	default: // route, route-forbidden
-		rc := ctx.(*ftrouting.RouteFaultContext)
-		var results []ftrouting.RouteResult
-		if name == "route-forbidden" {
-			// Surface a forbidden-preparation error once, unscoped, before
-			// any pair runs — Router.RouteForbiddenBatch's semantics.
-			if err := rc.PrepareForbidden(); err != nil {
-				return nil, fromBatchError(err)
-			}
-			results, err = rc.RouteForbiddenBatch(pairs, opts)
-		} else {
-			results, err = rc.RouteBatch(pairs, opts)
-		}
-		if err != nil {
-			return nil, fromBatchError(err)
-		}
-		payload = routePayload(results)
-	}
-	ro.stage(stageEval, st)
-	return payload, nil
-}
-
-// evalSharded answers one batch through the shard router: plan the split
-// by component id, pin (loading if needed) every shard the plan touches,
-// look up or prepare each shard's fault context, and run the merged
-// fan-out. Answers — including error envelopes and cross-component
-// pairs — are bit-identical to evalMonolithic over the same scheme.
-func (s *Server) evalSharded(name string, batch ftrouting.QueryBatch, ro *reqObs) (any, *apiError) {
-	// Plan over the canonical fault set: the monolithic path validates and
-	// prepares the canonical form too, so error choice and messages agree.
-	canon := ftrouting.CanonicalFaults(batch.Faults)
-	st := ro.now()
-	plan, err := s.manifest.PlanBatch(ftrouting.QueryBatch{Pairs: batch.Pairs, Faults: canon})
-	if err != nil {
-		return nil, fromBatchError(err)
-	}
-	ro.stage(stageValidate, st)
-	ids := plan.ShardIDs()
-	ctxs := make(map[int]any, len(ids))
-	st = ro.now()
-	held, err := s.shards.acquireAll(ids)
+	held, err := s.shards.acquireAll(plan.ShardIDs())
 	if err != nil {
 		// A transport-level fetch failure is the shard backend being
 		// unreachable, not this replica being broken: answer with the
@@ -389,11 +165,12 @@ func (s *Server) evalSharded(name string, batch ftrouting.QueryBatch, ro *reqObs
 		// replicas are down. Anything else — a corrupt or foreign blob,
 		// a missing file — is a server-side fault.
 		if errors.Is(err, blob.ErrFetch) {
-			return nil, errorf(http.StatusBadGateway, codeUpstream, "%v", err)
+			return nil, errorf(http.StatusBadGateway, api.CodeUpstream, "%v", err)
 		}
-		return nil, errorf(http.StatusInternalServerError, codeInternal, "%v", err)
+		return nil, errorf(http.StatusInternalServerError, api.CodeInternal, "%v", err)
 	}
 	defer s.shards.releaseAll(held)
+	ctxs := make(map[int]any, len(held))
 	for _, entry := range held {
 		entry := entry
 		// The context key is the shard-restricted canonical fault set plus
@@ -408,88 +185,29 @@ func (s *Server) evalSharded(name string, batch ftrouting.QueryBatch, ro *reqObs
 		ctxs[entry.id] = ctx
 	}
 	ro.stage(stageContext, st)
-	opts := ftrouting.BatchOptions{Parallelism: s.opts.Parallelism}
 	st = ro.now()
-	var payload any
-	switch name {
-	case "connected":
-		results, err := plan.ConnectedBatch(ctxs, opts)
-		if err != nil {
-			return nil, fromBatchError(err)
-		}
-		payload = ConnectedResponse{Results: results}
-	case "estimate":
-		estimates, err := plan.EstimateBatch(ctxs, opts)
-		if err != nil {
-			return nil, fromBatchError(err)
-		}
-		payload = EstimateResponse{Estimates: estimates}
-	default:
-		var results []ftrouting.RouteResult
-		if name == "route-forbidden" {
-			results, err = plan.RouteForbiddenBatch(ctxs, opts)
-		} else {
-			results, err = plan.RouteBatch(ctxs, opts)
-		}
-		if err != nil {
-			return nil, fromBatchError(err)
-		}
-		payload = routePayload(results)
+	results, err := ep.eval(plan, ctxs, ftrouting.BatchOptions{Parallelism: s.par})
+	if err != nil {
+		return nil, fromBatchError(err)
 	}
 	ro.stage(stageEval, st)
-	return payload, nil
+	return results, nil
 }
 
-// emptyPayload is the zero-pair response of one endpoint.
-func emptyPayload(name string) any {
-	switch name {
-	case "connected":
-		return ConnectedResponse{Results: []bool{}}
-	case "estimate":
-		return EstimateResponse{Estimates: []int64{}}
-	default:
-		return RouteResponse{Results: []RouteResult{}}
+// health adds the manifest's component and shard counts.
+func (s *Server) health(h *api.HealthResponse) {
+	if !s.whole {
+		h.Components, h.Shards = s.m.NumComponents(), s.m.NumShards()
 	}
 }
 
-// routePayload converts simulation results to their wire form.
-func routePayload(results []ftrouting.RouteResult) RouteResponse {
-	wire := make([]RouteResult, len(results))
-	for i, res := range results {
-		wire[i] = fromRouteResult(res)
+// stats reports the cache blocks: the "cache" block aggregates every
+// shard's prepared-fault-context counters, and the "shards" block breaks
+// residency, loads, evictions and context traffic out per shard.
+func (s *Server) stats(resp *api.StatsResponse) {
+	resp.Cache = s.shards.aggregateContextStats()
+	if !s.whole {
+		sh := s.shards.stats()
+		resp.Shards = &sh
 	}
-	return RouteResponse{Results: wire}
-}
-
-// handleHealthz answers GET /v1/healthz.
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request, _ *reqObs) *apiError {
-	if r.Method != http.MethodGet {
-		return errorf(http.StatusMethodNotAllowed, codeMethodNotAllowed,
-			"/v1/healthz accepts GET, not %s", r.Method)
-	}
-	resp := HealthResponse{
-		Status:      "ok",
-		Kind:        s.kind,
-		Vertices:    s.g.N(),
-		Edges:       s.g.M(),
-		FaultBound:  s.bound,
-		Unreachable: ftrouting.Unreachable,
-		Digest:      fmt.Sprintf("%08x", s.digest),
-	}
-	if s.manifest != nil {
-		resp.Components = s.manifest.NumComponents()
-		resp.Shards = s.manifest.NumShards()
-	}
-	writeJSON(w, resp)
-	return nil
-}
-
-// handleStats answers GET /v1/stats.
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, _ *reqObs) *apiError {
-	if r.Method != http.MethodGet {
-		return errorf(http.StatusMethodNotAllowed, codeMethodNotAllowed,
-			"/v1/stats accepts GET, not %s", r.Method)
-	}
-	writeJSON(w, s.Stats())
-	return nil
 }

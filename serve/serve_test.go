@@ -141,11 +141,11 @@ func TestServeConnectedMatchesBatch(t *testing.T) {
 					// Twice: the second request hits the warm context.
 					for round := 0; round < 2; round++ {
 						status, body := postJSON(t, ts.URL+"/v1/connected",
-							QueryRequest{Pairs: pairs, Faults: faults})
+							api.QueryRequest{Pairs: pairs, Faults: faults})
 						if status != http.StatusOK {
 							t.Fatalf("|F|=%d round %d: status %d: %s", nf, round, status, body)
 						}
-						var resp ConnectedResponse
+						var resp api.ConnectedResponse
 						decodeInto(t, body, &resp)
 						if !reflect.DeepEqual(resp.Results, want) {
 							t.Fatalf("|F|=%d round %d: served %v != direct %v", nf, round, resp.Results, want)
@@ -175,11 +175,11 @@ func TestServeEstimateMatchesBatch(t *testing.T) {
 					t.Fatal(err)
 				}
 				status, body := postJSON(t, ts.URL+"/v1/estimate",
-					QueryRequest{Pairs: pairs, Faults: faults})
+					api.QueryRequest{Pairs: pairs, Faults: faults})
 				if status != http.StatusOK {
 					t.Fatalf("|F|=%d: status %d: %s", nf, status, body)
 				}
-				var resp EstimateResponse
+				var resp api.EstimateResponse
 				decodeInto(t, body, &resp)
 				if !reflect.DeepEqual(resp.Estimates, want) {
 					t.Fatalf("|F|=%d: served %v != direct %v", nf, resp.Estimates, want)
@@ -211,16 +211,16 @@ func TestServeRouteMatchesBatch(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					wire := make([]RouteResult, len(want))
+					wire := make([]api.RouteResult, len(want))
 					for i, res := range want {
-						wire[i] = fromRouteResult(res)
+						wire[i] = api.FromRouteResult(res)
 					}
 					status, body := postJSON(t, ts.URL+"/v1/"+endpoint,
-						QueryRequest{Pairs: pairs, Faults: faults})
+						api.QueryRequest{Pairs: pairs, Faults: faults})
 					if status != http.StatusOK {
 						t.Fatalf("%s |F|=%d: status %d: %s", endpoint, nf, status, body)
 					}
-					var resp RouteResponse
+					var resp api.RouteResponse
 					decodeInto(t, body, &resp)
 					if !reflect.DeepEqual(resp.Results, wire) {
 						t.Fatalf("%s |F|=%d: served results differ from direct batch", endpoint, nf)
@@ -255,11 +255,11 @@ func TestServeLoadedScheme(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	status, body := postJSON(t, ts.URL+"/v1/connected", QueryRequest{Pairs: pairs, Faults: faults})
+	status, body := postJSON(t, ts.URL+"/v1/connected", api.QueryRequest{Pairs: pairs, Faults: faults})
 	if status != http.StatusOK {
 		t.Fatalf("status %d: %s", status, body)
 	}
-	var resp ConnectedResponse
+	var resp api.ConnectedResponse
 	decodeInto(t, body, &resp)
 	if !reflect.DeepEqual(resp.Results, want) {
 		t.Fatalf("served-from-file %v != built %v", resp.Results, want)
@@ -273,7 +273,7 @@ func expectError(t *testing.T, status int, body []byte, wantStatus int, wantCode
 	if status != wantStatus {
 		t.Fatalf("status %d, want %d (body %s)", status, wantStatus, body)
 	}
-	var eb ErrorBody
+	var eb api.ErrorBody
 	if err := json.Unmarshal(body, &eb); err != nil {
 		t.Fatalf("error body %s does not parse: %v", body, err)
 	}
@@ -304,32 +304,32 @@ func TestServeErrorBodies(t *testing.T) {
 	url := ts.URL + "/v1/connected"
 
 	// Out-of-range vertex: 400 with the batch code and first failing pair.
-	status, body := postJSON(t, url, QueryRequest{
+	status, body := postJSON(t, url, api.QueryRequest{
 		Pairs: [][2]int32{{0, 1}, {4, 99}, {-1, 2}},
 	})
 	expectError(t, status, body, http.StatusBadRequest, string(ftrouting.CodeVertexRange), 1)
 
 	// Out-of-range fault id: 400, not pair-scoped.
-	status, body = postJSON(t, url, QueryRequest{
+	status, body = postJSON(t, url, api.QueryRequest{
 		Pairs: [][2]int32{{0, 1}}, Faults: []ftrouting.EdgeID{int32(g.M())},
 	})
 	expectError(t, status, body, http.StatusBadRequest, string(ftrouting.CodeFaultRange), -1)
 
 	// |F| > f: 400 with the fault-bound code.
-	status, body = postJSON(t, url, QueryRequest{
+	status, body = postJSON(t, url, api.QueryRequest{
 		Pairs: [][2]int32{{0, 1}}, Faults: []ftrouting.EdgeID{0, 1, 2},
 	})
 	expectError(t, status, body, http.StatusBadRequest, string(ftrouting.CodeFaultBound), -1)
 
 	// Duplicate fault ids count once toward f: not an error, and answers
 	// match the direct call.
-	status, body = postJSON(t, url, QueryRequest{
+	status, body = postJSON(t, url, api.QueryRequest{
 		Pairs: [][2]int32{{0, 6}}, Faults: []ftrouting.EdgeID{1, 1, 7, 7},
 	})
 	if status != http.StatusOK {
 		t.Fatalf("duplicate faults: status %d: %s", status, body)
 	}
-	var resp ConnectedResponse
+	var resp api.ConnectedResponse
 	decodeInto(t, body, &resp)
 	want, err := labels.Connected(0, 6, []ftrouting.EdgeID{1, 1, 7, 7})
 	if err != nil {
@@ -340,7 +340,7 @@ func TestServeErrorBodies(t *testing.T) {
 	}
 
 	// Empty pair list mirrors the batch API: success, no fault validation.
-	status, body = postJSON(t, url, QueryRequest{Faults: []ftrouting.EdgeID{9999}})
+	status, body = postJSON(t, url, api.QueryRequest{Faults: []ftrouting.EdgeID{9999}})
 	if status != http.StatusOK {
 		t.Fatalf("empty pairs: status %d: %s", status, body)
 	}
@@ -350,8 +350,8 @@ func TestServeErrorBodies(t *testing.T) {
 	}
 
 	// Endpoint of another scheme kind: 404 unsupported_endpoint.
-	status, body = postJSON(t, ts.URL+"/v1/estimate", QueryRequest{Pairs: [][2]int32{{0, 1}}})
-	expectError(t, status, body, http.StatusNotFound, codeUnsupported, -1)
+	status, body = postJSON(t, ts.URL+"/v1/estimate", api.QueryRequest{Pairs: [][2]int32{{0, 1}}})
+	expectError(t, status, body, http.StatusNotFound, api.CodeUnsupported, -1)
 
 	// Malformed JSON, unknown field, trailing data, empty body: 400.
 	for _, raw := range []string{`{"pairs":[[0,1]`, `{"pears":[[0,1]]}`, `{"pairs":[[0,1]]}{}`, ``} {
@@ -361,16 +361,16 @@ func TestServeErrorBodies(t *testing.T) {
 		}
 		data, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		expectError(t, resp.StatusCode, data, http.StatusBadRequest, codeBadRequest, -1)
+		expectError(t, resp.StatusCode, data, http.StatusBadRequest, api.CodeBadRequest, -1)
 	}
 
 	// Oversized body: 413 request_too_large.
-	huge := QueryRequest{Pairs: [][2]int32{{0, 1}}}
+	huge := api.QueryRequest{Pairs: [][2]int32{{0, 1}}}
 	for i := 0; i < 5000; i++ {
 		huge.Faults = append(huge.Faults, 1)
 	}
 	status, body = postJSON(t, url, huge)
-	expectError(t, status, body, http.StatusRequestEntityTooLarge, codeRequestTooLarge, -1)
+	expectError(t, status, body, http.StatusRequestEntityTooLarge, api.CodeRequestTooLarge, -1)
 
 	// Wrong method: 405; unknown path: 404.
 	getResp, err := http.Get(url)
@@ -379,9 +379,9 @@ func TestServeErrorBodies(t *testing.T) {
 	}
 	data, _ := io.ReadAll(getResp.Body)
 	getResp.Body.Close()
-	expectError(t, getResp.StatusCode, data, http.StatusMethodNotAllowed, codeMethodNotAllowed, -1)
-	status, body = postJSON(t, ts.URL+"/v2/bogus", QueryRequest{})
-	expectError(t, status, body, http.StatusNotFound, codeNotFound, -1)
+	expectError(t, getResp.StatusCode, data, http.StatusMethodNotAllowed, api.CodeMethodNotAllowed, -1)
+	status, body = postJSON(t, ts.URL+"/v2/bogus", api.QueryRequest{})
+	expectError(t, status, body, http.StatusNotFound, api.CodeNotFound, -1)
 }
 
 func TestServeHealthzAndStats(t *testing.T) {
@@ -481,11 +481,11 @@ func TestServeFaultOrderSharesContext(t *testing.T) {
 	pairs := servePairs(g.N())
 	var first []bool
 	for i, fs := range variants {
-		status, body := postJSON(t, ts.URL+"/v1/connected", QueryRequest{Pairs: pairs, Faults: fs})
+		status, body := postJSON(t, ts.URL+"/v1/connected", api.QueryRequest{Pairs: pairs, Faults: fs})
 		if status != http.StatusOK {
 			t.Fatalf("variant %d: status %d: %s", i, status, body)
 		}
-		var resp ConnectedResponse
+		var resp api.ConnectedResponse
 		decodeInto(t, body, &resp)
 		if i == 0 {
 			first = resp.Results

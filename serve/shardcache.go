@@ -19,6 +19,7 @@ import (
 	"ftrouting"
 	"ftrouting/internal/blob"
 	"ftrouting/internal/obs"
+	"ftrouting/serve/api"
 )
 
 // shardEntry is one resident (or loading) shard. Loading runs outside
@@ -236,10 +237,10 @@ func (c *shardCache) removeLocked(id int, e *shardEntry, evicted bool) {
 
 // stats snapshots the cache: global totals plus one row per shard of the
 // manifest (resident or not).
-func (c *shardCache) stats() ShardCacheStats {
+func (c *shardCache) stats() api.ShardCacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := ShardCacheStats{
+	out := api.ShardCacheStats{
 		BudgetBytes:   c.budget,
 		ResidentBytes: c.resident,
 		TotalShards:   c.m.NumShards(),
@@ -255,7 +256,7 @@ func (c *shardCache) stats() ShardCacheStats {
 	}
 	out.ResidentShards = len(live)
 	for id := 0; id < c.m.NumShards(); id++ {
-		row := ShardEntryStats{ID: id, Bytes: c.m.ShardBytes(id)}
+		row := api.ShardEntryStats{ID: id, Bytes: c.m.ShardBytes(id)}
 		if pc := c.counters[id]; pc != nil {
 			row.Loads = pc.loads
 			row.Evictions = pc.evictions
@@ -279,10 +280,10 @@ func (c *shardCache) stats() ShardCacheStats {
 // aggregateContextStats folds every shard's context-cache counters into
 // one CacheStats so the /v1/stats "cache" block keeps meaning "prepared
 // fault contexts" for sharded servers too.
-func (c *shardCache) aggregateContextStats() CacheStats {
+func (c *shardCache) aggregateContextStats() api.CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	agg := CacheStats{Capacity: c.ctxCap}
+	agg := api.CacheStats{Capacity: c.ctxCap}
 	for _, pc := range c.counters {
 		agg.Hits += pc.ctxHits
 		agg.Misses += pc.ctxMisses

@@ -21,6 +21,7 @@ import (
 	"testing"
 
 	"ftrouting"
+	"ftrouting/serve/api"
 )
 
 // shardMatrixGraph is the serve-side multi-component workhorse: three
@@ -230,7 +231,7 @@ func TestServeShardedEviction(t *testing.T) {
 		if status != 200 {
 			t.Fatalf("request %d: status %d: %s", ri, status, body)
 		}
-		var cr ConnectedResponse
+		var cr api.ConnectedResponse
 		if err := json.Unmarshal(body, &cr); err != nil || len(cr.Results) != 1 || !cr.Results[0] {
 			t.Fatalf("request %d: bad answer %s (err %v)", ri, body, err)
 		}

@@ -1,10 +1,9 @@
 package serve
 
 // The wire types of the HTTP/JSON API live in the importable serve/api
-// package, shared verbatim by every tier (monolithic daemon, shard
-// replica, fan-out proxy) and by clients. This file aliases them into
-// the serve namespace and keeps the server-side helpers: the internal
-// error carrier, request decoding and response rendering.
+// package, shared verbatim by every tier (server, fan-out proxy) and by
+// clients. This file keeps the server-side helpers: the internal error
+// carrier, request decoding and response rendering.
 
 import (
 	"encoding/json"
@@ -16,40 +15,6 @@ import (
 	"ftrouting"
 	"ftrouting/serve/api"
 )
-
-// Aliases of the shared wire types (see package serve/api for the
-// contract each carries).
-type (
-	QueryRequest      = api.QueryRequest
-	ConnectedResponse = api.ConnectedResponse
-	EstimateResponse  = api.EstimateResponse
-	RouteResult       = api.RouteResult
-	RouteResponse     = api.RouteResponse
-	HealthResponse    = api.HealthResponse
-	EndpointStats     = api.EndpointStats
-	CacheStats        = api.CacheStats
-	ShardEntryStats   = api.ShardEntryStats
-	ShardCacheStats   = api.ShardCacheStats
-	UpstreamStats     = api.UpstreamStats
-	StatsResponse     = api.StatsResponse
-	ErrorInfo         = api.ErrorInfo
-	ErrorBody         = api.ErrorBody
-)
-
-// Transport-level error codes (validation failures reuse the stable
-// ftrouting.ErrorCode values verbatim).
-const (
-	codeBadRequest       = api.CodeBadRequest
-	codeRequestTooLarge  = api.CodeRequestTooLarge
-	codeMethodNotAllowed = api.CodeMethodNotAllowed
-	codeNotFound         = api.CodeNotFound
-	codeUnsupported      = api.CodeUnsupported
-	codeInternal         = api.CodeInternal
-	codeUpstream         = api.CodeUpstream
-)
-
-// fromRouteResult converts a simulation result to its wire form.
-func fromRouteResult(r ftrouting.RouteResult) RouteResult { return api.FromRouteResult(r) }
 
 // apiError pairs an HTTP status with the structured error payload.
 type apiError struct {
@@ -91,28 +56,28 @@ func fromClientError(e *api.Error) *apiError {
 // decodeQueryRequest parses a request body of at most maxBytes bytes.
 // Unknown fields, trailing data and oversized bodies are rejected; the
 // decoder never panics on malformed input (FuzzServeRequest).
-func decodeQueryRequest(body io.Reader, maxBytes int64) (*QueryRequest, *apiError) {
+func decodeQueryRequest(body io.Reader, maxBytes int64) (*api.QueryRequest, *apiError) {
 	// One spare byte past the limit distinguishes "exactly maxBytes" from
 	// "too large" without reading an unbounded body.
 	lr := &io.LimitedReader{R: body, N: maxBytes + 1}
 	dec := json.NewDecoder(lr)
 	dec.DisallowUnknownFields()
-	var req QueryRequest
+	var req api.QueryRequest
 	if err := dec.Decode(&req); err != nil {
 		if lr.N <= 0 {
-			return nil, errorf(http.StatusRequestEntityTooLarge, codeRequestTooLarge,
+			return nil, errorf(http.StatusRequestEntityTooLarge, api.CodeRequestTooLarge,
 				"request body exceeds %d bytes", maxBytes)
 		}
 		if errors.Is(err, io.EOF) {
-			return nil, errorf(http.StatusBadRequest, codeBadRequest, "empty request body")
+			return nil, errorf(http.StatusBadRequest, api.CodeBadRequest, "empty request body")
 		}
-		return nil, errorf(http.StatusBadRequest, codeBadRequest, "malformed request: %v", err)
+		return nil, errorf(http.StatusBadRequest, api.CodeBadRequest, "malformed request: %v", err)
 	}
 	if dec.More() {
-		return nil, errorf(http.StatusBadRequest, codeBadRequest, "trailing data after request object")
+		return nil, errorf(http.StatusBadRequest, api.CodeBadRequest, "trailing data after request object")
 	}
 	if lr.N <= 0 {
-		return nil, errorf(http.StatusRequestEntityTooLarge, codeRequestTooLarge,
+		return nil, errorf(http.StatusRequestEntityTooLarge, api.CodeRequestTooLarge,
 			"request body exceeds %d bytes", maxBytes)
 	}
 	return &req, nil
@@ -126,12 +91,12 @@ func writeJSON(w http.ResponseWriter, v any) {
 
 // writeError renders the structured error envelope.
 func writeError(w http.ResponseWriter, e *apiError) {
-	info := ErrorInfo{Code: e.code, Message: e.msg}
+	info := api.ErrorInfo{Code: e.code, Message: e.msg}
 	if e.pair >= 0 {
 		idx := e.pair
 		info.PairIndex = &idx
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(e.status)
-	json.NewEncoder(w).Encode(ErrorBody{Error: info})
+	json.NewEncoder(w).Encode(api.ErrorBody{Error: info})
 }

@@ -92,6 +92,9 @@ type Manifest struct {
 	shards []ShardInfo
 	digest uint32
 	store  blob.Store
+	// resident is the in-memory shard of a ManifestOf manifest; nil for
+	// manifests whose shards live in a store.
+	resident *Shard
 
 	// Scheme parameters (union over kinds; see persist.go's monolithic
 	// prefixes, which use the identical encoding).
@@ -234,77 +237,47 @@ func assignShards(compVerts []int, want int) (shardOf []int32, nshards int) {
 	return shardOf, want
 }
 
+// writeParams encodes the manifest's scheme parameters: the prefix a
+// monolithic file of the same scheme carries (balanced is written for
+// routers only).
+func (m *Manifest) writeParams(w *codec.Writer) {
+	if m.kind == codec.KindConnLabels {
+		w.U16(uint16(m.connScheme))
+		w.I32(int32(m.maxFaults))
+		w.U64(m.seed)
+		return
+	}
+	w.I32(int32(m.f))
+	w.I32(int32(m.k))
+	w.U64(m.seed)
+	w.I32(int32(m.params.Units))
+	w.I32(int32(m.params.Levels))
+	if m.kind == codec.KindRouter {
+		w.Bool(m.balanced)
+	}
+}
+
 // schemeDigest computes the CRC32-C binding shards to their manifest:
 // the digest of the scheme kind, its parameters and the global graph,
 // encoded exactly as the manifest encodes them.
-func schemeDigest(kind codec.Kind, writeParams func(*codec.Writer), g *Graph) (uint32, error) {
+func (m *Manifest) schemeDigest() (uint32, error) {
 	w := codec.NewWriter(io.Discard)
-	w.U16(uint16(kind))
-	writeParams(w)
-	codec.EncodeGraph(w, g)
+	w.U16(uint16(m.kind))
+	m.writeParams(w)
+	codec.EncodeGraph(w, m.g)
 	if err := w.Err(); err != nil {
 		return 0, err
 	}
 	return w.Checksum(), nil
 }
 
-// connParamsWriter encodes the connectivity parameter prefix — the one
-// encoding shared by monolithic files, manifests and the scheme digest.
-func connParamsWriter(scheme ConnSchemeKind, maxFaults int, seed uint64) func(*codec.Writer) {
-	return func(w *codec.Writer) {
-		w.U16(uint16(scheme))
-		w.I32(int32(maxFaults))
-		w.U64(seed)
-	}
-}
-
-// hierParamsWriter encodes the dist/router parameter prefix (balanced is
-// written for routers only).
-func hierParamsWriter(kind codec.Kind, f, k int, seed uint64, params sketch.Params, balanced bool) func(*codec.Writer) {
-	return func(w *codec.Writer) {
-		w.I32(int32(f))
-		w.I32(int32(k))
-		w.U64(seed)
-		w.I32(int32(params.Units))
-		w.I32(int32(params.Levels))
-		if kind == codec.KindRouter {
-			w.Bool(balanced)
-		}
-	}
-}
-
 // Digest returns the scheme digest binding the manifest, its shards and
 // any serving tier over them: the CRC32-C of the scheme kind, parameters
-// and global topology. Every artifact of one build — the manifest, a
-// monolithic file of the same scheme (SchemeDigest), every replica's
-// /v1/healthz — reports the same digest, so a fan-out tier can reject an
-// upstream serving a foreign or incompatible build before taking traffic.
+// and global topology. Every artifact of one build — the manifest, the
+// ManifestOf of the whole scheme, every replica's /v1/healthz — reports
+// the same digest, so a fan-out tier can reject an upstream serving a
+// foreign or incompatible build before taking traffic.
 func (m *Manifest) Digest() uint32 { return m.digest }
-
-// SchemeDigest computes the digest of a loaded scheme — the same value
-// the manifest of a sharded split of that scheme records (Digest), since
-// both hash the identical kind/parameter/topology encoding. Serving
-// tiers report it from /v1/healthz whether they hold the whole scheme or
-// a manifest, which is what lets a proxy front monolithic daemons,
-// shard-affine replicas and other proxies interchangeably.
-func SchemeDigest(scheme any) (uint32, error) {
-	switch v := scheme.(type) {
-	case *ConnLabels:
-		return schemeDigest(codec.KindConnLabels,
-			connParamsWriter(v.opts.Scheme, v.opts.MaxFaults, v.opts.Seed), v.g)
-	case *DistLabels:
-		s := v.inner
-		o := s.Options()
-		return schemeDigest(codec.KindDistLabels,
-			hierParamsWriter(codec.KindDistLabels, s.F(), s.K(), o.Seed, o.Params, false), s.Graph())
-	case *Router:
-		r := v.inner
-		o := r.Options()
-		return schemeDigest(codec.KindRouter,
-			hierParamsWriter(codec.KindRouter, r.F(), r.K(), o.Seed, o.Params, o.Balanced), r.Graph())
-	}
-	return 0, fmt.Errorf("ftrouting: unsupported scheme type %T", scheme)
-}
 
 // componentStats tallies per-component vertex and edge counts from a
 // directory.
@@ -320,25 +293,85 @@ func componentStats(g *Graph, comp []int32, ncomp int) (verts, edges []int) {
 	return verts, edges
 }
 
-// manifestSkeleton assembles the in-memory manifest shared by every
-// SaveSharded* entry point (the shard table is filled as shard files are
-// written).
-func manifestSkeleton(kind codec.Kind, g *Graph, comp []int32, ncomp int, opts ShardOptions) *Manifest {
-	m := &Manifest{kind: kind, g: g, comp: comp, ncomp: ncomp}
-	m.compVerts, m.compEdges = componentStats(g, comp, ncomp)
+// newManifest assembles the in-memory manifest of a built scheme: its
+// parameters, digest and directory, with components grouped into shards
+// as opts asks. The one constructor behind every SaveSharded* entry point
+// and ManifestOf; the shard table's checksums and sizes are left for the
+// shard files to fill in.
+func newManifest(scheme any, opts ShardOptions) (*Manifest, error) {
+	var m *Manifest
+	switch v := scheme.(type) {
+	case *ConnLabels:
+		m = &Manifest{kind: codec.KindConnLabels, g: v.g, comp: v.comp, ncomp: len(v.subs),
+			connScheme: v.opts.Scheme, maxFaults: v.opts.MaxFaults, seed: v.opts.Seed}
+	case *DistLabels:
+		s := v.inner
+		m = hierarchyManifest(codec.KindDistLabels, s.Graph(), s.Hierarchy())
+		o := s.Options()
+		m.f, m.k, m.seed, m.params = s.F(), s.K(), o.Seed, o.Params
+	case *Router:
+		r := v.inner
+		m = hierarchyManifest(codec.KindRouter, r.Graph(), r.Hierarchy())
+		o := r.Options()
+		m.f, m.k, m.seed, m.params, m.balanced = r.F(), r.K(), o.Seed, o.Params, o.Balanced
+	default:
+		return nil, fmt.Errorf("ftrouting: unsupported scheme type %T", scheme)
+	}
+	m.compVerts, m.compEdges = componentStats(m.g, m.comp, m.ncomp)
 	var nshards int
 	m.shard, nshards = assignShards(m.compVerts, opts.Shards)
 	m.shards = make([]ShardInfo, nshards)
 	for s := range m.shards {
 		m.shards[s].Name = fmt.Sprintf("shard-%04d.fts", s)
 	}
+	if err := m.finish(); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// finish derives what the shard assignment determines — each shard's
+// component list and totals — and the scheme digest. Shared by built and
+// decoded manifests.
+func (m *Manifest) finish() error {
 	for ci, s := range m.shard {
 		info := &m.shards[s]
 		info.Components = append(info.Components, int32(ci))
 		info.Vertices += m.compVerts[ci]
 		info.Edges += m.compEdges[ci]
 	}
+	var err error
+	m.digest, err = m.schemeDigest()
+	return err
+}
+
+// hierarchyManifest starts the manifest of a dist/router scheme: the
+// graph, its component directory and the hierarchy's per-scale cluster
+// counts.
+func hierarchyManifest(kind codec.Kind, g *Graph, hier *treecover.Hierarchy) *Manifest {
+	m := &Manifest{kind: kind, g: g}
+	m.comp, m.ncomp = graph.Components(g, nil)
+	for _, cover := range hier.Scales {
+		m.clusterCounts = append(m.clusterCounts, len(cover.Clusters))
+	}
 	return m
+}
+
+// ManifestOf wraps an already-built scheme — a *ConnLabels, *DistLabels
+// or *Router — in a manifest with a single shard: the scheme itself,
+// resident in memory. Nothing is serialized or rebuilt (LoadShard hands
+// the scheme back as is), so a whole scheme takes the one query path
+// every manifest consumer runs: PlanBatch, the shard-aware executors and
+// the serving tiers. The shard records zero bytes, so it costs a serving
+// tier's shard budget nothing and is never evicted; the manifest has no
+// store, and LoadShardFrom ignores the store it is given.
+func ManifestOf(scheme any) (*Manifest, error) {
+	m, err := newManifest(scheme, ShardOptions{Shards: 1})
+	if err != nil {
+		return nil, err
+	}
+	m.resident = &Shard{m: m, scheme: scheme}
+	return m, nil
 }
 
 // writeShardFile writes one shard file and records its checksum and size
@@ -377,7 +410,7 @@ func (m *Manifest) writeShardFile(dir string, id int, payload func(*codec.Writer
 }
 
 // writeManifestFile writes the manifest after every shard is on disk.
-func (m *Manifest) writeManifestFile(dir string, writeParams func(*codec.Writer)) error {
+func (m *Manifest) writeManifestFile(dir string) error {
 	f, err := os.Create(filepath.Join(dir, ManifestFileName))
 	if err != nil {
 		return err
@@ -385,7 +418,7 @@ func (m *Manifest) writeManifestFile(dir string, writeParams func(*codec.Writer)
 	w := codec.NewWriter(f)
 	codec.WriteHeader(w, codec.KindManifest)
 	w.U16(uint16(m.kind))
-	writeParams(w)
+	m.writeParams(w)
 	codec.EncodeGraph(w, m.g)
 	if m.kind != codec.KindConnLabels {
 		w.Count(len(m.clusterCounts))
@@ -413,33 +446,43 @@ func (m *Manifest) writeManifestFile(dir string, writeParams func(*codec.Writer)
 	return f.Close()
 }
 
-// SaveShardedConn splits a connectivity labeling into a manifest plus
-// per-component shard files under dir, which must exist. The returned
-// manifest is ready for PlanBatch/LoadShard.
-func SaveShardedConn(dir string, c *ConnLabels, opts ShardOptions) (*Manifest, error) {
-	m := manifestSkeleton(codec.KindConnLabels, c.g, c.comp, len(c.subs), opts)
-	m.connScheme, m.maxFaults, m.seed = c.opts.Scheme, c.opts.MaxFaults, c.opts.Seed
-	writeParams := connParamsWriter(c.opts.Scheme, c.opts.MaxFaults, c.opts.Seed)
-	var err error
-	if m.digest, err = schemeDigest(m.kind, writeParams, c.g); err != nil {
+// saveSharded splits a built scheme into a manifest plus shard files
+// under dir, which must exist. The returned manifest is ready for
+// PlanBatch/LoadShard.
+func saveSharded(dir string, scheme any, opts ShardOptions) (*Manifest, error) {
+	m, err := newManifest(scheme, opts)
+	if err != nil {
 		return nil, err
 	}
 	for id := range m.shards {
-		info := m.shards[id]
 		err := m.writeShardFile(dir, id, func(w *codec.Writer) {
-			for _, ci := range info.Components {
-				encodeConnComponent(w, c.subs[ci], c.componentTree(int(ci)))
+			switch v := scheme.(type) {
+			case *ConnLabels:
+				for _, ci := range m.shards[id].Components {
+					encodeConnComponent(w, v.subs[ci], v.componentTree(int(ci)))
+				}
+			case *DistLabels:
+				hierarchyShardPayload(w, m, id, v.inner.Hierarchy())
+			case *Router:
+				hierarchyShardPayload(w, m, id, v.inner.Hierarchy())
 			}
 		})
 		if err != nil {
 			return nil, err
 		}
 	}
-	if err := m.writeManifestFile(dir, writeParams); err != nil {
+	if err := m.writeManifestFile(dir); err != nil {
 		return nil, err
 	}
 	m.store = blob.NewDir(dir)
 	return m, nil
+}
+
+// SaveShardedConn splits a connectivity labeling into a manifest plus
+// per-component shard files under dir, which must exist. The returned
+// manifest is ready for PlanBatch/LoadShard.
+func SaveShardedConn(dir string, c *ConnLabels, opts ShardOptions) (*Manifest, error) {
+	return saveSharded(dir, c, opts)
 }
 
 // hierarchyShardPayload writes the dist/router shard payload: per scale,
@@ -483,65 +526,13 @@ func shardVertices(m *Manifest, id int) []int32 {
 // clusters tagged with their global (scale, cluster) indices, so a
 // loaded shard rebuilds its instances with the original seeds.
 func SaveShardedDist(dir string, d *DistLabels, opts ShardOptions) (*Manifest, error) {
-	s := d.inner
-	comp, ncomp := graph.Components(s.Graph(), nil)
-	m := manifestSkeleton(codec.KindDistLabels, s.Graph(), comp, ncomp, opts)
-	sopts := s.Options()
-	m.f, m.k, m.seed, m.params = s.F(), s.K(), sopts.Seed, sopts.Params
-	hier := s.Hierarchy()
-	for _, cover := range hier.Scales {
-		m.clusterCounts = append(m.clusterCounts, len(cover.Clusters))
-	}
-	writeParams := hierParamsWriter(m.kind, m.f, m.k, m.seed, m.params, false)
-	var err error
-	if m.digest, err = schemeDigest(m.kind, writeParams, m.g); err != nil {
-		return nil, err
-	}
-	for id := range m.shards {
-		err := m.writeShardFile(dir, id, func(w *codec.Writer) {
-			hierarchyShardPayload(w, m, id, hier)
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	if err := m.writeManifestFile(dir, writeParams); err != nil {
-		return nil, err
-	}
-	m.store = blob.NewDir(dir)
-	return m, nil
+	return saveSharded(dir, d, opts)
 }
 
 // SaveShardedRouter splits a preprocessed router into a manifest plus
 // shard files under dir, the same way as SaveShardedDist.
 func SaveShardedRouter(dir string, r *Router, opts ShardOptions) (*Manifest, error) {
-	inner := r.inner
-	comp, ncomp := graph.Components(inner.Graph(), nil)
-	m := manifestSkeleton(codec.KindRouter, inner.Graph(), comp, ncomp, opts)
-	ropts := inner.Options()
-	m.f, m.k, m.seed, m.params, m.balanced = inner.F(), inner.K(), ropts.Seed, ropts.Params, ropts.Balanced
-	hier := inner.Hierarchy()
-	for _, cover := range hier.Scales {
-		m.clusterCounts = append(m.clusterCounts, len(cover.Clusters))
-	}
-	writeParams := hierParamsWriter(m.kind, m.f, m.k, m.seed, m.params, m.balanced)
-	var err error
-	if m.digest, err = schemeDigest(m.kind, writeParams, m.g); err != nil {
-		return nil, err
-	}
-	for id := range m.shards {
-		err := m.writeShardFile(dir, id, func(w *codec.Writer) {
-			hierarchyShardPayload(w, m, id, hier)
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	if err := m.writeManifestFile(dir, writeParams); err != nil {
-		return nil, err
-	}
-	m.store = blob.NewDir(dir)
-	return m, nil
+	return saveSharded(dir, r, opts)
 }
 
 // LoadManifest reads and validates a manifest file; shard files resolve
@@ -586,7 +577,6 @@ func ReadManifest(r io.Reader) (*Manifest, error) {
 		return nil, err
 	}
 	m := &Manifest{kind: kind}
-	var writeParams func(*codec.Writer)
 	switch kind {
 	case codec.KindConnLabels:
 		scheme, maxFaults, seed, err := readConnParams(cr)
@@ -594,7 +584,6 @@ func ReadManifest(r io.Reader) (*Manifest, error) {
 			return nil, err
 		}
 		m.connScheme, m.maxFaults, m.seed = scheme, maxFaults, seed
-		writeParams = connParamsWriter(scheme, maxFaults, seed)
 	case codec.KindDistLabels, codec.KindRouter:
 		f, k, seed, params, err := readSchemeParams(cr)
 		if err != nil {
@@ -608,7 +597,6 @@ func ReadManifest(r io.Reader) (*Manifest, error) {
 			}
 		}
 		m.f, m.k, m.seed, m.params, m.balanced = f, k, seed, params, balanced
-		writeParams = hierParamsWriter(kind, f, k, seed, params, balanced)
 	default:
 		return nil, fmt.Errorf("%w: manifest holds unknown scheme kind %d", codec.ErrCorrupt, kind)
 	}
@@ -700,13 +688,7 @@ func ReadManifest(r io.Reader) (*Manifest, error) {
 		}
 	}
 	m.compVerts, m.compEdges = componentStats(g, m.comp, ncomp)
-	for ci, s := range m.shard {
-		info := &m.shards[s]
-		info.Components = append(info.Components, int32(ci))
-		info.Vertices += m.compVerts[ci]
-		info.Edges += m.compEdges[ci]
-	}
-	if m.digest, err = schemeDigest(kind, writeParams, g); err != nil {
+	if err := m.finish(); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -736,6 +718,9 @@ func (m *Manifest) LoadShard(id int) (*Shard, error) {
 func (m *Manifest) LoadShardFrom(store blob.Store, id int) (*Shard, error) {
 	if id < 0 || id >= len(m.shards) {
 		return nil, fmt.Errorf("ftrouting: shard %d out of range [0,%d)", id, len(m.shards))
+	}
+	if m.resident != nil {
+		return m.resident, nil
 	}
 	if store == nil {
 		return nil, fmt.Errorf("ftrouting: manifest has no shard store (see Manifest.SetStore)")
