@@ -33,7 +33,7 @@ FUZZ_TARGETS = \
 	.:FuzzManifest \
 	.:FuzzShard
 
-.PHONY: all build test race bench bench-compare cover lint fuzz shard-smoke proxy-smoke metrics-smoke remote-smoke loadgen-smoke
+.PHONY: all build test race bench bench-compare cover lint fuzz corpus-check shard-smoke proxy-smoke metrics-smoke remote-smoke loadgen-smoke
 
 all: build lint test
 
@@ -78,6 +78,19 @@ fuzz:
 		echo "fuzzing $$name in $$pkg for $(FUZZTIME)"; \
 		$(GO) test -run=NONE -fuzz="^$$name\$$" -fuzztime=$(FUZZTIME) $$pkg; \
 	done
+
+# corpus-check regenerates the checked-in fuzz seed corpus and fails if
+# any file under a testdata/fuzz/ directory changed, appeared or
+# vanished. The valid seeds are encodings of every scheme, manifest,
+# shard and label format, so this pins the on-disk formats byte for byte.
+corpus-check:
+	@set -e; $(GO) run ./cmd/genfuzzcorpus > /dev/null; \
+	drift=$$(git status --porcelain --untracked-files=all -- ':(glob)**/testdata/fuzz/**'); \
+	if [ -n "$$drift" ]; then \
+		echo "on-disk format drift: regenerated fuzz corpus differs from the checked-in one:"; \
+		echo "$$drift"; exit 1; \
+	fi; \
+	echo "fuzz corpus regenerates byte-identically"
 
 # shard-smoke proves the serving pipeline end to end: build a
 # multi-component scheme, split it into a manifest + shards, serve both

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -298,5 +300,33 @@ func TestQueryOutOfRangeVertex(t *testing.T) {
 		if got := ftrouting.CodeOf(err); got != ftrouting.CodeVertexRange {
 			t.Errorf("query %v: err %v (code %q), want %q", args, err, got, ftrouting.CodeVertexRange)
 		}
+	}
+}
+
+// TestInfoTruncatedHeader runs `ftroute info` on a file that ends inside
+// the 8-byte artifact header: the command must fail with a truncation
+// error and a non-zero exit, not describe a kind it never read.
+func TestInfoTruncatedHeader(t *testing.T) {
+	if path := os.Getenv("FTROUTE_TEST_INFO"); path != "" {
+		os.Args = []string{"ftroute", "info", path}
+		main()
+		return
+	}
+	path := filepath.Join(t.TempDir(), "short.ftl")
+	if err := os.WriteFile(path, []byte("FTLB\x01"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := runInfo([]string{path}); !errors.Is(err, ftrouting.ErrTruncated) {
+		t.Fatalf("info on a 5-byte file: %v, want ErrTruncated", err)
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestInfoTruncatedHeader$")
+	cmd.Env = append(os.Environ(), "FTROUTE_TEST_INFO="+path)
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() == 0 {
+		t.Fatalf("ftroute info exited cleanly (%v):\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "truncated") {
+		t.Fatalf("ftroute info output lacks the truncation error:\n%s", out)
 	}
 }

@@ -74,13 +74,18 @@ func runInfo(args []string) error {
 		return fmt.Errorf("usage: ftroute info FILE")
 	}
 	path := fs.Arg(0)
-	kind, version, err := sniffHeader(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
+	defer f.Close()
+	kind, err := codec.ReadHeaderAny(codec.NewReader(f))
+	if err != nil {
+		return fmt.Errorf("%s: reading header: %w", path, err)
+	}
 	fmt.Printf("%s: magic %q, format version %d, kind %d (%s)\n",
-		path, codec.Magic, version, uint16(kind), kind)
-	st, err := os.Stat(path)
+		path, codec.Magic, codec.Version, uint16(kind), kind)
+	st, err := f.Stat()
 	if err != nil {
 		return err
 	}
@@ -93,25 +98,6 @@ func runInfo(args []string) error {
 		fmt.Printf("file: %d bytes (no further structure printed for this kind)\n", st.Size())
 		return nil
 	}
-}
-
-// sniffHeader reads just the 8-byte artifact header.
-func sniffHeader(path string) (codec.Kind, uint16, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, 0, err
-	}
-	defer f.Close()
-	var hdr [codec.HeaderLen]byte
-	if _, err := f.Read(hdr[:]); err != nil {
-		return 0, 0, fmt.Errorf("reading header: %w", err)
-	}
-	if string(hdr[:4]) != codec.Magic {
-		return 0, 0, fmt.Errorf("%s: bad magic %q", path, hdr[:4])
-	}
-	version := uint16(hdr[4]) | uint16(hdr[5])<<8
-	kind := codec.Kind(uint16(hdr[6]) | uint16(hdr[7])<<8)
-	return kind, version, nil
 }
 
 // infoScheme loads a monolithic scheme file and prints its vital signs,

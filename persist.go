@@ -2,17 +2,30 @@ package ftrouting
 
 // Scheme persistence: preprocess once, serve from disk. SaveConnLabels,
 // SaveDistLabels and SaveRouter write a self-describing, versioned binary
-// file (package internal/codec documents the format); the matching Load
-// functions reconstitute a scheme that answers Connected/Estimate/Route
-// bit-identically to the one saved, without re-running any of the
-// graph-search preprocessing (component decomposition, spanning trees,
-// tree-cover region growing). Decoding is strict: truncated, corrupted,
-// wrong-kind or future-version input yields one of the typed errors
-// re-exported below, never a panic.
+// file (package internal/codec documents the format); LoadScheme and the
+// typed Load functions over it reconstitute a scheme that answers
+// Connected/Estimate/Route bit-identically to the one saved.
+//
+// Every artifact — a scheme file here, a manifest or shard file in
+// shard.go — goes through one codec. writeArtifact frames it (header,
+// body, CRC32-C trailer, buffered). A scheme file and a manifest open
+// with the same head: the parameters and the global graph
+// (Manifest.writeHead / readHead). A connectivity scheme's per-component
+// (subgraph, spanning tree) sections are read by one decoder,
+// Manifest.decodeConnSections, whether a whole file or a shard holds
+// them; a distance labeling or router is rebuilt on its tree-cover
+// hierarchy, whole or partial, by Manifest.rebuildHierarchy. Loading
+// recomputes the component directory from the graph (linear work) and
+// re-derives label content from the persisted trees, clusters and seeds,
+// but never re-runs spanning-tree or tree-cover construction. Decoding is
+// strict: truncated, corrupted, wrong-kind or future-version input yields
+// one of the typed errors re-exported below, never a panic.
 
 import (
+	"bufio"
 	"fmt"
 	"io"
+	"os"
 
 	"ftrouting/internal/codec"
 	"ftrouting/internal/core"
@@ -20,7 +33,7 @@ import (
 	"ftrouting/internal/graph"
 	"ftrouting/internal/parallel"
 	"ftrouting/internal/route"
-	"ftrouting/internal/sketch"
+	"ftrouting/internal/treecover"
 )
 
 // Typed decode errors, re-exported from the wire-format package so
@@ -43,135 +56,169 @@ const (
 	maxPersistedParam  = 1 << 20
 )
 
-// SaveConnLabels writes a connectivity labeling to w.
-func SaveConnLabels(w io.Writer, c *ConnLabels) error {
-	cw := codec.NewWriter(w)
-	codec.WriteHeader(cw, codec.KindConnLabels)
-	cw.U16(uint16(c.opts.Scheme))
-	cw.I32(int32(c.opts.MaxFaults))
-	cw.U64(c.opts.Seed)
-	codec.EncodeGraph(cw, c.g)
-	cw.Count(len(c.subs))
-	for ci := range c.subs {
-		encodeConnComponent(cw, c.subs[ci], c.componentTree(ci))
+// writeArtifact frames one artifact — header, body, checksum trailer —
+// through a buffer (codec.Writer issues one Write per field) and returns
+// the trailer checksum.
+func writeArtifact(w io.Writer, kind codec.Kind, body func(*codec.Writer)) (uint32, error) {
+	bw := bufio.NewWriter(w)
+	cw := codec.NewWriter(bw)
+	codec.WriteHeader(cw, kind)
+	body(cw)
+	if err := cw.Finish(); err != nil {
+		return 0, err
 	}
-	return cw.Finish()
+	return cw.Checksum(), bw.Flush()
 }
 
-// encodeConnComponent writes one component's labeling section (induced
-// subgraph plus spanning tree) — the unit both the monolithic file and
-// the shard files are made of.
-func encodeConnComponent(cw *codec.Writer, sub *graph.Subgraph, tree *graph.Tree) {
-	codec.EncodeSubgraph(cw, sub)
-	codec.EncodeTree(cw, tree)
-}
+// createFile opens an artifact file for writing; a variable so tests can
+// observe the writes that reach the file.
+var createFile = func(path string) (io.WriteCloser, error) { return os.Create(path) }
 
-// decodeConnComponent reads one component section and validates the tree
-// spans the component. Shared by the monolithic loader and the shard
-// loader, so a monolithic file is internally the one-shard split of the
-// same sections.
-func decodeConnComponent(cr *codec.Reader, g *graph.Graph, ci int) (*graph.Subgraph, *graph.Tree, error) {
-	sub, err := codec.DecodeSubgraph(cr, g)
+// writeFile writes one artifact to path and returns its checksum and
+// size.
+func writeFile(path string, kind codec.Kind, body func(*codec.Writer)) (uint32, int64, error) {
+	f, err := createFile(path)
 	if err != nil {
-		return nil, nil, err
+		return 0, 0, err
 	}
-	tree, err := codec.DecodeTree(cr, sub.Local)
+	sum, err := writeArtifact(f, kind, body)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
 	if err != nil {
-		return nil, nil, err
+		return 0, 0, err
 	}
-	if tree.Size() != sub.Local.N() {
-		cr.Corrupt("component %d tree spans %d of %d vertices", ci, tree.Size(), sub.Local.N())
-		return nil, nil, cr.Err()
+	st, err := os.Stat(path)
+	if err != nil {
+		return 0, 0, err
 	}
-	return sub, tree, nil
+	return sum, st.Size(), nil
 }
 
-// readConnParams reads and validates the (scheme, fault bound, seed)
-// prefix shared by monolithic connectivity files and manifests.
-func readConnParams(cr *codec.Reader) (scheme ConnSchemeKind, maxFaults int, seed uint64, err error) {
-	scheme = ConnSchemeKind(cr.U16())
-	maxFaults = int(cr.I32())
-	seed = cr.U64()
-	if err = cr.Err(); err != nil {
-		return
+// describe returns the head of a built scheme — kind, parameters and
+// graph — as a manifest with no directory yet, plus the tree-cover
+// hierarchy of a dist/router scheme (nil for connectivity).
+func describe(scheme any) (*Manifest, *treecover.Hierarchy, error) {
+	switch v := scheme.(type) {
+	case *ConnLabels:
+		return &Manifest{kind: codec.KindConnLabels, g: v.g,
+			connScheme: v.opts.Scheme, maxFaults: v.opts.MaxFaults, seed: v.opts.Seed}, nil, nil
+	case *DistLabels:
+		s, o := v.inner, v.inner.Options()
+		return &Manifest{kind: codec.KindDistLabels, g: s.Graph(),
+			f: s.F(), k: s.K(), seed: o.Seed, params: o.Params}, s.Hierarchy(), nil
+	case *Router:
+		r, o := v.inner, v.inner.Options()
+		return &Manifest{kind: codec.KindRouter, g: r.Graph(),
+			f: r.F(), k: r.K(), seed: o.Seed, params: o.Params, balanced: o.Balanced}, r.Hierarchy(), nil
 	}
-	if scheme != CutBased && scheme != SketchBased {
-		cr.Corrupt("unknown connectivity scheme %d", scheme)
-	} else if maxFaults < 0 || maxFaults > maxPersistedFaults {
-		cr.Corrupt("fault bound %d out of range", maxFaults)
-	}
-	err = cr.Err()
-	return
+	return nil, nil, fmt.Errorf("ftrouting: unsupported scheme type %T", scheme)
 }
 
-// LoadConnLabels reads a labeling previously written by SaveConnLabels.
-// The loaded labeling answers VertexLabel/EdgeLabel/Query/Connected
-// bit-identically to the saved one.
-func LoadConnLabels(r io.Reader) (*ConnLabels, error) {
-	cr := codec.NewReader(r)
-	if err := codec.ReadHeader(cr, codec.KindConnLabels); err != nil {
-		return nil, err
+// writeHead encodes the scheme's parameters (balanced for routers only)
+// and its global graph: what a scheme file and a manifest both start
+// with, and what the scheme digest covers.
+func (m *Manifest) writeHead(w *codec.Writer) {
+	if m.kind == codec.KindConnLabels {
+		w.U16(uint16(m.connScheme))
+		w.I32(int32(m.maxFaults))
+		w.U64(m.seed)
+	} else {
+		w.I32(int32(m.f))
+		w.I32(int32(m.k))
+		w.U64(m.seed)
+		w.I32(int32(m.params.Units))
+		w.I32(int32(m.params.Levels))
+		if m.kind == codec.KindRouter {
+			w.Bool(m.balanced)
+		}
 	}
-	c, err := loadConnPayload(cr)
-	if err != nil {
-		return nil, err
-	}
-	if err := cr.Finish(); err != nil {
-		return nil, err
-	}
-	return c, nil
+	codec.EncodeGraph(w, m.g)
 }
 
-func loadConnPayload(cr *codec.Reader) (*ConnLabels, error) {
-	scheme, maxFaults, seed, err := readConnParams(cr)
-	if err != nil {
-		return nil, err
+// readHead decodes the head writeHead encodes for m.kind, rejecting
+// parameters no real build produces.
+func (m *Manifest) readHead(cr *codec.Reader) error {
+	switch m.kind {
+	case codec.KindConnLabels:
+		m.connScheme = ConnSchemeKind(cr.U16())
+		m.maxFaults = int(cr.I32())
+		m.seed = cr.U64()
+	case codec.KindDistLabels, codec.KindRouter:
+		m.f = int(cr.I32())
+		m.k = int(cr.I32())
+		m.seed = cr.U64()
+		m.params.Units = int(cr.I32())
+		m.params.Levels = int(cr.I32())
+		if m.kind == codec.KindRouter {
+			m.balanced = cr.Bool()
+		}
+	default:
+		cr.Corrupt("unknown scheme kind %d", m.kind)
+	}
+	if cr.Err() != nil {
+		return cr.Err()
+	}
+	conn, bound := m.kind == codec.KindConnLabels, m.f
+	if conn {
+		bound = m.maxFaults
+	}
+	switch {
+	case conn && m.connScheme != CutBased && m.connScheme != SketchBased:
+		cr.Corrupt("unknown connectivity scheme %d", m.connScheme)
+	case bound < 0 || bound > maxPersistedFaults:
+		cr.Corrupt("fault bound %d out of range", bound)
+	case !conn && (m.k < 1 || m.k > maxPersistedK):
+		cr.Corrupt("stretch parameter %d out of range", m.k)
+	case m.params.Units < 0 || m.params.Units > maxPersistedParam ||
+		m.params.Levels < 0 || m.params.Levels > maxPersistedParam:
+		cr.Corrupt("sketch params %+v out of range", m.params)
+	}
+	if cr.Err() != nil {
+		return cr.Err()
 	}
 	g, err := codec.DecodeGraph(cr)
-	if err != nil {
-		return nil, err
-	}
-	ncomp := cr.Count(g.N())
-	if err := cr.Err(); err != nil {
-		return nil, err
-	}
+	m.g = g
+	return err
+}
+
+// encodeSection writes component ci's section: its induced subgraph and
+// the spanning tree it was labeled on.
+func (c *ConnLabels) encodeSection(w *codec.Writer, ci int) {
+	codec.EncodeSubgraph(w, c.subs[ci])
+	codec.EncodeTree(w, c.componentTree(ci))
+}
+
+// decodeConnSections reads the sections of components comps, in order,
+// checks each against the directory, and rebuilds their labelings in
+// parallel from the per-component seeds. The result keeps the global
+// graph and directory with only comps materialized: the whole scheme
+// when comps is every component, a shard's partial scheme otherwise.
+func (m *Manifest) decodeConnSections(cr *codec.Reader, comps []int32) (*ConnLabels, error) {
 	c := &ConnLabels{
-		g:        g,
-		opts:     ConnOptions{Scheme: scheme, MaxFaults: maxFaults, Seed: seed},
-		comp:     make([]int32, g.N()),
-		subs:     make([]*graph.Subgraph, ncomp),
-		cuts:     make([]*core.CutScheme, ncomp),
-		sketches: make([]*core.SketchScheme, ncomp),
+		g:        m.g,
+		opts:     ConnOptions{Scheme: m.connScheme, MaxFaults: m.maxFaults, Seed: m.seed},
+		comp:     m.comp,
+		subs:     make([]*graph.Subgraph, m.ncomp),
+		cuts:     make([]*core.CutScheme, m.ncomp),
+		sketches: make([]*core.SketchScheme, m.ncomp),
 	}
-	for v := range c.comp {
-		c.comp[v] = -1
-	}
-	trees := make([]*graph.Tree, ncomp)
-	for ci := 0; ci < ncomp; ci++ {
-		sub, tree, err := decodeConnComponent(cr, g, ci)
+	trees := make([]*graph.Tree, len(comps))
+	for i, ci := range comps {
+		sub, err := codec.DecodeSubgraph(cr, m.g)
 		if err != nil {
 			return nil, err
 		}
+		if trees[i], err = codec.DecodeTree(cr, sub.Local); err != nil {
+			return nil, err
+		}
+		if err := m.checkComponentSection(cr, int(ci), sub, trees[i]); err != nil {
+			return nil, err
+		}
 		c.subs[ci] = sub
-		trees[ci] = tree
-		for _, v := range sub.ToGlobal {
-			if c.comp[v] != -1 {
-				cr.Corrupt("vertex %d in components %d and %d", v, c.comp[v], ci)
-				return nil, cr.Err()
-			}
-			c.comp[v] = int32(ci)
-		}
 	}
-	for v, ci := range c.comp {
-		if ci == -1 {
-			cr.Corrupt("vertex %d in no component", v)
-			return nil, cr.Err()
-		}
-	}
-	// Label content is re-derived from the per-component seeds — linear
-	// work, fanned out across components like the original build.
-	err = parallel.ForEach(0, ncomp, func(ci int) error {
-		return c.buildComponentScheme(ci, trees[ci])
+	err := parallel.ForEach(0, len(comps), func(i int) error {
+		return c.buildComponentScheme(int(comps[i]), trees[i])
 	})
 	if err != nil {
 		return nil, fmt.Errorf("%w: rebuilding component labeling: %v", codec.ErrCorrupt, err)
@@ -179,138 +226,107 @@ func loadConnPayload(cr *codec.Reader) (*ConnLabels, error) {
 	return c, nil
 }
 
-// SaveDistLabels writes a distance labeling to w.
-func SaveDistLabels(w io.Writer, d *DistLabels) error {
-	s := d.inner
-	opts := s.Options()
-	cw := codec.NewWriter(w)
-	codec.WriteHeader(cw, codec.KindDistLabels)
-	cw.I32(int32(s.F()))
-	cw.I32(int32(s.K()))
-	cw.U64(opts.Seed)
-	cw.I32(int32(opts.Params.Units))
-	cw.I32(int32(opts.Params.Levels))
-	codec.EncodeGraph(cw, s.Graph())
-	codec.EncodeHierarchy(cw, s.Hierarchy())
-	return cw.Finish()
+// checkComponentSection verifies a decoded section covers component ci
+// exactly — its vertices are precisely the directory's members, its edge
+// list is complete — and that its tree spans it.
+func (m *Manifest) checkComponentSection(cr *codec.Reader, ci int, sub *graph.Subgraph, tree *graph.Tree) error {
+	if sub.Local.N() != m.compVerts[ci] {
+		cr.Corrupt("component %d section has %d of %d vertices", ci, sub.Local.N(), m.compVerts[ci])
+		return cr.Err()
+	}
+	for _, v := range sub.ToGlobal {
+		if m.comp[v] != int32(ci) {
+			cr.Corrupt("vertex %d of component %d listed in component-%d section", v, m.comp[v], ci)
+			return cr.Err()
+		}
+	}
+	if sub.Local.M() != m.compEdges[ci] {
+		cr.Corrupt("component %d section has %d of %d edges", ci, sub.Local.M(), m.compEdges[ci])
+	} else if tree.Size() != sub.Local.N() {
+		cr.Corrupt("component %d tree spans %d of %d vertices", ci, tree.Size(), sub.Local.N())
+	}
+	return cr.Err()
 }
 
-// LoadDistLabels reads a labeling previously written by SaveDistLabels.
-// The loaded labeling answers Estimate bit-identically to the saved one.
-func LoadDistLabels(r io.Reader) (*DistLabels, error) {
-	cr := codec.NewReader(r)
-	if err := codec.ReadHeader(cr, codec.KindDistLabels); err != nil {
-		return nil, err
+// rebuildHierarchy re-derives a distance labeling or router on a decoded
+// tree-cover hierarchy — a whole file's, or a shard's partial one — from
+// the persisted seeds.
+func (m *Manifest) rebuildHierarchy(hier *treecover.Hierarchy) (any, error) {
+	if m.kind == codec.KindDistLabels {
+		inner, err := distlabel.BuildWithHierarchy(m.g, m.f, m.k, distlabel.Options{Seed: m.seed, Params: m.params}, hier)
+		if err != nil {
+			return nil, fmt.Errorf("%w: rebuilding distance labeling: %v", codec.ErrCorrupt, err)
+		}
+		return &DistLabels{inner: inner}, nil
 	}
-	d, err := loadDistPayload(cr)
-	if err != nil {
-		return nil, err
-	}
-	if err := cr.Finish(); err != nil {
-		return nil, err
-	}
-	return d, nil
-}
-
-func loadDistPayload(cr *codec.Reader) (*DistLabels, error) {
-	f, k, seed, params, err := readSchemeParams(cr)
-	if err != nil {
-		return nil, err
-	}
-	g, err := codec.DecodeGraph(cr)
-	if err != nil {
-		return nil, err
-	}
-	hier, err := codec.DecodeHierarchy(cr, g)
-	if err != nil {
-		return nil, err
-	}
-	inner, err := distlabel.BuildWithHierarchy(g, f, k, distlabel.Options{Seed: seed, Params: params}, hier)
-	if err != nil {
-		return nil, fmt.Errorf("%w: rebuilding distance labeling: %v", codec.ErrCorrupt, err)
-	}
-	return &DistLabels{inner: inner}, nil
-}
-
-// SaveRouter writes a preprocessed router to w.
-func SaveRouter(w io.Writer, r *Router) error {
-	inner := r.inner
-	opts := inner.Options()
-	cw := codec.NewWriter(w)
-	codec.WriteHeader(cw, codec.KindRouter)
-	cw.I32(int32(inner.F()))
-	cw.I32(int32(inner.K()))
-	cw.U64(opts.Seed)
-	cw.I32(int32(opts.Params.Units))
-	cw.I32(int32(opts.Params.Levels))
-	cw.Bool(opts.Balanced)
-	codec.EncodeGraph(cw, inner.Graph())
-	codec.EncodeHierarchy(cw, inner.Hierarchy())
-	return cw.Finish()
-}
-
-// LoadRouter reads a router previously written by SaveRouter. The loaded
-// router answers Route/RouteForbidden bit-identically to the saved one.
-func LoadRouter(r io.Reader) (*Router, error) {
-	cr := codec.NewReader(r)
-	if err := codec.ReadHeader(cr, codec.KindRouter); err != nil {
-		return nil, err
-	}
-	rt, err := loadRouterPayload(cr)
-	if err != nil {
-		return nil, err
-	}
-	if err := cr.Finish(); err != nil {
-		return nil, err
-	}
-	return rt, nil
-}
-
-func loadRouterPayload(cr *codec.Reader) (*Router, error) {
-	f, k, seed, params, err := readSchemeParams(cr)
-	if err != nil {
-		return nil, err
-	}
-	balanced := cr.Bool()
-	if err := cr.Err(); err != nil {
-		return nil, err
-	}
-	g, err := codec.DecodeGraph(cr)
-	if err != nil {
-		return nil, err
-	}
-	hier, err := codec.DecodeHierarchy(cr, g)
-	if err != nil {
-		return nil, err
-	}
-	inner, err := route.BuildWithHierarchy(g, f, k, route.Options{Seed: seed, Params: params, Balanced: balanced}, hier)
+	inner, err := route.BuildWithHierarchy(m.g, m.f, m.k, route.Options{Seed: m.seed, Params: m.params, Balanced: m.balanced}, hier)
 	if err != nil {
 		return nil, fmt.Errorf("%w: rebuilding router: %v", codec.ErrCorrupt, err)
 	}
 	return &Router{inner: inner}, nil
 }
 
-// readSchemeParams reads and validates the (f, k, seed, sketch params)
-// prefix shared by distance and router files.
-func readSchemeParams(cr *codec.Reader) (f, k int, seed uint64, params sketch.Params, err error) {
-	f = int(cr.I32())
-	k = int(cr.I32())
-	seed = cr.U64()
-	params.Units = int(cr.I32())
-	params.Levels = int(cr.I32())
-	if err = cr.Err(); err != nil {
-		return
+// SaveConnLabels writes a connectivity labeling to w.
+func SaveConnLabels(w io.Writer, c *ConnLabels) error { return saveScheme(w, c) }
+
+// SaveDistLabels writes a distance labeling to w.
+func SaveDistLabels(w io.Writer, d *DistLabels) error { return saveScheme(w, d) }
+
+// SaveRouter writes a preprocessed router to w.
+func SaveRouter(w io.Writer, r *Router) error { return saveScheme(w, r) }
+
+// saveScheme writes a whole scheme file: the head, then every component's
+// section (connectivity) or the whole hierarchy (dist/router).
+func saveScheme(w io.Writer, scheme any) error {
+	m, hier, err := describe(scheme)
+	if err != nil {
+		return err
 	}
-	if f < 0 || f > maxPersistedFaults {
-		cr.Corrupt("fault bound %d out of range", f)
-	} else if k < 1 || k > maxPersistedK {
-		cr.Corrupt("stretch parameter %d out of range", k)
-	} else if params.Units < 0 || params.Units > maxPersistedParam ||
-		params.Levels < 0 || params.Levels > maxPersistedParam {
-		cr.Corrupt("sketch params %+v out of range", params)
+	_, err = writeArtifact(w, m.kind, func(cw *codec.Writer) {
+		m.writeHead(cw)
+		if c, ok := scheme.(*ConnLabels); ok {
+			cw.Count(len(c.subs))
+			for ci := range c.subs {
+				c.encodeSection(cw, ci)
+			}
+		} else {
+			codec.EncodeHierarchy(cw, hier)
+		}
+	})
+	return err
+}
+
+// LoadConnLabels reads a labeling previously written by SaveConnLabels.
+// The loaded labeling answers VertexLabel/EdgeLabel/Query/Connected
+// bit-identically to the saved one.
+func LoadConnLabels(r io.Reader) (*ConnLabels, error) {
+	return loadAs[*ConnLabels](r, codec.KindConnLabels)
+}
+
+// LoadDistLabels reads a labeling previously written by SaveDistLabels.
+// The loaded labeling answers Estimate bit-identically to the saved one.
+func LoadDistLabels(r io.Reader) (*DistLabels, error) {
+	return loadAs[*DistLabels](r, codec.KindDistLabels)
+}
+
+// LoadRouter reads a router previously written by SaveRouter. The loaded
+// router answers Route/RouteForbidden bit-identically to the saved one.
+func LoadRouter(r io.Reader) (*Router, error) {
+	return loadAs[*Router](r, codec.KindRouter)
+}
+
+// loadAs reads a scheme file that must hold kind.
+func loadAs[T any](r io.Reader, kind codec.Kind) (T, error) {
+	var zero T
+	cr := codec.NewReader(r)
+	if err := codec.ReadHeader(cr, kind); err != nil {
+		return zero, err
 	}
-	err = cr.Err()
-	return
+	s, err := decodeScheme(cr, kind)
+	if err != nil {
+		return zero, err
+	}
+	return s.(T), nil
 }
 
 // LoadScheme reads any scheme file, dispatching on the artifact kind in
@@ -321,16 +337,37 @@ func LoadScheme(r io.Reader) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	var out any
-	switch kind {
-	case codec.KindConnLabels:
-		out, err = loadConnPayload(cr)
-	case codec.KindDistLabels:
-		out, err = loadDistPayload(cr)
-	case codec.KindRouter:
-		out, err = loadRouterPayload(cr)
-	default:
+	return decodeScheme(cr, kind)
+}
+
+// decodeScheme decodes the body of a scheme file whose header declared
+// kind, through its checksum trailer. A connectivity file's sections must
+// follow the component directory recomputed from the graph, in order.
+func decodeScheme(cr *codec.Reader, kind codec.Kind) (any, error) {
+	if kind != codec.KindConnLabels && kind != codec.KindDistLabels && kind != codec.KindRouter {
 		return nil, fmt.Errorf("%w: file holds %s, not a scheme", codec.ErrKind, kind)
+	}
+	m := &Manifest{kind: kind}
+	if err := m.readHead(cr); err != nil {
+		return nil, err
+	}
+	var s any
+	var err error
+	if kind == codec.KindConnLabels {
+		m.setDirectory()
+		if n := cr.Count(m.g.N()); cr.Err() == nil && n != m.ncomp {
+			cr.Corrupt("file names %d components, graph has %d", n, m.ncomp)
+		}
+		all := make([]int32, m.ncomp)
+		for ci := range all {
+			all[ci] = int32(ci)
+		}
+		s, err = m.decodeConnSections(cr, all)
+	} else {
+		var hier *treecover.Hierarchy
+		if hier, err = codec.DecodeHierarchy(cr, m.g); err == nil {
+			s, err = m.rebuildHierarchy(hier)
+		}
 	}
 	if err != nil {
 		return nil, err
@@ -338,5 +375,5 @@ func LoadScheme(r io.Reader) (any, error) {
 	if err := cr.Finish(); err != nil {
 		return nil, err
 	}
-	return out, nil
+	return s, nil
 }

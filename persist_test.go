@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
+	"os"
 	"reflect"
 	"testing"
 
@@ -373,5 +375,121 @@ func TestHeaderLayout(t *testing.T) {
 	}
 	if k := codec.Kind(uint16(data[6]) | uint16(data[7])<<8); k != codec.KindConnLabels {
 		t.Fatalf("kind %d", k)
+	}
+}
+
+// TestLoadRejectsPermutedSections pins that a connectivity file's
+// component sections must follow the component directory the graph
+// determines. A file listing them in reverse order is internally
+// consistent (every vertex in exactly one section, every tree spanning),
+// but its sharded split would carry a directory no manifest reader
+// accepts, so the loader must reject it as corrupt.
+func TestLoadRejectsPermutedSections(t *testing.T) {
+	built, err := BuildConnectivityLabels(shardDisconn(), ConnOptions{Scheme: CutBased, MaxFaults: 2, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// encode writes the conn file format by hand, with the component
+	// sections in the given order.
+	encode := func(order []int) []byte {
+		var buf bytes.Buffer
+		cw := codec.NewWriter(&buf)
+		codec.WriteHeader(cw, codec.KindConnLabels)
+		cw.U16(uint16(CutBased))
+		cw.I32(2)
+		cw.U64(7)
+		codec.EncodeGraph(cw, built.g)
+		cw.Count(len(order))
+		for _, ci := range order {
+			codec.EncodeSubgraph(cw, built.subs[ci])
+			codec.EncodeTree(cw, built.componentTree(ci))
+		}
+		if err := cw.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	ncomp := len(built.subs)
+	if ncomp < 3 {
+		t.Fatalf("fixture needs several components, has %d", ncomp)
+	}
+	forward, reverse := make([]int, ncomp), make([]int, ncomp)
+	for i := range forward {
+		forward[i], reverse[i] = i, ncomp-1-i
+	}
+	var saved bytes.Buffer
+	if err := SaveConnLabels(&saved, built); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(encode(forward), saved.Bytes()) {
+		t.Fatal("hand encoding in directory order differs from SaveConnLabels")
+	}
+	if _, err := LoadConnLabels(bytes.NewReader(encode(reverse))); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("reverse-order sections: %v, want ErrCorrupt", err)
+	}
+}
+
+// countingWriter counts the Write calls and bytes reaching it.
+type countingWriter struct {
+	w            io.Writer
+	calls, bytes int
+}
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	c.calls++
+	c.bytes += len(p)
+	return c.w.Write(p)
+}
+
+// checkBuffered fails unless the writes arrived in buffer-sized chunks:
+// at most one call per 4 KiB (bufio's default size) plus a final flush,
+// never one call per encoded field.
+func checkBuffered(t *testing.T, what string, c *countingWriter) {
+	t.Helper()
+	if max := 1 + c.bytes/4096; c.calls > max {
+		t.Fatalf("%s: %d bytes took %d Write calls, want at most %d", what, c.bytes, c.calls, max)
+	}
+}
+
+// TestSaveWritesBuffered proves every artifact writer buffers: a scheme
+// file and each manifest and shard file reach their io.Writer in a few
+// large writes, not one per field.
+func TestSaveWritesBuffered(t *testing.T) {
+	d, err := BuildDistanceLabels(RandomConnected(40, 60, 3), 2, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &countingWriter{w: io.Discard}
+	if err := SaveDistLabels(w, d); err != nil {
+		t.Fatal(err)
+	}
+	checkBuffered(t, "SaveDistLabels", w)
+
+	conn, err := BuildConnectivityLabels(shardDisconn(), ConnOptions{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string]*countingWriter{}
+	defer func(orig func(string) (io.WriteCloser, error)) { createFile = orig }(createFile)
+	createFile = func(path string) (io.WriteCloser, error) {
+		f, err := os.Create(path)
+		if err != nil {
+			return nil, err
+		}
+		files[path] = &countingWriter{w: f}
+		return struct {
+			io.Writer
+			io.Closer
+		}{files[path], f}, nil
+	}
+	m, err := SaveShardedConn(t.TempDir(), conn, ShardOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != m.NumShards()+1 {
+		t.Fatalf("%d files created, want %d shards + manifest", len(files), m.NumShards())
+	}
+	for path, c := range files {
+		checkBuffered(t, path, c)
 	}
 }

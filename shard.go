@@ -11,14 +11,16 @@ package ftrouting
 // the architectural step from one-process serving to distributable
 // shards (see `ftroute shard` / `ftroute serve -in shards/`).
 //
-// Monolithic and sharded files share the per-component encode/decode
-// path (encodeConnComponent / decodeConnComponent, codec.EncodeCluster /
-// codec.DecodeCluster): a monolithic scheme file is the degenerate
-// one-shard split of the same sections. A shard loads into a *partial*
-// scheme — the same ConnLabels / DistLabels / Router types with only its
-// own components' structures materialized and every id (vertex, edge,
-// component, cluster) kept global — so in-shard queries run the exact
-// code paths of the whole scheme and answer bit-identically.
+// A manifest and a monolithic scheme file are two framings of one
+// encoding (persist.go): both open with the same head (parameters and
+// global graph), a shard file carries the very component sections
+// (connectivity) or tree-cover clusters (dist/router) a monolithic file
+// carries, and both loaders decode them through the same functions — a
+// monolithic file is the degenerate one-shard split. A shard loads into a
+// *partial* scheme — the same ConnLabels / DistLabels / Router types with
+// only its own components' structures materialized and every id (vertex,
+// edge, component, cluster) kept global — so in-shard queries run the
+// exact code paths of the whole scheme and answer bit-identically.
 //
 // Integrity is layered like PR 2's scheme files: every file is
 // CRC32-C-trailed, structural nonsense is ErrCorrupt, and in addition a
@@ -34,16 +36,13 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 
 	"ftrouting/internal/blob"
 	"ftrouting/internal/codec"
-	"ftrouting/internal/core"
-	"ftrouting/internal/distlabel"
 	"ftrouting/internal/graph"
-	"ftrouting/internal/parallel"
-	"ftrouting/internal/route"
 	"ftrouting/internal/sketch"
 	"ftrouting/internal/treecover"
 )
@@ -96,8 +95,8 @@ type Manifest struct {
 	// manifests whose shards live in a store.
 	resident *Shard
 
-	// Scheme parameters (union over kinds; see persist.go's monolithic
-	// prefixes, which use the identical encoding).
+	// Scheme parameters (union over kinds), encoded by writeHead exactly
+	// as a monolithic file of the same scheme encodes them.
 	connScheme ConnSchemeKind
 	maxFaults  int
 	f, k       int
@@ -237,34 +236,13 @@ func assignShards(compVerts []int, want int) (shardOf []int32, nshards int) {
 	return shardOf, want
 }
 
-// writeParams encodes the manifest's scheme parameters: the prefix a
-// monolithic file of the same scheme carries (balanced is written for
-// routers only).
-func (m *Manifest) writeParams(w *codec.Writer) {
-	if m.kind == codec.KindConnLabels {
-		w.U16(uint16(m.connScheme))
-		w.I32(int32(m.maxFaults))
-		w.U64(m.seed)
-		return
-	}
-	w.I32(int32(m.f))
-	w.I32(int32(m.k))
-	w.U64(m.seed)
-	w.I32(int32(m.params.Units))
-	w.I32(int32(m.params.Levels))
-	if m.kind == codec.KindRouter {
-		w.Bool(m.balanced)
-	}
-}
-
 // schemeDigest computes the CRC32-C binding shards to their manifest:
 // the digest of the scheme kind, its parameters and the global graph,
 // encoded exactly as the manifest encodes them.
 func (m *Manifest) schemeDigest() (uint32, error) {
 	w := codec.NewWriter(io.Discard)
 	w.U16(uint16(m.kind))
-	m.writeParams(w)
-	codec.EncodeGraph(w, m.g)
+	m.writeHead(w)
 	if err := w.Err(); err != nil {
 		return 0, err
 	}
@@ -297,27 +275,19 @@ func componentStats(g *Graph, comp []int32, ncomp int) (verts, edges []int) {
 // parameters, digest and directory, with components grouped into shards
 // as opts asks. The one constructor behind every SaveSharded* entry point
 // and ManifestOf; the shard table's checksums and sizes are left for the
-// shard files to fill in.
-func newManifest(scheme any, opts ShardOptions) (*Manifest, error) {
-	var m *Manifest
-	switch v := scheme.(type) {
-	case *ConnLabels:
-		m = &Manifest{kind: codec.KindConnLabels, g: v.g, comp: v.comp, ncomp: len(v.subs),
-			connScheme: v.opts.Scheme, maxFaults: v.opts.MaxFaults, seed: v.opts.Seed}
-	case *DistLabels:
-		s := v.inner
-		m = hierarchyManifest(codec.KindDistLabels, s.Graph(), s.Hierarchy())
-		o := s.Options()
-		m.f, m.k, m.seed, m.params = s.F(), s.K(), o.Seed, o.Params
-	case *Router:
-		r := v.inner
-		m = hierarchyManifest(codec.KindRouter, r.Graph(), r.Hierarchy())
-		o := r.Options()
-		m.f, m.k, m.seed, m.params, m.balanced = r.F(), r.K(), o.Seed, o.Params, o.Balanced
-	default:
-		return nil, fmt.Errorf("ftrouting: unsupported scheme type %T", scheme)
+// shard files to fill in. It also returns the hierarchy of a dist/router
+// scheme, which the shard files split.
+func newManifest(scheme any, opts ShardOptions) (*Manifest, *treecover.Hierarchy, error) {
+	m, hier, err := describe(scheme)
+	if err != nil {
+		return nil, nil, err
 	}
-	m.compVerts, m.compEdges = componentStats(m.g, m.comp, m.ncomp)
+	m.setDirectory()
+	if hier != nil {
+		for _, cover := range hier.Scales {
+			m.clusterCounts = append(m.clusterCounts, len(cover.Clusters))
+		}
+	}
 	var nshards int
 	m.shard, nshards = assignShards(m.compVerts, opts.Shards)
 	m.shards = make([]ShardInfo, nshards)
@@ -325,9 +295,17 @@ func newManifest(scheme any, opts ShardOptions) (*Manifest, error) {
 		m.shards[s].Name = fmt.Sprintf("shard-%04d.fts", s)
 	}
 	if err := m.finish(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return m, nil
+	return m, hier, nil
+}
+
+// setDirectory derives the vertex -> component directory and the
+// per-component totals from the graph: every artifact's directory is this
+// recomputation, never a copy taken on trust.
+func (m *Manifest) setDirectory() {
+	m.comp, m.ncomp = graph.Components(m.g, nil)
+	m.compVerts, m.compEdges = componentStats(m.g, m.comp, m.ncomp)
 }
 
 // finish derives what the shard assignment determines — each shard's
@@ -345,18 +323,6 @@ func (m *Manifest) finish() error {
 	return err
 }
 
-// hierarchyManifest starts the manifest of a dist/router scheme: the
-// graph, its component directory and the hierarchy's per-scale cluster
-// counts.
-func hierarchyManifest(kind codec.Kind, g *Graph, hier *treecover.Hierarchy) *Manifest {
-	m := &Manifest{kind: kind, g: g}
-	m.comp, m.ncomp = graph.Components(g, nil)
-	for _, cover := range hier.Scales {
-		m.clusterCounts = append(m.clusterCounts, len(cover.Clusters))
-	}
-	return m
-}
-
 // ManifestOf wraps an already-built scheme — a *ConnLabels, *DistLabels
 // or *Router — in a manifest with a single shard: the scheme itself,
 // resident in memory. Nothing is serialized or rebuilt (LoadShard hands
@@ -366,7 +332,7 @@ func hierarchyManifest(kind codec.Kind, g *Graph, hier *treecover.Hierarchy) *Ma
 // tier's shard budget nothing and is never evicted; the manifest has no
 // store, and LoadShardFrom ignores the store it is given.
 func ManifestOf(scheme any) (*Manifest, error) {
-	m, err := newManifest(scheme, ShardOptions{Shards: 1})
+	m, _, err := newManifest(scheme, ShardOptions{Shards: 1})
 	if err != nil {
 		return nil, err
 	}
@@ -374,52 +340,47 @@ func ManifestOf(scheme any) (*Manifest, error) {
 	return m, nil
 }
 
-// writeShardFile writes one shard file and records its checksum and size
-// in the shard table. payload writes the kind-specific sections.
-func (m *Manifest) writeShardFile(dir string, id int, payload func(*codec.Writer)) error {
-	info := &m.shards[id]
-	path := filepath.Join(dir, info.Name)
-	f, err := os.Create(path)
+// saveSharded splits a built scheme into a manifest plus shard files
+// under dir, which must exist, recording each shard file's checksum and
+// size in the manifest it writes last. The returned manifest is ready
+// for PlanBatch/LoadShard.
+func saveSharded(dir string, scheme any, opts ShardOptions) (*Manifest, error) {
+	m, hier, err := newManifest(scheme, opts)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	w := codec.NewWriter(f)
-	codec.WriteHeader(w, codec.KindShard)
-	w.U16(uint16(m.kind))
-	w.U32(m.digest)
-	w.I32(int32(id))
-	w.Count(len(info.Components))
-	for _, ci := range info.Components {
-		w.I32(ci)
+	for id := range m.shards {
+		info := &m.shards[id]
+		info.Checksum, info.Bytes, err = writeFile(filepath.Join(dir, info.Name), codec.KindShard, func(w *codec.Writer) {
+			w.U16(uint16(m.kind))
+			w.U32(m.digest)
+			w.I32(int32(id))
+			w.I32s(info.Components)
+			if c, ok := scheme.(*ConnLabels); ok {
+				for _, ci := range info.Components {
+					c.encodeSection(w, int(ci))
+				}
+			} else {
+				hierarchyShardPayload(w, m, id, hier)
+			}
+		})
+		if err != nil {
+			return nil, err
+		}
 	}
-	payload(w)
-	if err := w.Finish(); err != nil {
-		f.Close()
-		return err
+	if _, _, err := writeFile(filepath.Join(dir, ManifestFileName), codec.KindManifest, m.encode); err != nil {
+		return nil, err
 	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	st, err := os.Stat(path)
-	if err != nil {
-		return err
-	}
-	info.Checksum = w.Checksum()
-	info.Bytes = st.Size()
-	return nil
+	m.store = blob.NewDir(dir)
+	return m, nil
 }
 
-// writeManifestFile writes the manifest after every shard is on disk.
-func (m *Manifest) writeManifestFile(dir string) error {
-	f, err := os.Create(filepath.Join(dir, ManifestFileName))
-	if err != nil {
-		return err
-	}
-	w := codec.NewWriter(f)
-	codec.WriteHeader(w, codec.KindManifest)
+// encode writes the manifest body: the scheme kind and head, the
+// hierarchy's cluster counts (dist/router), the directory and the shard
+// table.
+func (m *Manifest) encode(w *codec.Writer) {
 	w.U16(uint16(m.kind))
-	m.writeParams(w)
-	codec.EncodeGraph(w, m.g)
+	m.writeHead(w)
 	if m.kind != codec.KindConnLabels {
 		w.Count(len(m.clusterCounts))
 		for _, c := range m.clusterCounts {
@@ -439,43 +400,6 @@ func (m *Manifest) writeManifestFile(dir string) error {
 		w.U32(info.Checksum)
 		w.I64(info.Bytes)
 	}
-	if err := w.Finish(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// saveSharded splits a built scheme into a manifest plus shard files
-// under dir, which must exist. The returned manifest is ready for
-// PlanBatch/LoadShard.
-func saveSharded(dir string, scheme any, opts ShardOptions) (*Manifest, error) {
-	m, err := newManifest(scheme, opts)
-	if err != nil {
-		return nil, err
-	}
-	for id := range m.shards {
-		err := m.writeShardFile(dir, id, func(w *codec.Writer) {
-			switch v := scheme.(type) {
-			case *ConnLabels:
-				for _, ci := range m.shards[id].Components {
-					encodeConnComponent(w, v.subs[ci], v.componentTree(int(ci)))
-				}
-			case *DistLabels:
-				hierarchyShardPayload(w, m, id, v.inner.Hierarchy())
-			case *Router:
-				hierarchyShardPayload(w, m, id, v.inner.Hierarchy())
-			}
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	if err := m.writeManifestFile(dir); err != nil {
-		return nil, err
-	}
-	m.store = blob.NewDir(dir)
-	return m, nil
 }
 
 // SaveShardedConn splits a connectivity labeling into a manifest plus
@@ -563,84 +487,49 @@ func (m *Manifest) Store() blob.Store { return m.store }
 func (m *Manifest) SetStore(s blob.Store) { m.store = s }
 
 // ReadManifest decodes a manifest from a reader (LoadManifest plus a
-// directory for shard resolution is the usual entry point). Decoding is
-// strict: beyond the file checksum, the vertex -> component directory
-// must match a recomputation from the decoded graph, so a manifest can
-// never misroute a query to the wrong shard.
+// directory for shard resolution is the usual entry point).
 func ReadManifest(r io.Reader) (*Manifest, error) {
 	cr := codec.NewReader(r)
 	if err := codec.ReadHeader(cr, codec.KindManifest); err != nil {
 		return nil, err
 	}
-	kind := codec.Kind(cr.U16())
-	if err := cr.Err(); err != nil {
+	return decodeManifest(cr)
+}
+
+// decodeManifest decodes a manifest body, through its checksum trailer.
+// Decoding is strict: the vertex -> component directory must match a
+// recomputation from the decoded graph, and every shard assignment must
+// address a real shard, so a manifest can never misroute a query.
+func decodeManifest(cr *codec.Reader) (*Manifest, error) {
+	m := &Manifest{kind: codec.Kind(cr.U16())}
+	if err := m.readHead(cr); err != nil {
 		return nil, err
 	}
-	m := &Manifest{kind: kind}
-	switch kind {
-	case codec.KindConnLabels:
-		scheme, maxFaults, seed, err := readConnParams(cr)
-		if err != nil {
-			return nil, err
-		}
-		m.connScheme, m.maxFaults, m.seed = scheme, maxFaults, seed
-	case codec.KindDistLabels, codec.KindRouter:
-		f, k, seed, params, err := readSchemeParams(cr)
-		if err != nil {
-			return nil, err
-		}
-		balanced := false
-		if kind == codec.KindRouter {
-			balanced = cr.Bool()
-			if err := cr.Err(); err != nil {
-				return nil, err
-			}
-		}
-		m.f, m.k, m.seed, m.params, m.balanced = f, k, seed, params, balanced
-	default:
-		return nil, fmt.Errorf("%w: manifest holds unknown scheme kind %d", codec.ErrCorrupt, kind)
-	}
-	g, err := codec.DecodeGraph(cr)
-	if err != nil {
-		return nil, err
-	}
-	m.g = g
-	if kind != codec.KindConnLabels {
+	if m.kind != codec.KindConnLabels {
 		numScales := cr.Count(maxPersistedParam)
-		if err := cr.Err(); err != nil {
-			return nil, err
-		}
-		if numScales < 1 || numScales > 64 {
+		if cr.Err() == nil && (numScales < 1 || numScales > 64) {
 			cr.Corrupt("manifest scale count %d out of range", numScales)
-			return nil, cr.Err()
 		}
-		for i := 0; i < numScales; i++ {
+		for i := 0; i < numScales && cr.Err() == nil; i++ {
 			m.clusterCounts = append(m.clusterCounts, cr.Count(codec.MaxElems))
 		}
-		if err := cr.Err(); err != nil {
-			return nil, err
+	}
+	m.setDirectory()
+	if n := cr.Count(m.g.N()); cr.Err() == nil && n != m.ncomp {
+		cr.Corrupt("manifest names %d components, graph has %d", n, m.ncomp)
+	}
+	for v, want := range m.comp {
+		if ci := cr.I32(); cr.Err() == nil && ci != want {
+			cr.Corrupt("vertex %d in component %d, directory says %d", v, want, ci)
 		}
 	}
-	ncomp := cr.Count(g.N())
-	if err := cr.Err(); err != nil {
-		return nil, err
-	}
-	m.ncomp = ncomp
-	m.comp = make([]int32, g.N())
-	for v := range m.comp {
-		m.comp[v] = cr.I32()
-	}
-	m.shard = make([]int32, ncomp)
+	m.shard = make([]int32, m.ncomp)
 	for ci := range m.shard {
 		m.shard[ci] = cr.I32()
 	}
-	nshards := cr.Count(ncomp)
-	if err := cr.Err(); err != nil {
-		return nil, err
-	}
-	if ncomp > 0 && nshards < 1 {
-		cr.Corrupt("manifest names %d components but no shards", ncomp)
-		return nil, cr.Err()
+	nshards := cr.Count(m.ncomp)
+	if cr.Err() == nil && m.ncomp > 0 && nshards < 1 {
+		cr.Corrupt("manifest names %d components but no shards", m.ncomp)
 	}
 	m.shards = make([]ShardInfo, nshards)
 	for i := range m.shards {
@@ -648,32 +537,17 @@ func ReadManifest(r io.Reader) (*Manifest, error) {
 		info.Name = cr.String(maxShardName)
 		info.Checksum = cr.U32()
 		info.Bytes = cr.I64()
-		if err := cr.Err(); err != nil {
-			return nil, err
+		if cr.Err() != nil {
+			break
 		}
 		if err := validShardName(info.Name); err != nil {
 			cr.Corrupt("shard %d: %v", i, err)
-			return nil, cr.Err()
-		}
-		if info.Bytes < int64(codec.HeaderLen) {
+		} else if info.Bytes < int64(codec.HeaderLen) {
 			cr.Corrupt("shard %d: impossible size %d", i, info.Bytes)
-			return nil, cr.Err()
 		}
 	}
 	if err := cr.Finish(); err != nil {
 		return nil, err
-	}
-	// The directory is load-bearing (it routes every query), so it must
-	// agree exactly with a recomputation from the decoded graph, and every
-	// shard assignment must address a real shard.
-	wantComp, wantCount := graph.Components(g, nil)
-	if wantCount != ncomp {
-		return nil, fmt.Errorf("%w: manifest names %d components, graph has %d", codec.ErrCorrupt, ncomp, wantCount)
-	}
-	for v := range m.comp {
-		if m.comp[v] != wantComp[v] {
-			return nil, fmt.Errorf("%w: vertex %d in component %d, directory says %d", codec.ErrCorrupt, v, wantComp[v], m.comp[v])
-		}
 	}
 	seen := make([]bool, nshards)
 	for ci, s := range m.shard {
@@ -682,12 +556,9 @@ func ReadManifest(r io.Reader) (*Manifest, error) {
 		}
 		seen[s] = true
 	}
-	for s, ok := range seen {
-		if !ok {
-			return nil, fmt.Errorf("%w: shard %d holds no component", codec.ErrCorrupt, s)
-		}
+	if s := slices.Index(seen, false); s >= 0 {
+		return nil, fmt.Errorf("%w: shard %d holds no component", codec.ErrCorrupt, s)
 	}
-	m.compVerts, m.compEdges = componentStats(g, m.comp, ncomp)
 	if err := m.finish(); err != nil {
 		return nil, err
 	}
@@ -782,19 +653,8 @@ func (m *Manifest) readShard(r io.Reader) (*Shard, uint32, error) {
 		return nil, 0, cr.Err()
 	}
 	want := m.shards[id].Components
-	ncomps := cr.Count(m.ncomp)
-	if err := cr.Err(); err != nil {
-		return nil, 0, err
-	}
-	if ncomps != len(want) {
-		cr.Corrupt("shard %d lists %d components, manifest assigns %d", id, ncomps, len(want))
-		return nil, 0, cr.Err()
-	}
-	for i := 0; i < ncomps; i++ {
-		ci := cr.I32()
-		if cr.Err() == nil && ci != want[i] {
-			cr.Corrupt("shard %d component %d is %d, manifest assigns %d", id, i, ci, want[i])
-		}
+	if comps := cr.I32s(m.ncomp); cr.Err() == nil && !slices.Equal(comps, want) {
+		cr.Corrupt("shard %d components differ from the manifest's assignment", id)
 	}
 	if err := cr.Err(); err != nil {
 		return nil, 0, err
@@ -803,7 +663,7 @@ func (m *Manifest) readShard(r io.Reader) (*Shard, uint32, error) {
 	var err error
 	switch m.kind {
 	case codec.KindConnLabels:
-		scheme, err = m.decodeConnShard(cr, id)
+		scheme, err = m.decodeConnSections(cr, want)
 	default:
 		scheme, err = m.decodeHierarchyShard(cr, id)
 	}
@@ -814,63 +674,6 @@ func (m *Manifest) readShard(r io.Reader) (*Shard, uint32, error) {
 		return nil, 0, err
 	}
 	return &Shard{m: m, id: id, scheme: scheme}, cr.Checksum(), nil
-}
-
-// decodeConnShard reads per-component (subgraph, tree) sections and
-// rebuilds a partial connectivity labeling: global graph, global
-// directory, and only this shard's component schemes materialized.
-func (m *Manifest) decodeConnShard(cr *codec.Reader, id int) (*ConnLabels, error) {
-	c := &ConnLabels{
-		g:        m.g,
-		opts:     ConnOptions{Scheme: m.connScheme, MaxFaults: m.maxFaults, Seed: m.seed},
-		comp:     m.comp,
-		subs:     make([]*graph.Subgraph, m.ncomp),
-		cuts:     make([]*core.CutScheme, m.ncomp),
-		sketches: make([]*core.SketchScheme, m.ncomp),
-	}
-	comps := m.shards[id].Components
-	trees := make([]*graph.Tree, len(comps))
-	for i, ci := range comps {
-		sub, tree, err := decodeConnComponent(cr, m.g, int(ci))
-		if err != nil {
-			return nil, err
-		}
-		if err := m.checkComponentSection(cr, int(ci), sub); err != nil {
-			return nil, err
-		}
-		c.subs[ci] = sub
-		trees[i] = tree
-	}
-	err := parallel.ForEach(0, len(comps), func(i int) error {
-		return c.buildComponentScheme(int(comps[i]), trees[i])
-	})
-	if err != nil {
-		return nil, fmt.Errorf("%w: rebuilding shard %d labeling: %v", codec.ErrCorrupt, id, err)
-	}
-	return c, nil
-}
-
-// checkComponentSection verifies a decoded component subgraph covers
-// component ci exactly: its vertices are precisely the directory's
-// members and its edge list is complete. The monolithic loader derives
-// the directory from the sections; a shard must agree with the directory
-// it is served under.
-func (m *Manifest) checkComponentSection(cr *codec.Reader, ci int, sub *graph.Subgraph) error {
-	if sub.Local.N() != m.compVerts[ci] {
-		cr.Corrupt("component %d section has %d of %d vertices", ci, sub.Local.N(), m.compVerts[ci])
-		return cr.Err()
-	}
-	for _, v := range sub.ToGlobal {
-		if m.comp[v] != int32(ci) {
-			cr.Corrupt("vertex %d of component %d listed in component-%d section", v, m.comp[v], ci)
-			return cr.Err()
-		}
-	}
-	if sub.Local.M() != m.compEdges[ci] {
-		cr.Corrupt("component %d section has %d of %d edges", ci, sub.Local.M(), m.compEdges[ci])
-		return cr.Err()
-	}
-	return nil
 }
 
 // decodeHierarchyShard reads the per-scale cluster sections of a
@@ -953,16 +756,5 @@ func (m *Manifest) decodeHierarchyShard(cr *codec.Reader, id int) (any, error) {
 		}
 		hier.Scales = append(hier.Scales, cover)
 	}
-	if m.kind == codec.KindDistLabels {
-		inner, err := distlabel.BuildWithHierarchy(m.g, m.f, m.k, distlabel.Options{Seed: m.seed, Params: m.params}, hier)
-		if err != nil {
-			return nil, fmt.Errorf("%w: rebuilding shard %d distance labeling: %v", codec.ErrCorrupt, id, err)
-		}
-		return &DistLabels{inner: inner}, nil
-	}
-	inner, err := route.BuildWithHierarchy(m.g, m.f, m.k, route.Options{Seed: m.seed, Params: m.params, Balanced: m.balanced}, hier)
-	if err != nil {
-		return nil, fmt.Errorf("%w: rebuilding shard %d router: %v", codec.ErrCorrupt, id, err)
-	}
-	return &Router{inner: inner}, nil
+	return m.rebuildHierarchy(hier)
 }

@@ -62,74 +62,20 @@ type OpenOptions struct {
 // declaration. Open(ref) is OpenWith(ref, OpenOptions{}).
 func Open(ref string) (*Source, error) { return OpenWith(ref, OpenOptions{}) }
 
-// OpenWith is Open with explicit remote-fetch options.
+// OpenWith is Open with explicit remote-fetch options. The reference
+// resolves to a blob store and a name in it; the artifact header is read
+// once, and its kind picks the manifest or the scheme body decoder. A
+// manifest keeps the store: its shards resolve against the same
+// directory or URL base.
 func OpenWith(ref string, opts OpenOptions) (*Source, error) {
+	var store blob.Store
+	var name string
+	var err error
 	if strings.HasPrefix(ref, "http://") || strings.HasPrefix(ref, "https://") {
-		return openURL(ref, opts)
+		ref, store, name, err = resolveURL(ref, opts)
+	} else {
+		ref, store, name, err = resolvePath(ref)
 	}
-	return openPath(ref)
-}
-
-// openPath resolves a local reference: directories resolve to their
-// manifest.ftm, files to whatever their header declares.
-func openPath(path string) (*Source, error) {
-	st, err := os.Stat(path)
-	if err != nil {
-		return nil, err
-	}
-	if st.IsDir() {
-		path = filepath.Join(path, ManifestFileName)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	br := bufio.NewReader(f)
-	kind, err := sniffKind(br, path)
-	if err != nil {
-		return nil, err
-	}
-	src := &Source{ref: path}
-	if kind == codec.KindManifest {
-		if src.manifest, err = ReadManifest(br); err != nil {
-			return nil, err
-		}
-		src.manifest.SetStore(blob.NewDir(filepath.Dir(path)))
-		return src, nil
-	}
-	if src.scheme, err = LoadScheme(br); err != nil {
-		return nil, err
-	}
-	return src, nil
-}
-
-// openURL fetches a remote reference through an HTTP blob store rooted
-// at the URL's parent. The last path segment names the blob; a URL
-// ending in "/" (or with no path) names a manifest directory, so
-// manifest.ftm is fetched from under it. A fetched manifest keeps the
-// store: its shards fetch from the same base on demand.
-func openURL(ref string, opts OpenOptions) (*Source, error) {
-	u, err := url.Parse(ref)
-	if err != nil {
-		return nil, fmt.Errorf("ftrouting: bad source URL %q: %w", ref, err)
-	}
-	if u.RawQuery != "" || u.Fragment != "" {
-		return nil, fmt.Errorf("ftrouting: source URL %q must not carry a query or fragment", ref)
-	}
-	base, name := strings.TrimSuffix(ref, "/"), ""
-	if u.Path != "" && !strings.HasSuffix(u.Path, "/") {
-		i := strings.LastIndex(ref, "/")
-		base, name = ref[:i], ref[i+1:]
-		if name, err = url.PathUnescape(name); err != nil {
-			return nil, fmt.Errorf("ftrouting: bad source URL %q: %w", ref, err)
-		}
-	}
-	if name == "" {
-		name = ManifestFileName
-		ref = base + "/" + name
-	}
-	store, err := blob.NewHTTP(base, opts.Fetch)
 	if err != nil {
 		return nil, err
 	}
@@ -138,34 +84,63 @@ func openURL(ref string, opts OpenOptions) (*Source, error) {
 		return nil, err
 	}
 	defer r.Close()
-	br := bufio.NewReader(io.NewSectionReader(r, 0, r.Size()))
-	kind, err := sniffKind(br, ref)
+	cr := codec.NewReader(bufio.NewReader(io.NewSectionReader(r, 0, r.Size())))
+	kind, err := codec.ReadHeaderAny(cr)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%s: reading artifact header: %w", ref, err)
 	}
 	src := &Source{ref: ref}
-	if kind == codec.KindManifest {
-		if src.manifest, err = ReadManifest(br); err != nil {
-			return nil, err
-		}
+	if kind != codec.KindManifest {
+		src.scheme, err = decodeScheme(cr, kind)
+	} else if src.manifest, err = decodeManifest(cr); err == nil {
 		src.manifest.SetStore(store)
-		return src, nil
 	}
-	if src.scheme, err = LoadScheme(br); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	return src, nil
 }
 
-// sniffKind peeks the artifact-kind header without consuming it, so the
-// full decode that follows re-verifies it.
-func sniffKind(br *bufio.Reader, ref string) (codec.Kind, error) {
-	hdr, err := br.Peek(codec.HeaderLen)
+// resolvePath resolves a local reference: directories resolve to their
+// manifest.ftm, and the store is the file's directory.
+func resolvePath(path string) (string, blob.Store, string, error) {
+	st, err := os.Stat(path)
 	if err != nil {
-		return 0, fmt.Errorf("%w: %s: reading artifact header: %v", codec.ErrTruncated, ref, err)
+		return "", nil, "", err
 	}
-	if string(hdr[:4]) != codec.Magic {
-		return 0, fmt.Errorf("%w: %s: bad magic %q", codec.ErrBadMagic, ref, hdr[:4])
+	if st.IsDir() {
+		path = filepath.Join(path, ManifestFileName)
 	}
-	return codec.Kind(uint16(hdr[6]) | uint16(hdr[7])<<8), nil
+	return path, blob.NewDir(filepath.Dir(path)), filepath.Base(path), nil
+}
+
+// resolveURL resolves a remote reference to an HTTP blob store rooted at
+// the URL's parent. The last path segment names the blob; a URL ending
+// in "/" (or with no path) names a manifest directory, so manifest.ftm is
+// fetched from under it.
+func resolveURL(ref string, opts OpenOptions) (string, blob.Store, string, error) {
+	u, err := url.Parse(ref)
+	if err != nil {
+		return "", nil, "", fmt.Errorf("ftrouting: bad source URL %q: %w", ref, err)
+	}
+	if u.RawQuery != "" || u.Fragment != "" {
+		return "", nil, "", fmt.Errorf("ftrouting: source URL %q must not carry a query or fragment", ref)
+	}
+	base, name := strings.TrimSuffix(ref, "/"), ""
+	if u.Path != "" && !strings.HasSuffix(u.Path, "/") {
+		i := strings.LastIndex(ref, "/")
+		base, name = ref[:i], ref[i+1:]
+		if name, err = url.PathUnescape(name); err != nil {
+			return "", nil, "", fmt.Errorf("ftrouting: bad source URL %q: %w", ref, err)
+		}
+	}
+	if name == "" {
+		name = ManifestFileName
+		ref = base + "/" + name
+	}
+	store, err := blob.NewHTTP(base, opts.Fetch)
+	if err != nil {
+		return "", nil, "", err
+	}
+	return ref, store, name, nil
 }
