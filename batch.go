@@ -334,8 +334,10 @@ func (c *ConnLabels) ConnectedBatch(b QueryBatch, opts BatchOptions) ([]bool, er
 }
 
 // DistFaultContext is a fault set preprocessed against a distance
-// labeling: the distinct-fault count, per-instance fault restrictions and
-// per-instance connectivity decoder state are built once. Safe for
+// labeling: the distinct-fault count and the per-instance fault
+// restrictions are built by PrepareFaults; each instance's connectivity
+// decoder state is built once, by the first Estimate whose scale walk
+// reaches that instance, and shared by every later one. Safe for
 // concurrent Estimate calls.
 type DistFaultContext struct {
 	d     *DistLabels
@@ -423,9 +425,10 @@ func (d *DistLabels) EstimateBatch(b QueryBatch, opts BatchOptions) ([]int64, er
 // RouteFaultContext is a fault set preprocessed against a router. The
 // fault-tolerant model (Route) discovers faults by bumping into them, so
 // only the fault set itself is shared; the forbidden-set model
-// (RouteForbidden) additionally shares per-instance fault restrictions
-// and connectivity decoder state, prepared lazily on first use. Safe for
-// concurrent Route/RouteForbidden calls.
+// (RouteForbidden) additionally shares the per-instance fault
+// restrictions, built on first use, and each instance's connectivity
+// decoder state, built by the first route whose scale walk reaches that
+// instance. Safe for concurrent Route/RouteForbidden calls.
 type RouteFaultContext struct {
 	r        *Router
 	faultIDs []EdgeID
@@ -471,11 +474,13 @@ func (x *RouteFaultContext) prepareForbidden() error {
 	return x.prepErr
 }
 
-// PrepareForbidden eagerly builds the forbidden-set structures the
-// context otherwise prepares lazily on the first RouteForbidden call.
-// Serving layers call it before fanning a batch out so a preparation
-// error surfaces once, unscoped, instead of tagged to an arbitrary pair —
-// the same semantics Router.RouteForbiddenBatch applies. Idempotent.
+// PrepareForbidden eagerly builds the per-instance fault restriction the
+// context otherwise builds on the first RouteForbidden call. Serving
+// layers call it before fanning a batch out so a restriction error
+// surfaces once, unscoped, instead of tagged to an arbitrary pair — the
+// same semantics Router.RouteForbiddenBatch applies. Each instance's
+// decoder state is still built by the first route that reaches it, so an
+// error there is reported against that pair. Idempotent.
 func (x *RouteFaultContext) PrepareForbidden() error {
 	return x.prepareForbidden()
 }
@@ -529,8 +534,8 @@ func (r *Router) RouteBatch(b QueryBatch, opts BatchOptions) ([]RouteResult, err
 }
 
 // RouteForbiddenBatch routes every pair of the batch under the known-fault
-// model (Theorem 5.3), preparing the per-instance fault structures once
-// and fanning the pairs out across the worker pool. Results are in pair
+// model (Theorem 5.3), restricting F per instance once, preparing each
+// instance the walks reach once, and fanning the pairs out across the worker pool. Results are in pair
 // order and bit-identical to a sequential loop of RouteForbidden calls at
 // any parallelism. An empty pair list returns (nil, nil) without touching
 // the fault set.
@@ -542,8 +547,8 @@ func (r *Router) RouteForbiddenBatch(b QueryBatch, opts BatchOptions) ([]RouteRe
 	if err != nil {
 		return nil, err
 	}
-	// Prepare the forbidden structures up front (not lazily inside the
-	// fan-out) so a preparation error surfaces before any pair runs.
+	// Restrict F per instance up front (not lazily inside the fan-out) so
+	// a restriction error surfaces before any pair runs.
 	if err := ctx.prepareForbidden(); err != nil {
 		return nil, err
 	}

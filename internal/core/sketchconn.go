@@ -294,8 +294,10 @@ type recoveryEdge struct {
 // (component tree of T\F, component sketches, fault cancellation) depend
 // only on F, never on the queried pair, so a batch of pair queries under a
 // fixed fault set prepares them once and each Decode runs only Step 4
-// (the Boruvka simulation). The context is immutable after PrepareFaults
-// and safe for concurrent Decode calls.
+// (the Boruvka simulation). The context is immutable once PrepareFaults
+// returns and safe for concurrent Decode calls; decodes draw their working
+// memory from a package-wide scratch pool, so a cached context holds only
+// its own component sketches.
 type SketchFaultContext struct {
 	scheme *SketchScheme
 	copy   int
@@ -307,9 +309,6 @@ type SketchFaultContext struct {
 	// aliasing slab so that Decode's pre-merge clone is one contiguous copy.
 	comps []sketch.Sketch
 	slab  *sketch.Slab
-	// scratch pools decodeScratch values so warm Decode calls perform zero
-	// heap allocations.
-	scratch sync.Pool
 }
 
 // foundCand is one candidate outgoing edge found in a Borůvka phase.
@@ -327,7 +326,10 @@ type pathAdj struct {
 // decodeScratch is the per-goroutine scratch of SketchFaultContext.decode:
 // the component-sketch clone slab, the Borůvka work queues, the
 // candidate/recovery slices and the path-assembly buffers, all retained
-// across queries so warm decodes perform zero heap allocations.
+// across queries so warm decodes perform zero heap allocations. Every
+// buffer is resized to the context at hand, so one pool serves every
+// context of every scheme: a scratch grows to the largest component count
+// and sketch size it has seen and is then reused allocation-free.
 type decodeScratch struct {
 	slab       sketch.Slab
 	comps      []sketch.Sketch
@@ -342,14 +344,11 @@ type decodeScratch struct {
 	chain   []recoveryEdge
 }
 
-// getScratch returns a pooled scratch (or a fresh one when the pool is
-// empty); return it with ctx.scratch.Put.
-func (ctx *SketchFaultContext) getScratch() *decodeScratch {
-	if sc, _ := ctx.scratch.Get().(*decodeScratch); sc != nil {
-		return sc
-	}
-	return new(decodeScratch)
-}
+// decodePool is the package-wide decodeScratch pool. Pooling per package
+// (as prepPool does for PrepareFaults) rather than per context keeps the
+// scratch count at the number of decoding goroutines, not the number of
+// cached contexts.
+var decodePool = sync.Pool{New: func() any { return new(decodeScratch) }}
 
 // nextCand extends cands by one slot, reusing the slot's extra-payload
 // capacity when the backing array already holds one.
@@ -545,8 +544,8 @@ func (ctx *SketchFaultContext) decode(sv, tv SketchVertexLabel, wantPath bool, p
 	eng := ctx.scheme.engines[ctx.copy]
 	ct := ctx.ct
 	nc := int32(ct.NumComps())
-	sc := ctx.getScratch()
-	defer ctx.scratch.Put(sc)
+	sc := decodePool.Get().(*decodeScratch)
+	defer decodePool.Put(sc)
 	ctx.slab.CloneInto(&sc.slab)
 	if cap(sc.comps) < int(nc) {
 		sc.comps = make([]sketch.Sketch, nc)

@@ -208,17 +208,17 @@ func (s *Scheme) CachedVertexLabel(u int32) VertexLabel {
 	return s.labels[u]
 }
 
-// EdgeLabel assembles DistLabel(e).
+// EdgeLabel assembles DistLabel(e). Every instance containing e contains
+// its endpoint U (instances are induced subgraphs), so the scan walks the
+// (scale, cluster) memberships of U's cached vertex label instead of every
+// cluster of every scale; entries come out in the same (scale, cluster)
+// order.
 func (s *Scheme) EdgeLabel(e graph.EdgeID) EdgeLabel {
 	var l EdgeLabel
-	for i, cover := range s.hier.Scales {
-		for j, cl := range cover.Clusters {
-			if cl == nil {
-				continue // foreign shard's instance; cannot contain e
-			}
-			if le, ok := cl.Sub.EdgeToLocal[e]; ok {
-				l.Entries = append(l.Entries, EEntry{Scale: i, Cluster: int32(j), L: s.inst[i][j].Conn.EdgeLabel(le)})
-			}
+	for _, ve := range s.CachedVertexLabel(s.g.Edge(e).U).Entries {
+		inst := s.inst[ve.Scale][ve.Cluster]
+		if le, ok := inst.Cluster.Sub.EdgeToLocal[e]; ok {
+			l.Entries = append(l.Entries, EEntry{Scale: ve.Scale, Cluster: ve.Cluster, L: inst.Conn.EdgeLabel(le)})
 		}
 	}
 	return l

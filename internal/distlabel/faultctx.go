@@ -6,31 +6,28 @@ import (
 	"ftrouting/internal/core"
 )
 
-// instKey addresses one (scale, cluster) connectivity instance.
-type instKey struct {
-	scale   int
-	cluster int32
-}
-
-// FaultContext is a fault set preprocessed for repeated distance decodes:
-// the distinct-fault count, the per-instance restriction of the fault
-// labels, and the per-instance connectivity fault contexts (Steps 1-3 of
-// the sketch decoder) all depend only on F, so a batch of pair queries
-// under a fixed fault set prepares them once. The context is immutable
-// after PrepareFaults and safe for concurrent Decode calls.
+// FaultContext is a fault set preprocessed for repeated distance decodes.
+// The distinct-fault count and the per-instance restriction of the fault
+// labels depend only on F and are computed by PrepareFaults. The
+// per-instance connectivity fault contexts (Steps 1-3 of the sketch
+// decoder) also depend only on F, but the scale walk of Decode reads one
+// home instance per scale and stops at the first connected scale, so each
+// is prepared by the first Decode that reaches its instance and shared by
+// every later one. The restriction is immutable after PrepareFaults, the
+// lazily prepared contexts are built at most once, and the context is safe
+// for concurrent Decode calls.
 type FaultContext struct {
 	s  *Scheme
 	nf int
-	// conn[k] is the prepared connectivity context of instance k; only
-	// instances with at least one fault entry appear (for the rest the
-	// connectivity decode is trivially "connected": the instance tree is
-	// intact).
-	conn map[instKey]*core.SketchFaultContext
+	// conn restricts F to the instances holding at least one fault entry
+	// (for the rest the connectivity decode is trivially "connected": the
+	// instance tree is intact).
+	conn *core.InstanceFaults
 }
 
 // PrepareFaults runs the per-fault-set part of Decode once: count the
-// distinct faults and prepare the restricted fault set of every instance
-// that contains one.
+// distinct faults and restrict them to every instance that contains one.
+// Each instance's connectivity context is prepared on first use.
 func (s *Scheme) PrepareFaults(faults []EdgeLabel) (*FaultContext, error) {
 	return s.PrepareFaultsWithCount(faults, countDistinct(faults))
 }
@@ -42,36 +39,33 @@ func (s *Scheme) PrepareFaults(faults []EdgeLabel) (*FaultContext, error) {
 // (4k-1)(|F|+1)·2^i; the shard planner passes the global count here so
 // per-shard decodes stay bit-identical to a whole-scheme decode.
 func (s *Scheme) PrepareFaultsWithCount(faults []EdgeLabel, distinct int) (*FaultContext, error) {
-	ctx := &FaultContext{
-		s:    s,
-		nf:   distinct,
-		conn: make(map[instKey]*core.SketchFaultContext),
-	}
-	// Gather the per-instance restrictions in the same (faults outer,
-	// entries inner) order Decode filters them, so prepared decodes see
-	// the fault labels in the identical sequence.
-	byInst := make(map[instKey][]core.SketchEdgeLabel)
+	ctx := &FaultContext{s: s, nf: distinct, conn: core.NewInstanceFaults()}
+	// Restrict in the same (faults outer, entries inner) order Decode
+	// filters them, so prepared decodes see the fault labels in the
+	// identical sequence.
 	for _, f := range faults {
 		for _, e := range f.Entries {
-			k := instKey{scale: e.Scale, cluster: e.Cluster}
-			byInst[k] = append(byInst[k], e.L)
+			inst := s.instance(e.Scale, e.Cluster)
+			if inst == nil {
+				// Entries of foreign or corrupted labels that address no
+				// instance of this scheme can never be selected by Decode's
+				// (scale, home-cluster) walk; skip rather than fail so
+				// prepared and direct decodes accept the same inputs.
+				continue
+			}
+			ctx.conn.Add(core.InstanceKey{Scale: e.Scale, Cluster: e.Cluster}, inst.Conn, e.L)
 		}
-	}
-	for k, fl := range byInst {
-		if k.scale < 0 || k.scale >= len(s.inst) || k.cluster < 0 || int(k.cluster) >= len(s.inst[k.scale]) {
-			// Entries of foreign or corrupted labels that address no
-			// instance of this scheme can never be selected by Decode's
-			// (scale, home-cluster) walk; skip rather than fail so
-			// prepared and direct decodes accept the same inputs.
-			continue
-		}
-		prepared, err := s.inst[k.scale][k.cluster].Conn.PrepareFaults(fl, 0)
-		if err != nil {
-			return nil, fmt.Errorf("distlabel: instance (%d,%d): %w", k.scale, k.cluster, err)
-		}
-		ctx.conn[k] = prepared
 	}
 	return ctx, nil
+}
+
+// instance returns instance (scale, cluster), or nil when the coordinates
+// address none of this scheme's built instances.
+func (s *Scheme) instance(scale int, cluster int32) *Instance {
+	if scale < 0 || scale >= len(s.inst) || cluster < 0 || int(cluster) >= len(s.inst[scale]) {
+		return nil
+	}
+	return s.inst[scale][cluster]
 }
 
 // Decode answers one pair against the prepared fault set; results are
@@ -94,8 +88,12 @@ func (ctx *FaultContext) Decode(sl, tl VertexLabel) (int64, error) {
 		if !ok {
 			return 0, fmt.Errorf("distlabel: vertex %d missing from its own home instance (%d,%d)", sl.Global, i, j)
 		}
+		prepared, okc, err := ctx.conn.Context(core.InstanceKey{Scale: i, Cluster: j})
+		if err != nil {
+			return 0, fmt.Errorf("distlabel: instance (%d,%d): %w", i, j, err)
+		}
 		connected := true
-		if prepared, okc := ctx.conn[instKey{scale: i, cluster: j}]; okc {
+		if okc {
 			v, err := prepared.Decode(sEntry, tEntry, false)
 			if err != nil {
 				return 0, err

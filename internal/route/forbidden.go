@@ -7,36 +7,33 @@ import (
 	"ftrouting/internal/graph"
 )
 
-// instKey addresses one (scale, cluster) instance.
-type instKey struct {
-	scale   int
-	cluster int32
-}
-
 // ForbiddenContext is a forbidden fault set preprocessed for repeated
-// routes: the per-instance restriction of the fault labels and the
-// connectivity fault contexts (Steps 1-3 of the sketch decoder) depend
-// only on F, so a batch of (s,t) routes under a fixed fault set prepares
-// them once and each Route runs only the per-pair scale walk. The context
-// is immutable after PrepareForbidden and safe for concurrent Route calls.
+// routes. The per-instance restriction of the fault labels depends only on
+// F and is computed by PrepareForbidden. The per-instance connectivity
+// fault contexts (Steps 1-3 of the sketch decoder) also depend only on F,
+// but the Section 5.1 walk decodes one home instance per scale and stops
+// at the first connected scale, so each is prepared by the first Route
+// that reaches its instance and shared by every later one. The restriction
+// is immutable after PrepareForbidden, the lazily prepared contexts are
+// built at most once, and the context is safe for concurrent Route calls.
 type ForbiddenContext struct {
 	r        *Router
 	faultIDs []graph.EdgeID
 	faults   graph.EdgeSet
-	// conn[k] is the prepared connectivity context of instance k; only
-	// instances containing at least one fault edge appear.
-	conn map[instKey]*core.SketchFaultContext
+	// conn restricts F to the instances containing at least one fault
+	// edge.
+	conn *core.InstanceFaults
 }
 
 // PrepareForbidden runs the per-fault-set part of RouteForbidden once:
-// restrict F to every instance that contains one of its edges and prepare
-// that instance's connectivity decoder.
+// restrict F to every instance that contains one of its edges. Each
+// instance's connectivity decoder is prepared on first use.
 func (r *Router) PrepareForbidden(faultIDs []graph.EdgeID) (*ForbiddenContext, error) {
 	ctx := &ForbiddenContext{
 		r:        r,
 		faultIDs: faultIDs,
 		faults:   graph.NewEdgeSet(faultIDs...),
-		conn:     make(map[instKey]*core.SketchFaultContext),
+		conn:     core.NewInstanceFaults(),
 	}
 	for i := range r.inst {
 		for j, inst := range r.inst[i] {
@@ -46,15 +43,10 @@ func (r *Router) PrepareForbidden(faultIDs []graph.EdgeID) (*ForbiddenContext, e
 				// can lie in it.
 				continue
 			}
-			fl := instanceFaultLabels(inst, faultIDs)
-			if len(fl) == 0 {
-				continue
+			k := core.InstanceKey{Scale: i, Cluster: int32(j)}
+			for _, l := range instanceFaultLabels(inst, faultIDs) {
+				ctx.conn.Add(k, inst.Conn, l)
 			}
-			prepared, err := inst.Conn.PrepareFaults(fl, 0)
-			if err != nil {
-				return nil, fmt.Errorf("route: instance (%d,%d): %w", i, j, err)
-			}
-			ctx.conn[instKey{scale: i, cluster: int32(j)}] = prepared
 		}
 	}
 	return ctx, nil
@@ -72,6 +64,21 @@ func (c *ForbiddenContext) Route(s, t int32) (Result, error) {
 // zero heap allocations per route. Results are bit-identical to Route's.
 func (c *ForbiddenContext) RouteInto(s, t int32, res *Result) error {
 	return c.r.routeForbiddenInto(s, t, c.faultIDs, c, res)
+}
+
+// instanceContext returns the fault context of instance (i, j), preparing
+// it on first use. An instance holding no fault edge decodes against the
+// scheme's shared empty-fault context (trivially connected through the
+// intact tree).
+func (c *ForbiddenContext) instanceContext(i int, j int32, inst *Instance) (*core.SketchFaultContext, error) {
+	prepared, ok, err := c.conn.Context(core.InstanceKey{Scale: i, Cluster: j})
+	if err != nil {
+		return nil, fmt.Errorf("route: instance (%d,%d): %w", i, j, err)
+	}
+	if !ok {
+		return inst.Conn.TrivialContext(0)
+	}
+	return prepared, nil
 }
 
 // instanceFaultLabels restricts the fault set to one instance, in fault-id
@@ -138,17 +145,10 @@ func (r *Router) routeForbiddenInto(s, t int32, faultIDs []graph.EdgeID, ctx *Fo
 		var verdict core.Verdict
 		var err error
 		if ctx != nil {
-			prepared, okc := ctx.conn[instKey{scale: i, cluster: j}]
-			if !okc {
-				// No fault edge lies in this instance; decode against the
-				// scheme's shared empty-fault context (trivially connected
-				// through the intact tree).
-				prepared, err = inst.Conn.TrivialContext(0)
-				if err != nil {
-					return err
-				}
+			var prepared *core.SketchFaultContext
+			if prepared, err = ctx.instanceContext(i, j, inst); err == nil {
+				verdict, err = prepared.DecodeInto(inst.Conn.VertexLabel(ls), inst.Conn.VertexLabel(lt), &sc.path)
 			}
-			verdict, err = prepared.DecodeInto(inst.Conn.VertexLabel(ls), inst.Conn.VertexLabel(lt), &sc.path)
 		} else {
 			// The forbidden-set labels of F restricted to this instance.
 			fl := instanceFaultLabels(inst, faultIDs)
