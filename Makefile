@@ -5,10 +5,11 @@ GO ?= go
 FUZZTIME ?= 10s
 # bench-compare: revision to diff benchmarks against, and the counts/gate
 # the CI job uses. The Serve pattern covers BenchmarkServe* and
-# BenchmarkServeSharded* alike; Obs covers the internal/obs instruments.
+# BenchmarkServeSharded* alike; Obs covers the internal/obs instruments;
+# Load covers BenchmarkLoadShardCut (a cold shard load).
 BASE ?= main
 BENCHCOUNT ?= 5
-BENCHFILTER ?= Query|Decode|Routing|Serve|Obs|Sketch|Hierarchy
+BENCHFILTER ?= Query|Decode|Routing|Serve|Obs|Sketch|Hierarchy|Load
 BENCHTHRESHOLD ?= 25
 
 # Every decoder has a FuzzUnmarshal*/FuzzDecode*/FuzzLoad* target; `make

@@ -846,6 +846,65 @@ func BenchmarkQueryBatchRouteFT(b *testing.B) {
 	}
 }
 
+// --- Shard load: BenchmarkLoadShardCut -----------------------------------
+//
+// A cold shard load of the shard-churn serving workload: one shard per
+// island of Islands(16,1000,2000), cut labels at f=4, loaded round-robin
+// from a shard directory. Each op fetches, checks and decodes one shard
+// and rebuilds its cycle-space labels; allocs/op is the count
+// TestLoadShardAllocs bounds.
+
+func loadShardCutFixture(tb testing.TB) *Manifest {
+	tb.Helper()
+	g := Islands(16, 1000, 2000, 1)
+	c, err := BuildConnectivityLabels(g, ConnOptions{Scheme: CutBased, MaxFaults: 4, Seed: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	m, err := SaveShardedConn(tb.TempDir(), c, ShardOptions{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return m
+}
+
+func BenchmarkLoadShardCut(b *testing.B) {
+	m := loadShardCutFixture(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := m.LoadShard(i % m.NumShards()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// loadShardAllocCeiling bounds the allocations of one cold cut-shard load
+// of loadShardCutFixture: 62 measured, plus headroom. A load builds its
+// subgraph, tree and labels from a few slabs, so the count does not grow
+// with the shard's size; an allocation per edge or per vertex creeping
+// back in (a shard has 1000 vertices and 3000 edges) breaks the ceiling
+// many times over.
+const loadShardAllocCeiling = 100
+
+func TestLoadShardAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 16000-vertex labeling; skipped in -short")
+	}
+	m := loadShardCutFixture(t)
+	i := 0
+	allocs := testing.AllocsPerRun(32, func() {
+		if _, err := m.LoadShard(i % m.NumShards()); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if allocs > loadShardAllocCeiling {
+		t.Fatalf("cold LoadShard allocates %.0f/op, ceiling %d", allocs, loadShardAllocCeiling)
+	}
+	t.Logf("cold LoadShard: %.0f allocs/op", allocs)
+}
+
 // TestExperimentsSuite regenerates every experiment table with a fixed seed
 // and asserts the invariant columns (zero violations, zero misclassified,
 // zero invalid paths). This is the executable form of DESIGN.md §2.

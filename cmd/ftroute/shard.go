@@ -35,18 +35,7 @@ func runShard(args []string) error {
 	if err := os.MkdirAll(*outDir, 0o755); err != nil {
 		return err
 	}
-	opts := ftrouting.ShardOptions{Shards: *shards}
-	var m *ftrouting.Manifest
-	switch v := scheme.(type) {
-	case *ftrouting.ConnLabels:
-		m, err = ftrouting.SaveShardedConn(*outDir, v, opts)
-	case *ftrouting.DistLabels:
-		m, err = ftrouting.SaveShardedDist(*outDir, v, opts)
-	case *ftrouting.Router:
-		m, err = ftrouting.SaveShardedRouter(*outDir, v, opts)
-	default:
-		return fmt.Errorf("unsupported scheme type %T", v)
-	}
+	m, err := ftrouting.SaveSharded(*outDir, scheme, ftrouting.ShardOptions{Shards: *shards})
 	if err != nil {
 		return err
 	}

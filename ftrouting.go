@@ -39,8 +39,8 @@
 // ftroute build/query subcommands).
 //
 // Schemes shard: because every label is built and decoded per connected
-// component, SaveShardedConn/SaveShardedDist/SaveShardedRouter split a
-// scheme into a manifest (parameters, topology, the vertex →
+// component, SaveSharded (or its typed forms SaveShardedConn/Dist/Router)
+// splits a scheme into a manifest (parameters, topology, the vertex →
 // (component, shard) directory) plus per-component shard files, each
 // loading into a partial scheme that answers its components'
 // queries bit-identically to the whole. Manifest.PlanBatch routes a

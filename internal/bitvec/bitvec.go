@@ -27,17 +27,37 @@ func New(n int) Vec {
 	if n < 0 {
 		panic("bitvec: negative length")
 	}
-	return Vec{n: n, w: make([]uint64, (n+wordBits-1)/wordBits)}
+	return Vec{n: n, w: make([]uint64, Words(n))}
+}
+
+// Words returns the number of 64-bit words an n-bit vector occupies.
+func Words(n int) int { return (n + wordBits - 1) / wordBits }
+
+// View returns the n-bit vector stored in words, without copying: the
+// vector and the caller share the words. words must be exactly Words(n)
+// long with the bits beyond n clear; cap it at its length (a full slice
+// expression) when it is carved from a larger slab.
+func View(n int, words []uint64) Vec {
+	if len(words) != Words(n) {
+		panic(fmt.Sprintf("bitvec: %d words for a %d-bit view", len(words), n))
+	}
+	return Vec{n: n, w: words}
 }
 
 // Random returns a vector of n bits drawn uniformly from rng.
 func Random(n int, rng *xrand.SplitMix64) Vec {
 	v := New(n)
+	v.Randomize(rng)
+	return v
+}
+
+// Randomize overwrites v with bits drawn uniformly from rng, drawing the
+// same words Random(v.Len(), rng) would.
+func (v Vec) Randomize(rng *xrand.SplitMix64) {
 	for i := range v.w {
 		v.w[i] = rng.Next()
 	}
 	v.maskTail()
-	return v
 }
 
 // FromWords builds an n-bit vector from raw words (copied). Bits beyond n

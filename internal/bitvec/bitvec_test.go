@@ -1,6 +1,7 @@
 package bitvec
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -235,4 +236,28 @@ func BenchmarkSolveXOR(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		SolveXOR(cols, target)
 	}
+}
+
+func TestViewWritesThroughToItsWordsOnly(t *testing.T) {
+	for _, n := range []int{1, 40, 64, 65, 130} {
+		k := Words(n)
+		slab := make([]uint64, 3*k)
+		v := View(n, slab[k:2*k:2*k])
+		v.Randomize(xrand.NewSplitMix64(uint64(n)))
+		want := Random(n, xrand.NewSplitMix64(uint64(n)))
+		if !slices.Equal(slab[k:2*k], want.Words()) {
+			t.Fatalf("n=%d: slab holds %v after Randomize, Random drew %v", n, slab[k:2*k], want.Words())
+		}
+		for i, w := range slab {
+			if (i < k || i >= 2*k) && w != 0 {
+				t.Fatalf("n=%d: filling the middle view changed slab word %d", n, i)
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("View accepted a word count that does not fit the length")
+		}
+	}()
+	View(65, make([]uint64, 1))
 }

@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"ftrouting/internal/graph"
@@ -10,9 +11,16 @@ import (
 //
 //	n Count, m Count, then m x (U i32, V i32, W i64)
 //
-// Ports are not stored: AddEdge assigns them by insertion order, and
-// edges are written in EdgeID order, so the decoded graph reproduces the
-// original's ports and adjacency lists bit-identically.
+// Ports are not stored: edges are written in EdgeID order, and
+// graph.FromEdges assigns ports in that order exactly as AddEdge did, so
+// the decoded graph reproduces the original's ports and adjacency lists
+// bit-identically.
+
+// Record widths of the bulk-read graph and tree sections.
+const (
+	edgeRecord = 16 // u i32, v i32, w i64
+	treeRecord = 12 // v i32, parent i32, parentEdge i32
+)
 
 // EncodeGraph writes g as a section of w.
 func EncodeGraph(w *Writer, g *graph.Graph) {
@@ -26,23 +34,35 @@ func EncodeGraph(w *Writer, g *graph.Graph) {
 }
 
 // DecodeGraph reads a graph section. Structural violations (endpoints out
-// of range, self-loops, non-positive weights) are ErrCorrupt.
+// of range, self-loops, non-positive weights) are ErrCorrupt. Edges are
+// read a chunk at a time, so the edge list grows with the bytes actually
+// read, never from the declared count alone; the graph is then built in
+// bulk (graph.FromEdges).
 func DecodeGraph(r *Reader) (*graph.Graph, error) {
 	n := r.Count(MaxGraphVertices)
 	m := r.Count(MaxElems)
 	if r.Err() != nil {
 		return nil, r.Err()
 	}
-	g := graph.New(n)
-	for i := 0; i < m; i++ {
-		u, v := r.I32(), r.I32()
-		wt := r.I64()
-		if r.Err() != nil {
+	var edges []graph.Edge
+	for len(edges) < m {
+		k := min(m-len(edges), readChunk)
+		p := r.chunk(k, edgeRecord)
+		if p == nil {
 			return nil, r.Err()
 		}
-		if _, err := g.AddEdge(u, v, wt); err != nil {
-			return nil, fmt.Errorf("%w: edge %d: %v", ErrCorrupt, i, err)
+		edges = grow(edges, k, m)
+		for ; len(p) > 0; p = p[edgeRecord:] {
+			edges = append(edges, graph.Edge{
+				U: int32(binary.LittleEndian.Uint32(p)),
+				V: int32(binary.LittleEndian.Uint32(p[4:])),
+				W: int64(binary.LittleEndian.Uint64(p[8:])),
+			})
 		}
+	}
+	g, err := graph.FromEdges(n, edges)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	return g, nil
 }
@@ -81,19 +101,20 @@ func DecodeTree(r *Reader, g *graph.Graph) (*graph.Tree, error) {
 		parentEdge[i] = -1
 	}
 	order := make([]int32, 0, size)
-	for i := 0; i < size; i++ {
-		v := r.I32()
-		p := r.I32()
-		pe := r.I32()
-		if r.Err() != nil {
+	for len(order) < size {
+		p := r.chunk(min(size-len(order), readChunk), treeRecord)
+		if p == nil {
 			return nil, r.Err()
 		}
-		if v < 0 || int(v) >= n {
-			return nil, fmt.Errorf("%w: tree vertex %d out of range", ErrCorrupt, v)
+		for ; len(p) > 0; p = p[treeRecord:] {
+			v := int32(binary.LittleEndian.Uint32(p))
+			if v < 0 || int(v) >= n {
+				return nil, fmt.Errorf("%w: tree vertex %d out of range", ErrCorrupt, v)
+			}
+			order = append(order, v)
+			parent[v] = int32(binary.LittleEndian.Uint32(p[4:]))
+			parentEdge[v] = int32(binary.LittleEndian.Uint32(p[8:]))
 		}
-		order = append(order, v)
-		parent[v] = p
-		parentEdge[v] = pe
 	}
 	t, err := graph.NewTreeFromParts(g, root, parent, parentEdge, order)
 	if err != nil {

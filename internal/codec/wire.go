@@ -139,10 +139,11 @@ func (w *Writer) Finish() error {
 // Truncation (EOF mid-payload) surfaces as ErrTruncated; errors are
 // sticky.
 type Reader struct {
-	r   io.Reader
-	crc hash.Hash32
-	err error
-	buf [8]byte
+	r       io.Reader
+	crc     hash.Hash32
+	err     error
+	buf     [8]byte
+	scratch []byte // bulk-read buffer, allocated on first use
 }
 
 // NewReader wraps r.
@@ -232,9 +233,40 @@ func (r *Reader) Count(max int) int {
 	return int(v)
 }
 
-// allocChunk bounds speculative allocation: slices grow by reading, so a
-// lying count costs at most one chunk before truncation is detected.
-const allocChunk = 1 << 16
+// readChunk is the most records a bulk read (I32s, U64s, and the edge
+// and tree-vertex loops of DecodeGraph and DecodeTree) takes from the
+// underlying reader at once: one read and one checksum update per chunk
+// instead of per value.
+const readChunk = 1024
+
+// maxRecord is the widest bulk-read record.
+const maxRecord = edgeRecord
+
+// chunk reads k records of size bytes each (k <= readChunk, size <=
+// maxRecord) with one read. The bytes are valid until the next chunk
+// call; nil means the read failed and Err says why.
+func (r *Reader) chunk(k, size int) []byte {
+	if r.scratch == nil {
+		r.scratch = make([]byte, readChunk*maxRecord)
+	}
+	p := r.scratch[:k*size]
+	if !r.read(p) {
+		return nil
+	}
+	return p
+}
+
+// grow makes room for k more elements in a slice bound for n elements,
+// at least doubling its capacity but never past n. A slice read chunk by
+// chunk thus allocates in proportion to the records actually read (a
+// lying count costs at most one chunk before truncation shows), and a
+// slice of at most one chunk allocates exactly once.
+func grow[T any](s []T, k, n int) []T {
+	if len(s)+k <= cap(s) {
+		return s
+	}
+	return append(make([]T, 0, min(max(2*cap(s), len(s)+k), n)), s...)
+}
 
 // I32s reads a count-prefixed []int32 of at most max elements.
 func (r *Reader) I32s(max int) []int32 {
@@ -242,17 +274,17 @@ func (r *Reader) I32s(max int) []int32 {
 	if r.err != nil || n == 0 {
 		return nil
 	}
-	cap0 := n
-	if cap0 > allocChunk {
-		cap0 = allocChunk
-	}
-	out := make([]int32, 0, cap0)
-	for i := 0; i < n; i++ {
-		v := r.I32()
-		if r.err != nil {
+	var out []int32
+	for len(out) < n {
+		k := min(n-len(out), readChunk)
+		p := r.chunk(k, 4)
+		if p == nil {
 			return nil
 		}
-		out = append(out, v)
+		out = grow(out, k, n)
+		for i := 0; i < k; i++ {
+			out = append(out, int32(binary.LittleEndian.Uint32(p[4*i:])))
+		}
 	}
 	return out
 }
@@ -263,17 +295,17 @@ func (r *Reader) U64s(max int) []uint64 {
 	if r.err != nil || n == 0 {
 		return nil
 	}
-	cap0 := n
-	if cap0 > allocChunk {
-		cap0 = allocChunk
-	}
-	out := make([]uint64, 0, cap0)
-	for i := 0; i < n; i++ {
-		v := r.U64()
-		if r.err != nil {
+	var out []uint64
+	for len(out) < n {
+		k := min(n-len(out), readChunk)
+		p := r.chunk(k, 8)
+		if p == nil {
 			return nil
 		}
-		out = append(out, v)
+		out = grow(out, k, n)
+		for i := 0; i < k; i++ {
+			out = append(out, binary.LittleEndian.Uint64(p[8*i:]))
+		}
 	}
 	return out
 }

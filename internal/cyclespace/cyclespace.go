@@ -23,64 +23,82 @@ import (
 	"ftrouting/internal/xrand"
 )
 
-// Labels holds the per-edge cycle-space labels of one graph.
+// Labels holds the per-edge cycle-space labels of one graph, packed in
+// one word slab of b-bit vectors: slots 0..n-1 are per-vertex
+// accumulators, and the rest hold one label per non-tree edge. When
+// Assign is done, the accumulator of a tree vertex is the label of the
+// tree edge above it.
 type Labels struct {
-	B   int
-	phi []bitvec.Vec // by EdgeID
+	B     int
+	k     int // words per label
+	words []uint64
+	slot  []int32 // by EdgeID: the slab slot holding the edge's label
+}
+
+// vec returns slab slot i as a vector sharing the slab's words.
+func (l *Labels) vec(i int32) bitvec.Vec {
+	o := int(i) * l.k
+	return bitvec.View(l.B, l.words[o:o+l.k:o+l.k])
 }
 
 // Assign computes b-bit labels for every edge of the tree's graph. Edges
 // outside the tree's component get zero labels (the FT scheme is applied
-// per component; see Section 3 intro). Time O((m+n)b/64).
+// per component; see Section 3 intro). Time O((m+n)b/64), in three
+// allocations.
 func Assign(t *graph.Tree, b int, seed uint64) (*Labels, error) {
 	if b < 1 {
 		return nil, fmt.Errorf("cyclespace: b must be >= 1, got %d", b)
 	}
 	g := t.G
+	n, m := g.N(), g.M()
 	rng := xrand.NewSplitMix64(seed)
-	l := &Labels{B: b, phi: make([]bitvec.Vec, g.M())}
-	// acc[v] accumulates the XOR of labels of non-tree edges incident to v.
-	acc := make([]bitvec.Vec, g.N())
-	for v := range acc {
-		acc[v] = bitvec.New(b)
-	}
-	for id := graph.EdgeID(0); int(id) < g.M(); id++ {
+	treeEdges := max(t.Size()-1, 0)
+	k := bitvec.Words(b)
+	l := &Labels{B: b, k: k, words: make([]uint64, (n+m-treeEdges)*k), slot: make([]int32, m)}
+	// Accumulator slot v collects the XOR of the labels of the non-tree
+	// edges incident to v.
+	next := int32(n)
+	for id := graph.EdgeID(0); int(id) < m; id++ {
 		e := g.Edge(id)
 		if t.InTree[id] {
 			continue // filled below
 		}
+		l.slot[id] = next
+		v := l.vec(next)
+		next++
 		if !t.Contains(e.U) || !t.Contains(e.V) {
-			l.phi[id] = bitvec.New(b)
 			continue
 		}
-		v := bitvec.Random(b, rng)
-		l.phi[id] = v
-		acc[e.U].XorInPlace(v)
-		acc[e.V].XorInPlace(v)
+		v.Randomize(rng)
+		l.vec(e.U).XorInPlace(v)
+		l.vec(e.V).XorInPlace(v)
 	}
-	// Post-order aggregation: subtree XOR of acc gives, for the tree edge
-	// above each vertex, the XOR over non-tree edges with exactly one
-	// endpoint below (edges with both endpoints below cancel).
+	// Post-order aggregation: the subtree XOR of the accumulators gives,
+	// for the tree edge above each vertex, the XOR over non-tree edges
+	// with exactly one endpoint below (edges with both endpoints below
+	// cancel). A vertex's accumulator is final once the pass reaches it,
+	// so it becomes that label as is.
 	order := t.Order
 	for i := len(order) - 1; i >= 0; i-- {
 		v := order[i]
 		if v == t.Root {
 			continue
 		}
-		l.phi[t.ParentEdge[v]] = acc[v].Clone()
-		acc[t.Parent[v]].XorInPlace(acc[v])
+		l.slot[t.ParentEdge[v]] = v
+		l.vec(t.Parent[v]).XorInPlace(l.vec(v))
 	}
 	return l, nil
 }
 
-// Phi returns the label of edge id.
-func (l *Labels) Phi(id graph.EdgeID) bitvec.Vec { return l.phi[id] }
+// Phi returns the label of edge id. It shares the labels' storage:
+// callers must not mutate it.
+func (l *Labels) Phi(id graph.EdgeID) bitvec.Vec { return l.vec(l.slot[id]) }
 
 // XorOf returns the XOR of the labels of the given edges.
 func (l *Labels) XorOf(ids []graph.EdgeID) bitvec.Vec {
 	out := bitvec.New(l.B)
 	for _, id := range ids {
-		out.XorInPlace(l.phi[id])
+		out.XorInPlace(l.Phi(id))
 	}
 	return out
 }

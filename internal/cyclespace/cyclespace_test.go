@@ -3,6 +3,7 @@ package cyclespace
 import (
 	"testing"
 
+	"ftrouting/internal/bitvec"
 	"ftrouting/internal/graph"
 	"ftrouting/internal/xrand"
 )
@@ -213,6 +214,73 @@ func BenchmarkAssign(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Assign(tree, 64, uint64(i)); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// assignPerEdge is the reference construction Assign replaced: one
+// bitvec allocation per edge and per vertex, tree-edge labels cloned
+// from the accumulators. Assign must reproduce it bit for bit.
+func assignPerEdge(t *graph.Tree, b int, seed uint64) []bitvec.Vec {
+	g := t.G
+	rng := xrand.NewSplitMix64(seed)
+	phi := make([]bitvec.Vec, g.M())
+	acc := make([]bitvec.Vec, g.N())
+	for v := range acc {
+		acc[v] = bitvec.New(b)
+	}
+	for id := graph.EdgeID(0); int(id) < g.M(); id++ {
+		e := g.Edge(id)
+		if t.InTree[id] {
+			continue
+		}
+		if !t.Contains(e.U) || !t.Contains(e.V) {
+			phi[id] = bitvec.New(b)
+			continue
+		}
+		v := bitvec.Random(b, rng)
+		phi[id] = v
+		acc[e.U].XorInPlace(v)
+		acc[e.V].XorInPlace(v)
+	}
+	for i := len(t.Order) - 1; i >= 0; i-- {
+		v := t.Order[i]
+		if v == t.Root {
+			continue
+		}
+		phi[t.ParentEdge[v]] = acc[v].Clone()
+		acc[t.Parent[v]].XorInPlace(acc[v])
+	}
+	return phi
+}
+
+func TestAssignMatchesPerEdgeReference(t *testing.T) {
+	islands := graph.Islands(3, 30, 40, 5)
+	trees := map[string]*graph.Tree{
+		"random":      graph.BFSTree(graph.RandomConnected(80, 150, 1), 0, nil),
+		"grid-sp":     graph.ShortestPathTree(graph.WithRandomWeights(graph.Grid(6, 9), 5, 2), 20, nil),
+		"tree-only":   graph.BFSTree(graph.RandomTree(40, 3), 7, nil),
+		"islands":     graph.BFSTree(islands, 0, nil), // spans one of three components
+		"islands-mid": graph.BFSTree(islands, 45, nil),
+		"complete":    graph.BFSTree(graph.Complete(12), 4, nil),
+	}
+	for name, tree := range trees {
+		for _, b := range []int{40, 64, 65, 130} {
+			seed := uint64(b) * 7
+			got, err := Assign(tree, b, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := assignPerEdge(tree, b, seed)
+			for id := range want {
+				phi := got.Phi(graph.EdgeID(id))
+				if phi.Len() != b || !phi.Equal(want[id]) {
+					t.Fatalf("%s b=%d: edge %d label %v, want %v", name, b, id, phi, want[id])
+				}
+				if w := phi.Words(); cap(w) != len(w) {
+					t.Fatalf("%s b=%d: edge %d label words have cap %d > len %d", name, b, id, cap(w), len(w))
+				}
+			}
 		}
 	}
 }

@@ -101,15 +101,8 @@ var ErrBadEdge = errors.New("graph: invalid edge")
 // EdgeID. Parallel edges are not detected here (generators guarantee simple
 // graphs); use HasEdge to check explicitly.
 func (g *Graph) AddEdge(u, v int32, w int64) (EdgeID, error) {
-	n := int32(g.N())
-	if u < 0 || u >= n || v < 0 || v >= n {
-		return 0, fmt.Errorf("%w: endpoint out of range (%d,%d) with n=%d", ErrBadEdge, u, v, n)
-	}
-	if u == v {
-		return 0, fmt.Errorf("%w: self-loop at %d", ErrBadEdge, u)
-	}
-	if w < 1 {
-		return 0, fmt.Errorf("%w: weight %d < 1", ErrBadEdge, w)
+	if err := checkEdge(u, v, w, int32(g.N())); err != nil {
+		return 0, err
 	}
 	id := EdgeID(len(g.edges))
 	e := Edge{U: u, V: v, W: w, PortU: int32(len(g.adj[u])), PortV: int32(len(g.adj[v]))}
@@ -117,6 +110,58 @@ func (g *Graph) AddEdge(u, v int32, w int64) (EdgeID, error) {
 	g.adj[u] = append(g.adj[u], Arc{To: v, E: id, W: w})
 	g.adj[v] = append(g.adj[v], Arc{To: u, E: id, W: w})
 	return id, nil
+}
+
+// checkEdge validates an edge of a graph on n vertices (ErrBadEdge).
+func checkEdge(u, v int32, w int64, n int32) error {
+	if u < 0 || u >= n || v < 0 || v >= n {
+		return fmt.Errorf("%w: endpoint out of range (%d,%d) with n=%d", ErrBadEdge, u, v, n)
+	}
+	if u == v {
+		return fmt.Errorf("%w: self-loop at %d", ErrBadEdge, u)
+	}
+	if w < 1 {
+		return fmt.Errorf("%w: weight %d < 1", ErrBadEdge, w)
+	}
+	return nil
+}
+
+// FromEdges builds a graph on n vertices whose edge i is edges[i]: the
+// graph that AddEdge of every edge in order builds, with the same ports
+// and adjacency order. It takes ownership of edges and overwrites their
+// ports. Every adjacency list is carved from one []Arc slab and capped
+// at its degree, so a later AddEdge reallocates the list it grows
+// instead of writing into its neighbour's.
+func FromEdges(n int, edges []Edge) (*Graph, error) {
+	g := New(n)
+	// off[u+1] counts u's arcs; the prefix sum turns it into u's slab
+	// offset.
+	off := make([]int32, n+1)
+	for i, e := range edges {
+		if err := checkEdge(e.U, e.V, e.W, int32(n)); err != nil {
+			return nil, fmt.Errorf("edge %d: %w", i, err)
+		}
+		off[e.U+1]++
+		off[e.V+1]++
+	}
+	for u := 0; u < n; u++ {
+		off[u+1] += off[u]
+	}
+	slab := make([]Arc, 2*len(edges))
+	for u := range g.adj {
+		if lo, hi := off[u], off[u+1]; hi > lo {
+			g.adj[u] = slab[lo:lo:hi]
+		}
+	}
+	for i := range edges {
+		e := &edges[i]
+		id := EdgeID(i)
+		e.PortU, e.PortV = int32(len(g.adj[e.U])), int32(len(g.adj[e.V]))
+		g.adj[e.U] = append(g.adj[e.U], Arc{To: e.V, E: id, W: e.W})
+		g.adj[e.V] = append(g.adj[e.V], Arc{To: e.U, E: id, W: e.W})
+	}
+	g.edges = edges
+	return g, nil
 }
 
 // MustAddEdge is AddEdge for generator code where the arguments are known

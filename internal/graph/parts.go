@@ -74,13 +74,15 @@ func NewTreeFromParts(g *Graph, root int32, parent []int32, parentEdge []EdgeID,
 // SubgraphFromParts rebuilds an induced Subgraph of g from its global
 // vertex list and global edge list, both strictly ascending — the
 // canonical order Induced produces, which fixes local ids and hence local
-// ports bit-identically. Edge weights are taken from g.
+// ports bit-identically. Edge weights are taken from g. The subgraph
+// takes ownership of both lists, and its local graph is built in bulk
+// (FromEdges).
 func SubgraphFromParts(g *Graph, toGlobal []int32, edgeToGlobal []EdgeID) (*Subgraph, error) {
 	sub := &Subgraph{
-		Local:       New(len(toGlobal)),
-		ToGlobal:    toGlobal,
-		ToLocal:     make(map[int32]int32, len(toGlobal)),
-		EdgeToLocal: make(map[EdgeID]int32, len(edgeToGlobal)),
+		ToGlobal:     toGlobal,
+		ToLocal:      make(map[int32]int32, len(toGlobal)),
+		EdgeToGlobal: edgeToGlobal,
+		EdgeToLocal:  make(map[EdgeID]int32, len(edgeToGlobal)),
 	}
 	prev := int32(-1)
 	for i, v := range toGlobal {
@@ -93,8 +95,9 @@ func SubgraphFromParts(g *Graph, toGlobal []int32, edgeToGlobal []EdgeID) (*Subg
 		prev = v
 		sub.ToLocal[v] = int32(i)
 	}
+	edges := make([]Edge, len(edgeToGlobal))
 	prevE := EdgeID(-1)
-	for _, id := range edgeToGlobal {
+	for i, id := range edgeToGlobal {
 		if id < 0 || int(id) >= g.M() {
 			return nil, fmt.Errorf("graph: subgraph edge %d out of range", id)
 		}
@@ -108,12 +111,13 @@ func SubgraphFromParts(g *Graph, toGlobal []int32, edgeToGlobal []EdgeID) (*Subg
 		if !okU || !okV {
 			return nil, fmt.Errorf("graph: subgraph edge %d has an endpoint outside the vertex set", id)
 		}
-		lid, err := sub.Local.AddEdge(lu, lv, e.W)
-		if err != nil {
-			return nil, err
-		}
-		sub.EdgeToGlobal = append(sub.EdgeToGlobal, id)
-		sub.EdgeToLocal[id] = lid
+		edges[i] = Edge{U: lu, V: lv, W: e.W}
+		sub.EdgeToLocal[id] = int32(i)
 	}
+	local, err := FromEdges(len(toGlobal), edges)
+	if err != nil {
+		return nil, err
+	}
+	sub.Local = local
 	return sub, nil
 }

@@ -1,0 +1,230 @@
+package graph
+
+import (
+	"errors"
+	"maps"
+	"reflect"
+	"slices"
+	"testing"
+
+	"ftrouting/internal/xrand"
+)
+
+// slabMatrix is the generator matrix the slab builders are checked on:
+// sparse and dense, weighted and unit, connected and not, with isolated
+// vertices.
+func slabMatrix() map[string]*Graph {
+	fat, _ := FatTree(4)
+	return map[string]*Graph{
+		"path":         Path(17),
+		"cycle":        Cycle(12),
+		"star":         Star(15),
+		"wheel":        Wheel(11),
+		"complete":     Complete(9),
+		"grid":         Grid(5, 7),
+		"torus":        Torus(4, 5),
+		"hypercube":    Hypercube(5),
+		"random-tree":  RandomTree(40, 3),
+		"random":       RandomConnected(60, 90, 4),
+		"gnm":          GNM(50, 40, 5),
+		"pref-attach":  PreferentialAttachment(45, 2, 6),
+		"ring-cliques": RingOfCliques(5, 4),
+		"fattree":      fat,
+		"islands":      Islands(4, 20, 25, 7),
+		"weighted":     WithRandomWeights(RandomConnected(50, 80, 8), 9, 9),
+		"empty":        New(6),
+	}
+}
+
+// sameGraph fails unless a and b have identical edges (ports included)
+// and adjacency lists (an empty list equals a nil one).
+func sameGraph(t *testing.T, name string, a, b *Graph) {
+	t.Helper()
+	if a.N() != b.N() || !slices.Equal(a.Edges(), b.Edges()) {
+		t.Fatalf("%s: edges differ", name)
+	}
+	for u := int32(0); int(u) < a.N(); u++ {
+		if !slices.Equal(a.Adj(u), b.Adj(u)) {
+			t.Fatalf("%s: adjacency of %d differs: %v vs %v", name, u, a.Adj(u), b.Adj(u))
+		}
+	}
+}
+
+// snapshotAdj copies every adjacency list of g.
+func snapshotAdj(g *Graph) [][]Arc {
+	out := make([][]Arc, g.N())
+	for u := range out {
+		out[u] = append([]Arc(nil), g.Adj(int32(u))...)
+	}
+	return out
+}
+
+func bareEdges(g *Graph) []Edge {
+	out := make([]Edge, g.M())
+	for i, e := range g.Edges() {
+		out[i] = Edge{U: e.U, V: e.V, W: e.W}
+	}
+	return out
+}
+
+func TestFromEdgesMatchesAddEdge(t *testing.T) {
+	for name, g := range slabMatrix() {
+		back, err := FromEdges(g.N(), bareEdges(g))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		sameGraph(t, name, back, g)
+		if err := back.Validate(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+}
+
+func TestFromEdgesRejectsBadEdges(t *testing.T) {
+	for name, e := range map[string]Edge{
+		"range":     {U: 0, V: 5, W: 1},
+		"negative":  {U: -1, V: 1, W: 1},
+		"self-loop": {U: 2, V: 2, W: 1},
+		"weight":    {U: 0, V: 1, W: 0},
+	} {
+		edges := []Edge{{U: 0, V: 1, W: 1}, e}
+		if _, err := FromEdges(3, edges); !errors.Is(err, ErrBadEdge) {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+}
+
+// sortedSubset returns an ascending random subset of g's vertices.
+func sortedSubset(g *Graph, rng *xrand.SplitMix64) []int32 {
+	var vs []int32
+	for v := int32(0); int(v) < g.N(); v++ {
+		if rng.Intn(3) != 0 {
+			vs = append(vs, v)
+		}
+	}
+	return vs
+}
+
+func TestSubgraphFromPartsMatchesInduced(t *testing.T) {
+	rng := xrand.NewSplitMix64(11)
+	for name, g := range slabMatrix() {
+		all := make([]int32, g.N())
+		for v := range all {
+			all[v] = int32(v)
+		}
+		for _, c := range []struct {
+			verts []int32
+			maxW  int64
+		}{
+			{all, Inf},
+			{sortedSubset(g, rng), Inf},
+			{sortedSubset(g, rng), 4},
+		} {
+			want, err := Induced(g, c.verts, c.maxW)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			got, err := SubgraphFromParts(g, append([]int32(nil), want.ToGlobal...), append([]EdgeID(nil), want.EdgeToGlobal...))
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			sameGraph(t, name, got.Local, want.Local)
+			if !slices.Equal(got.ToGlobal, want.ToGlobal) || !maps.Equal(got.ToLocal, want.ToLocal) {
+				t.Fatalf("%s: vertex maps differ", name)
+			}
+			if !slices.Equal(got.EdgeToGlobal, want.EdgeToGlobal) || !maps.Equal(got.EdgeToLocal, want.EdgeToLocal) {
+				t.Fatalf("%s: edge maps differ", name)
+			}
+		}
+	}
+}
+
+// TestAddEdgeOnSlabGraphKeepsNeighbours grows the adjacency lists of a
+// slab-built graph: each list is capped at its degree, so AddEdge must
+// reallocate the list it grows and leave every other vertex's arcs as
+// they were.
+func TestAddEdgeOnSlabGraphKeepsNeighbours(t *testing.T) {
+	rng := xrand.NewSplitMix64(12)
+	for name, g := range slabMatrix() {
+		if g.N() < 2 {
+			continue
+		}
+		all := make([]int32, g.N())
+		for v := range all {
+			all[v] = int32(v)
+		}
+		want, err := Induced(g, all, Inf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sub, err := SubgraphFromParts(g, want.ToGlobal, want.EdgeToGlobal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		local := sub.Local
+		for trial := 0; trial < 8; trial++ {
+			before := snapshotAdj(local)
+			u := int32(rng.Intn(local.N()))
+			v := int32(rng.Intn(local.N() - 1))
+			if v >= u {
+				v++
+			}
+			id, err := local.AddEdge(u, v, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for x := int32(0); int(x) < local.N(); x++ {
+				got := local.Adj(x)
+				exp := before[x]
+				if x == u || x == v {
+					other := u + v - x
+					exp = append(exp, Arc{To: other, E: id, W: 3})
+				}
+				if !slices.Equal(got, exp) {
+					t.Fatalf("%s: AddEdge(%d,%d) changed the arcs of %d: %v, want %v", name, u, v, x, got, exp)
+				}
+			}
+			if err := local.Validate(); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+	}
+}
+
+// appendChildren is the reference Children construction: one append per
+// tree vertex, in tree order.
+func appendChildren(tr *Tree) [][]int32 {
+	out := make([][]int32, tr.G.N())
+	for _, v := range tr.Order {
+		if v != tr.Root {
+			out[tr.Parent[v]] = append(out[tr.Parent[v]], v)
+		}
+	}
+	return out
+}
+
+func TestTreeChildrenMatchAppendBuilt(t *testing.T) {
+	for name, g := range slabMatrix() {
+		if g.N() == 0 {
+			continue
+		}
+		root := int32(g.N() / 2)
+		for _, tr := range []*Tree{BFSTree(g, 0, nil), BFSTree(g, root, nil), ShortestPathTree(g, root, nil)} {
+			back, err := NewTreeFromParts(g, tr.Root, tr.Parent, tr.ParentEdge, tr.Order)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			want := appendChildren(tr)
+			for _, got := range []*Tree{tr, back} {
+				if !reflect.DeepEqual(got.Children, want) {
+					t.Fatalf("%s: children differ from the append-built lists", name)
+				}
+				for v, cs := range got.Children {
+					if cap(cs) != len(cs) {
+						t.Fatalf("%s: children of %d have cap %d > len %d", name, v, cap(cs), len(cs))
+					}
+				}
+			}
+		}
+	}
+}

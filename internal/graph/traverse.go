@@ -149,6 +149,22 @@ func newTree(g *Graph, root int32, parent []int32, parentEdge []EdgeID, order []
 	for i := range t.Depth {
 		t.Depth[i] = -1
 	}
+	// Children lists are carved from one slab, each capped at its length;
+	// a leaf's list stays nil. Depth serves as the child count until the
+	// second pass sets it.
+	for _, v := range order {
+		if v != root {
+			t.Depth[parent[v]]++
+		}
+	}
+	slab := make([]int32, max(len(order)-1, 0))
+	next := 0
+	for _, v := range order {
+		if k := int(t.Depth[v]) + 1; k > 0 {
+			t.Children[v] = slab[next : next : next+k]
+			next += k
+		}
+	}
 	// Order has parents before children in both BFS and Dijkstra
 	// (finalization order), so depth can be filled in one pass.
 	for _, v := range order {

@@ -340,11 +340,12 @@ func ManifestOf(scheme any) (*Manifest, error) {
 	return m, nil
 }
 
-// saveSharded splits a built scheme into a manifest plus shard files
+// SaveSharded splits a built scheme (*ConnLabels, *DistLabels or
+// *Router; any other type is an error) into a manifest plus shard files
 // under dir, which must exist, recording each shard file's checksum and
 // size in the manifest it writes last. The returned manifest is ready
 // for PlanBatch/LoadShard.
-func saveSharded(dir string, scheme any, opts ShardOptions) (*Manifest, error) {
+func SaveSharded(dir string, scheme any, opts ShardOptions) (*Manifest, error) {
 	m, hier, err := newManifest(scheme, opts)
 	if err != nil {
 		return nil, err
@@ -406,7 +407,7 @@ func (m *Manifest) encode(w *codec.Writer) {
 // per-component shard files under dir, which must exist. The returned
 // manifest is ready for PlanBatch/LoadShard.
 func SaveShardedConn(dir string, c *ConnLabels, opts ShardOptions) (*Manifest, error) {
-	return saveSharded(dir, c, opts)
+	return SaveSharded(dir, c, opts)
 }
 
 // hierarchyShardPayload writes the dist/router shard payload: per scale,
@@ -450,13 +451,13 @@ func shardVertices(m *Manifest, id int) []int32 {
 // clusters tagged with their global (scale, cluster) indices, so a
 // loaded shard rebuilds its instances with the original seeds.
 func SaveShardedDist(dir string, d *DistLabels, opts ShardOptions) (*Manifest, error) {
-	return saveSharded(dir, d, opts)
+	return SaveSharded(dir, d, opts)
 }
 
 // SaveShardedRouter splits a preprocessed router into a manifest plus
 // shard files under dir, the same way as SaveShardedDist.
 func SaveShardedRouter(dir string, r *Router, opts ShardOptions) (*Manifest, error) {
-	return saveSharded(dir, r, opts)
+	return SaveSharded(dir, r, opts)
 }
 
 // LoadManifest reads and validates a manifest file; shard files resolve

@@ -459,9 +459,11 @@ func TestShardedSaveStable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	read := func() map[string][]byte {
+	// The typed wrapper and SaveSharded on the scheme as an any write the
+	// same files.
+	read := func(save func(dir string) (*Manifest, error)) map[string][]byte {
 		dir := t.TempDir()
-		m, err := SaveShardedConn(dir, built, ShardOptions{Shards: 2})
+		m, err := save(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -479,7 +481,8 @@ func TestShardedSaveStable(t *testing.T) {
 		}
 		return out
 	}
-	a, b := read(), read()
+	a := read(func(dir string) (*Manifest, error) { return SaveShardedConn(dir, built, ShardOptions{Shards: 2}) })
+	b := read(func(dir string) (*Manifest, error) { return SaveSharded(dir, any(built), ShardOptions{Shards: 2}) })
 	if len(a) != len(b) {
 		t.Fatalf("file sets differ: %d vs %d", len(a), len(b))
 	}
@@ -487,5 +490,8 @@ func TestShardedSaveStable(t *testing.T) {
 		if !reflect.DeepEqual(data, b[name]) {
 			t.Fatalf("%s differs between saves", name)
 		}
+	}
+	if _, err := SaveSharded(t.TempDir(), g, ShardOptions{}); err == nil {
+		t.Fatal("SaveSharded accepted a graph as a scheme")
 	}
 }
