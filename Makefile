@@ -34,7 +34,7 @@ FUZZ_TARGETS = \
 	.:FuzzManifest \
 	.:FuzzShard
 
-.PHONY: all build test race bench bench-compare cover lint fuzz corpus-check shard-smoke proxy-smoke metrics-smoke remote-smoke loadgen-smoke
+.PHONY: all build test race bench bench-compare cover lint fuzz corpus-check perfbench-check shard-smoke proxy-smoke metrics-smoke remote-smoke loadgen-smoke
 
 all: build lint test
 
@@ -92,6 +92,13 @@ corpus-check:
 		echo "$$drift"; exit 1; \
 	fi; \
 	echo "fuzz corpus regenerates byte-identically"
+
+# perfbench-check vets and tests the perfbench module. It is a module of
+# its own, so `go test ./...` at the root never compiles it; this target
+# fails when an API change breaks the benchmark — the same check the CI
+# perfbench job runs.
+perfbench-check:
+	cd perfbench && $(GO) vet . && $(GO) test .
 
 # shard-smoke proves the serving pipeline end to end: build a
 # multi-component scheme, split it into a manifest + shards, serve both

@@ -348,26 +348,15 @@ type DistFaultContext struct {
 // The number of distinct faults must not exceed the fault bound f the
 // labels were built for.
 func (d *DistLabels) PrepareFaults(faults []EdgeID) (*DistFaultContext, error) {
-	g := d.inner.Graph()
-	if err := checkFaults(faults, g.M(), d.inner.F()); err != nil {
-		return nil, err
-	}
-	fl := make([]distlabel.EdgeLabel, len(faults))
-	for i, id := range faults {
-		fl[i] = d.inner.EdgeLabel(id)
-	}
-	inner, err := d.inner.PrepareFaults(fl)
-	if err != nil {
-		return nil, err
-	}
-	return &DistFaultContext{d: d, inner: inner}, nil
+	return d.prepareFaults(faults, -1)
 }
 
-// prepareFaultsCounted is PrepareFaults over a shard-restricted fault
-// list with the global distinct-fault count supplied by the planner: the
-// estimate formula (4k-1)(|F|+1)·2^i uses the whole batch's |F|, which a
-// restriction cannot reconstruct from its own labels.
-func (d *DistLabels) prepareFaultsCounted(faults []EdgeID, distinct int) (*DistFaultContext, error) {
+// prepareFaults is PrepareFaults with the distinct-fault count of the
+// estimate formula (4k-1)(|F|+1)·2^i supplied by the caller; a negative
+// count derives it from the fault labels. The shard planner passes the
+// whole batch's |F|, which a shard-restricted fault list cannot
+// reconstruct from its own labels.
+func (d *DistLabels) prepareFaults(faults []EdgeID, distinct int) (*DistFaultContext, error) {
 	g := d.inner.Graph()
 	if err := checkFaults(faults, g.M(), d.inner.F()); err != nil {
 		return nil, err
@@ -376,11 +365,10 @@ func (d *DistLabels) prepareFaultsCounted(faults []EdgeID, distinct int) (*DistF
 	for i, id := range faults {
 		fl[i] = d.inner.EdgeLabel(id)
 	}
-	inner, err := d.inner.PrepareFaultsWithCount(fl, distinct)
-	if err != nil {
-		return nil, err
+	if distinct < 0 {
+		return &DistFaultContext{d: d, inner: d.inner.PrepareFaults(fl)}, nil
 	}
-	return &DistFaultContext{d: d, inner: inner}, nil
+	return &DistFaultContext{d: d, inner: d.inner.PrepareFaultsWithCount(fl, distinct)}, nil
 }
 
 // Estimate answers one pair against the prepared fault set,
@@ -436,7 +424,6 @@ type RouteFaultContext struct {
 
 	once      sync.Once
 	forbidden *route.ForbiddenContext
-	prepErr   error
 }
 
 // PrepareFaults preprocesses a fault set for repeated routing queries.
@@ -467,22 +454,21 @@ func (x *RouteFaultContext) Route(s, t int32) (RouteResult, error) {
 
 // prepareForbidden lazily builds the forbidden-set structures exactly
 // once per context (the fault-tolerant model never needs them).
-func (x *RouteFaultContext) prepareForbidden() error {
+func (x *RouteFaultContext) prepareForbidden() *route.ForbiddenContext {
 	x.once.Do(func() {
-		x.forbidden, x.prepErr = x.r.inner.PrepareForbidden(x.faultIDs)
+		x.forbidden = x.r.inner.PrepareForbidden(x.faultIDs)
 	})
-	return x.prepErr
+	return x.forbidden
 }
 
 // PrepareForbidden eagerly builds the per-instance fault restriction the
-// context otherwise builds on the first RouteForbidden call. Serving
-// layers call it before fanning a batch out so a restriction error
-// surfaces once, unscoped, instead of tagged to an arbitrary pair — the
-// same semantics Router.RouteForbiddenBatch applies. Each instance's
-// decoder state is still built by the first route that reaches it, so an
-// error there is reported against that pair. Idempotent.
+// context otherwise builds on the first RouteForbidden call, so a timed
+// loop can keep it out of the clock. Each instance's decoder state is
+// still built by the first route that reaches it. The restriction cannot
+// fail: the returned error is always nil. Idempotent.
 func (x *RouteFaultContext) PrepareForbidden() error {
-	return x.prepareForbidden()
+	x.prepareForbidden()
+	return nil
 }
 
 // RouteForbidden routes one pair under the prepared known fault set,
@@ -495,10 +481,7 @@ func (x *RouteFaultContext) RouteForbidden(s, t int32) (RouteResult, error) {
 	if err := checkVertex("t", t, g.N()); err != nil {
 		return RouteResult{}, err
 	}
-	if err := x.prepareForbidden(); err != nil {
-		return RouteResult{}, err
-	}
-	return x.forbidden.Route(s, t)
+	return x.prepareForbidden().Route(s, t)
 }
 
 // RouteBatch routes a pair list under the prepared (unknown-fault) set,
@@ -545,11 +528,6 @@ func (r *Router) RouteForbiddenBatch(b QueryBatch, opts BatchOptions) ([]RouteRe
 	}
 	ctx, err := r.PrepareFaults(b.Faults)
 	if err != nil {
-		return nil, err
-	}
-	// Restrict F per instance up front (not lazily inside the fan-out) so
-	// a restriction error surfaces before any pair runs.
-	if err := ctx.prepareForbidden(); err != nil {
 		return nil, err
 	}
 	return ctx.RouteForbiddenBatch(b.Pairs, opts)
@@ -785,36 +763,27 @@ func (p *BatchPlan) PrepareShard(sh *Shard) (any, error) {
 	case *ConnLabels:
 		return scheme.PrepareFaults(faults)
 	case *DistLabels:
-		return scheme.prepareFaultsCounted(faults, p.distinct)
+		return scheme.prepareFaults(faults, p.distinct)
 	case *Router:
 		return scheme.PrepareFaults(faults)
 	}
 	return nil, fmt.Errorf("ftrouting: unsupported shard scheme %T", sh.scheme)
 }
 
-// checkPlanContexts verifies the caller supplied a context for every
-// planned shard before any pair runs.
-func (p *BatchPlan) checkPlanContexts(ctxs map[int]any) error {
-	for _, id := range p.shardIDs {
-		if _, ok := ctxs[id]; !ok {
-			return fmt.Errorf("ftrouting: plan needs a prepared context for shard %d", id)
-		}
-	}
-	return nil
-}
-
 // execPlan runs the single ordered fan-out over the original pair list:
 // invalid pairs re-run the vertex checks (producing the identical
 // monolithic error, tagged with the original index), trivial pairs take
 // the cross-component answer, and in-shard pairs evaluate on their
-// shard's context.
+// shard's context. A missing shard context fails before any pair runs.
 func execPlan[T any](p *BatchPlan, ctxs map[int]any, opts BatchOptions,
 	trivial func(Pair) T, eval func(ctx any, pr Pair) (T, error)) ([]T, error) {
 	if len(p.pairs) == 0 {
 		return nil, nil
 	}
-	if err := p.checkPlanContexts(ctxs); err != nil {
-		return nil, err
+	for _, id := range p.shardIDs {
+		if _, ok := ctxs[id]; !ok {
+			return nil, fmt.Errorf("ftrouting: plan needs a prepared context for shard %d", id)
+		}
 	}
 	n := p.m.g.N()
 	return forEachPairIndexed(p.pairs, opts.Parallelism, func(i int, pr Pair) (T, error) {
@@ -866,25 +835,21 @@ func (p *BatchPlan) EstimateBatch(ctxs map[int]any, opts BatchOptions) ([]int64,
 		})
 }
 
-// trivialRouteResult is the simulation outcome of a cross-component
-// route: both walks visit only the source (no phase ever finds the
+// TrivialRouteResult returns the routing answer of a cross-component
+// pair: both walks visit only the source (no phase ever finds the
 // target's cluster), the offline optimum is Inf, and nothing is charged —
 // exactly what the monolithic simulator computes, without touching a
-// shard.
-func trivialRouteResult(pr Pair) RouteResult {
+// shard. The plan executors answer trivial pairs with it, and a fan-out
+// tier answers its plans' TrivialPairs with the same value so merged
+// responses stay bit-identical to a single daemon's.
+func TrivialRouteResult(pr Pair) RouteResult {
 	return RouteResult{Opt: Inf, Trace: []int32{pr.S}}
 }
-
-// TrivialRouteResult returns the routing answer of a cross-component
-// pair — what the plan executors compute without touching a shard. A
-// fan-out tier answers its plans' TrivialPairs with the same value so
-// merged responses stay bit-identical to a single daemon's.
-func TrivialRouteResult(pr Pair) RouteResult { return trivialRouteResult(pr) }
 
 // RouteBatch routes the planned batch under the unknown-fault model on
 // prepared per-shard contexts, bit-identically to Router.RouteBatch.
 func (p *BatchPlan) RouteBatch(ctxs map[int]any, opts BatchOptions) ([]RouteResult, error) {
-	return execPlan(p, ctxs, opts, trivialRouteResult,
+	return execPlan(p, ctxs, opts, TrivialRouteResult,
 		func(ctx any, pr Pair) (RouteResult, error) {
 			r, ok := ctx.(*RouteFaultContext)
 			if !ok {
@@ -895,27 +860,15 @@ func (p *BatchPlan) RouteBatch(ctxs map[int]any, opts BatchOptions) ([]RouteResu
 }
 
 // RouteForbiddenBatch routes the planned batch under the known-fault
-// model. As in Router.RouteForbiddenBatch, every shard's forbidden-set
-// structures are prepared before any pair runs so a preparation error
-// surfaces once, unscoped.
+// model on prepared per-shard contexts, bit-identically to
+// Router.RouteForbiddenBatch.
 func (p *BatchPlan) RouteForbiddenBatch(ctxs map[int]any, opts BatchOptions) ([]RouteResult, error) {
-	if len(p.pairs) == 0 {
-		return nil, nil
-	}
-	if err := p.checkPlanContexts(ctxs); err != nil {
-		return nil, err
-	}
-	for _, id := range p.shardIDs {
-		r, ok := ctxs[id].(*RouteFaultContext)
-		if !ok {
-			return nil, fmt.Errorf("ftrouting: route plan got %T context", ctxs[id])
-		}
-		if err := r.PrepareForbidden(); err != nil {
-			return nil, err
-		}
-	}
-	return execPlan(p, ctxs, opts, trivialRouteResult,
+	return execPlan(p, ctxs, opts, TrivialRouteResult,
 		func(ctx any, pr Pair) (RouteResult, error) {
-			return ctx.(*RouteFaultContext).RouteForbidden(pr.S, pr.T)
+			r, ok := ctx.(*RouteFaultContext)
+			if !ok {
+				return RouteResult{}, fmt.Errorf("ftrouting: route plan got %T context", ctx)
+			}
+			return r.RouteForbidden(pr.S, pr.T)
 		})
 }

@@ -112,10 +112,7 @@ func allocAudit(seed uint64) *experiments.Table {
 	if err != nil {
 		return fail(err)
 	}
-	fctx, err := router.PrepareForbidden(ftrouting.RandomFaults(rg, 2, seed+7))
-	if err != nil {
-		return fail(err)
-	}
+	fctx := router.PrepareForbidden(ftrouting.RandomFaults(rg, 2, seed+7))
 	var res route.Result
 	err = measure("route forbidden walk", "n=96 m=160 f=2 k=2", rg.N(), func(s, d int32) error {
 		return fctx.RouteInto(s, d, &res)

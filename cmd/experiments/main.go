@@ -2,19 +2,20 @@
 // quantitative claims (Table 1, Figures 1-4, and the theorem bounds) and
 // prints them as aligned text tables. DESIGN.md §2 indexes them.
 // E15 additionally measures the persisted schemes of internal/codec:
-// scheme-file sizes and encoded label sizes in bits, on the wire. E16
-// measures batch query throughput (queries/sec) against batch size and
-// worker count. E17 measures the serve daemon over loopback HTTP:
-// queries/sec against cache hit rate and workers. E18 measures sharded
-// vs monolithic serving: per-shard resident bytes, cold-shard load
-// latency, and warm q/s of the shard router against the whole-scheme
-// server. E19 measures the observability layer's overhead: warm q/s of
-// the instrumented daemon (metrics + access log) against the bare one.
-// E20 sweeps the loadgen harness over traffic skew and shard budget,
-// reading throughput and cache behavior off the BENCH server deltas.
-// E21 audits the warm query path: allocations per prepared query and
-// warm q/s of each eval stage (see BENCH_E21.json for serve-level
-// before/after).
+// scheme-file sizes and encoded label sizes in bits, on the wire. E18
+// measures sharded vs monolithic serving: per-shard resident bytes,
+// cold-shard load latency, and warm q/s of the shard router against the
+// whole-scheme server. E19 measures the observability layer's overhead:
+// warm q/s of the instrumented daemon (metrics + access log) against the
+// bare one. E21 audits the warm query path: allocations per prepared
+// query and warm q/s of each eval stage (see BENCH_E21.json for
+// serve-level before/after).
+//
+// Batch and served throughput are measured elsewhere: the gated
+// BenchmarkQueryBatch* and BenchmarkServe* microbenchmarks cover the
+// batch engine and the daemon handler, and the perfbench module (bash
+// perfbench/run.sh) drives a real daemon at a fixed offered rate and
+// reports end-to-end and per-layer costs.
 //
 // Usage:
 //
@@ -42,15 +43,12 @@ func main() {
 	ran := 0
 	registry := append(experiments.Registry(),
 		experiments.Experiment{ID: "E15", Run: persistedSizes},
-		experiments.Experiment{ID: "E16", Run: batchThroughput},
-		experiments.Experiment{ID: "E17", Run: serveThroughput},
 		experiments.Experiment{ID: "E18", Run: shardThroughput},
 		experiments.Experiment{ID: "E19", Run: obsCost},
-		experiments.Experiment{ID: "E20", Run: loadSweep},
 		experiments.Experiment{ID: "E21", Run: allocAudit},
 	)
 	// Filter before running: -only must not pay for the experiments it
-	// skips (E16/E17 alone drive minutes of measurement).
+	// skips (E18/E19 alone drive seconds of loopback measurement).
 	for _, e := range registry {
 		if *only != "" && e.ID != *only {
 			continue

@@ -67,7 +67,7 @@ func obsCost(seed uint64) *experiments.Table {
 		req := api.QueryRequest{Pairs: pairs, Faults: faults}
 		// Prime the fault context outside the clock; every timed request
 		// hits the prepared-context cache.
-		if err := e17Post(client, url, req); err != nil {
+		if err := postQuery(client, url, req); err != nil {
 			return 0, err
 		}
 		runtime.GC()
@@ -75,7 +75,7 @@ func obsCost(seed uint64) *experiments.Table {
 		for rep := 0; rep < e19Reps; rep++ {
 			start := time.Now()
 			for i := 0; i < e19Requests; i++ {
-				if err := e17Post(client, url, req); err != nil {
+				if err := postQuery(client, url, req); err != nil {
 					return 0, err
 				}
 			}
@@ -122,7 +122,7 @@ func obsCost(seed uint64) *experiments.Table {
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("check: fully instrumented warm q/s within %.0f%% of bare — overhead %.1f%%: %s",
 			e19Tolerance*100, overhead*100, verdict),
-		"warm loopback workload of E17/E18: one repeated fault set, every timed request a context-cache hit",
+		"warm loopback workload of E18: one repeated fault set, every timed request a context-cache hit",
 		"access log writes JSON to io.Discard, isolating encoding cost from sink latency")
 	return t
 }

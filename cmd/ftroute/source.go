@@ -165,7 +165,7 @@ func pprofMux() *http.ServeMux {
 }
 
 // Connection hygiene for a public listener: a client that trickles or
-// never finishes its request headers, or parks an idle keep-alive
+// never finishes its request headers or body, or parks an idle keep-alive
 // connection, must not pin a goroutine and file descriptor forever.
 // Response writing is left unbounded — large route batches stream full
 // traces and are cut off by the client, not the server.
@@ -173,6 +173,21 @@ const (
 	daemonReadHeaderTimeout = 10 * time.Second
 	daemonIdleTimeout       = 2 * time.Minute
 )
+
+// daemonReadTimeout bounds reading one whole request, headers and body;
+// a variable so tests can shorten it.
+var daemonReadTimeout = 30 * time.Second
+
+// newDaemonServer wraps handler in an http.Server with the daemon's
+// connection timeouts; every listener runDaemon binds is served by one.
+func newDaemonServer(handler http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           handler,
+		ReadHeaderTimeout: daemonReadHeaderTimeout,
+		ReadTimeout:       daemonReadTimeout,
+		IdleTimeout:       daemonIdleTimeout,
+	}
+}
 
 // runDaemon binds addr, announces the live address (port 0 resolves, so
 // smoke scripts can scrape "listening on"), serves handler until
@@ -194,16 +209,12 @@ func runDaemon(addr, debugAddr string, handler http.Handler) error {
 			return err
 		}
 		fmt.Printf("debug listening on %s\n", dln.Addr())
-		ds := &http.Server{Handler: pprofMux(), ReadHeaderTimeout: daemonReadHeaderTimeout}
+		ds := newDaemonServer(pprofMux())
 		defer ds.Close()
 		go ds.Serve(dln)
 	}
 
-	hs := &http.Server{
-		Handler:           handler,
-		ReadHeaderTimeout: daemonReadHeaderTimeout,
-		IdleTimeout:       daemonIdleTimeout,
-	}
+	hs := newDaemonServer(handler)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	done := make(chan error, 1)

@@ -104,6 +104,35 @@ func TestCutFaultContextDecodeZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestCutFaultContextFreshZeroAlloc decodes once on each of a stream of
+// freshly prepared cut contexts of interleaved |F| and b — the shape of
+// a shard load, which prepares new contexts for every request. The
+// package pool hands each new context the scratch earlier contexts grew,
+// so not even a first Decode allocates.
+func TestCutFaultContextFreshZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation gate: race instrumentation allocates")
+	}
+	cases := cutPoolContexts(t)
+	const runs = 64
+	// AllocsPerRun makes one unmeasured call first; cases[0] is the
+	// widest system, so that call grows the scratch to its high-water
+	// mark.
+	fresh := make([]*CutFaultContext, runs+1)
+	for i := range fresh {
+		fresh[i] = PrepareCutFaults(cases[i%len(cases)].labels)
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		s := cases[i%len(cases)].s
+		fresh[i].Decode(s.VertexLabel(1), s.VertexLabel(17))
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("first Decode on a fresh CutFaultContext allocates %.1f/op, want 0", allocs)
+	}
+}
+
 // BenchmarkSketchWarmDecode is the bench-compare form of the gate above:
 // allocs/op must read 0 and ns/op guards the prepared decode itself.
 func BenchmarkSketchWarmDecode(b *testing.B) {

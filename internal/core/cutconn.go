@@ -191,28 +191,24 @@ type CutFaultContext struct {
 	// base[i] is the extended column phi'(e_i) with the two prefix bits
 	// cleared; Decode clones before stamping the per-pair prefix.
 	base []bitvec.Vec
-	// scratch pools cutScratch values (column clones, targets, the GF(2)
-	// solver) so warm Decode calls perform zero heap allocations.
-	scratch sync.Pool
 }
 
-// cutScratch is the per-goroutine scratch of CutFaultContext.Decode. The
-// system dimensions are fixed per context (rows = b+2, cols = |F|), so
-// after the first Decode every buffer is at its high-water mark.
+// cutScratch is the per-goroutine scratch of CutFaultContext.Decode:
+// column clones, targets and the GF(2) solver. Every buffer is resized to
+// the decoding context's system (rows = b+2, cols = |F|) on use, so once
+// a scratch has served the widest context it sees, warm Decode calls
+// perform zero heap allocations.
 type cutScratch struct {
 	cols   []bitvec.Vec
 	w1, w2 bitvec.Vec
 	solver bitvec.Solver
 }
 
-// getScratch returns a pooled scratch (or a fresh one when the pool is
-// empty); return it with ctx.scratch.Put.
-func (ctx *CutFaultContext) getScratch() *cutScratch {
-	if sc, _ := ctx.scratch.Get().(*cutScratch); sc != nil {
-		return sc
-	}
-	return new(cutScratch)
-}
+// cutPool is the package-wide cutScratch pool. As with decodePool,
+// pooling per package rather than per context keeps the scratch count at
+// the number of decoding goroutines, and a freshly loaded shard's
+// contexts decode on warm scratch instead of starting from an empty pool.
+var cutPool = sync.Pool{New: func() any { return new(cutScratch) }}
 
 // PrepareCutFaults runs the per-fault-set part of DecodeCut once.
 func PrepareCutFaults(faults []CutEdgeLabel) *CutFaultContext {
@@ -249,8 +245,8 @@ func (ctx *CutFaultContext) Decode(sL, tL CutVertexLabel) bool {
 	if len(ctx.faults) == 0 {
 		return true
 	}
-	sc := ctx.getScratch()
-	defer ctx.scratch.Put(sc)
+	sc := cutPool.Get().(*cutScratch)
+	defer cutPool.Put(sc)
 	if cap(sc.cols) < len(ctx.faults) {
 		grown := make([]bitvec.Vec, len(ctx.faults))
 		copy(grown, sc.cols[:cap(sc.cols)])

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ftrouting/internal/graph"
+	"ftrouting/internal/xrand"
 )
 
 // TestSketchFaultContextMatchesDecode proves the prepared two-phase path
@@ -141,6 +142,78 @@ func TestCutFaultContextMatchesDecode(t *testing.T) {
 				if got != want {
 					t.Fatalf("|F|=%d pair (%d,%d): prepared %v, direct %v", nf, sv, tv, got, want)
 				}
+			}
+		}
+	}
+}
+
+// cutPoolCase is one prepared cut context with its scheme and raw fault
+// labels, kept for the naive reference decoder.
+type cutPoolCase struct {
+	s      *CutScheme
+	labels []CutEdgeLabel
+	ctx    *CutFaultContext
+}
+
+// cutPoolContexts prepares cut contexts whose GF(2) systems differ in
+// both dimensions: label widths b from 8 to 130 bits (one to three
+// words), fault sets from empty to 7 edges, and one context mixing
+// labels of two widths. The first case is the widest system.
+func cutPoolContexts(t testing.TB) []cutPoolCase {
+	t.Helper()
+	var cases []cutPoolCase
+	var wide, narrow []CutEdgeLabel
+	for i, bits := range []int{130, 8, 65, 40, 64} {
+		g := graph.RandomConnected(20+4*i, 2+i, uint64(70+i))
+		tree := graph.BFSTree(g, 0, nil)
+		s, err := BuildCut(g, tree, CutOptions{MaxFaults: 7, Bits: bits, Seed: uint64(80 + i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Bits() != bits {
+			t.Fatalf("scheme width %d, want %d", s.Bits(), bits)
+		}
+		for _, nf := range []int{7 - i, i, 0} {
+			ids := graph.RandomFaults(g, nf, uint64(90+10*i+nf))
+			labels := make([]CutEdgeLabel, len(ids))
+			for j, id := range ids {
+				labels[j] = s.EdgeLabel(id)
+			}
+			cases = append(cases, cutPoolCase{s: s, labels: labels, ctx: PrepareCutFaults(labels)})
+			switch bits {
+			case 130:
+				wide = append(wide, labels...)
+			case 8:
+				narrow = append(narrow, labels...)
+			}
+		}
+	}
+	// Mixed widths pad to the widest label; the ancestry parts of both
+	// schemes' labels are decoded against the first scheme's vertices.
+	mixed := append(append([]CutEdgeLabel(nil), narrow[:2]...), wide[:2]...)
+	cases = append(cases, cutPoolCase{s: cases[0].s, labels: mixed, ctx: PrepareCutFaults(mixed)})
+	return cases
+}
+
+// TestCutPoolInterleavedContexts decodes on one goroutine through
+// interleaved cut contexts of different |F| and b, so every Decode
+// reuses scratch the previous context sized for another system. Every
+// answer must equal the naive subset-enumeration decoder.
+func TestCutPoolInterleavedContexts(t *testing.T) {
+	cases := cutPoolContexts(t)
+	rng := xrand.NewSplitMix64(11)
+	for pass := 0; pass < 36; pass++ {
+		// A fresh visiting order per pass, so each context follows a
+		// different neighbour.
+		for _, k := range rng.Perm(len(cases)) {
+			c := cases[k]
+			n := c.s.g.N()
+			sv, tv := int32(rng.Intn(n)), int32(rng.Intn(n))
+			sl, tl := c.s.VertexLabel(sv), c.s.VertexLabel(tv)
+			want := DecodeCutNaive(sl, tl, c.labels)
+			if got := c.ctx.Decode(sl, tl); got != want {
+				t.Fatalf("pass %d: |F|=%d b=%d pair (%d,%d): Decode %v, naive %v",
+					pass, len(c.labels), c.s.Bits(), sv, tv, got, want)
 			}
 		}
 	}

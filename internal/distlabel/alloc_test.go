@@ -22,10 +22,7 @@ func distAllocFixture(t testing.TB) (*Scheme, *FaultContext) {
 	for i, id := range ids {
 		labels[i] = s.EdgeLabel(id)
 	}
-	ctx, err := s.PrepareFaults(labels)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ctx := s.PrepareFaults(labels)
 	return s, ctx
 }
 

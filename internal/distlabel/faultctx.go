@@ -28,7 +28,7 @@ type FaultContext struct {
 // PrepareFaults runs the per-fault-set part of Decode once: count the
 // distinct faults and restrict them to every instance that contains one.
 // Each instance's connectivity context is prepared on first use.
-func (s *Scheme) PrepareFaults(faults []EdgeLabel) (*FaultContext, error) {
+func (s *Scheme) PrepareFaults(faults []EdgeLabel) *FaultContext {
 	return s.PrepareFaultsWithCount(faults, countDistinct(faults))
 }
 
@@ -38,7 +38,7 @@ func (s *Scheme) PrepareFaults(faults []EdgeLabel) (*FaultContext, error) {
 // assembly, which would undercount |F| in the estimate formula
 // (4k-1)(|F|+1)·2^i; the shard planner passes the global count here so
 // per-shard decodes stay bit-identical to a whole-scheme decode.
-func (s *Scheme) PrepareFaultsWithCount(faults []EdgeLabel, distinct int) (*FaultContext, error) {
+func (s *Scheme) PrepareFaultsWithCount(faults []EdgeLabel, distinct int) *FaultContext {
 	ctx := &FaultContext{s: s, nf: distinct, conn: core.NewInstanceFaults()}
 	// Restrict in the same (faults outer, entries inner) order Decode
 	// filters them, so prepared decodes see the fault labels in the
@@ -56,7 +56,7 @@ func (s *Scheme) PrepareFaultsWithCount(faults []EdgeLabel, distinct int) (*Faul
 			ctx.conn.Add(core.InstanceKey{Scale: e.Scale, Cluster: e.Cluster}, inst.Conn, e.L)
 		}
 	}
-	return ctx, nil
+	return ctx
 }
 
 // instance returns instance (scale, cluster), or nil when the coordinates

@@ -21,10 +21,7 @@ func TestFaultContextMatchesDecode(t *testing.T) {
 		for i, id := range ids {
 			fl[i] = s.EdgeLabel(id)
 		}
-		ctx, err := s.PrepareFaults(fl)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ctx := s.PrepareFaults(fl)
 		for sv := int32(0); sv < 15; sv++ {
 			for _, tv := range []int32{sv, 20, 29} {
 				want, err := s.Decode(s.VertexLabel(sv), s.VertexLabel(tv), fl)
@@ -56,10 +53,7 @@ func TestFaultContextForeignEntries(t *testing.T) {
 	// address no instance: the home-instance walk can never select it.
 	foreign := EdgeLabel{Entries: []EEntry{{Scale: 99, Cluster: 7, L: s.EdgeLabel(1).Entries[0].L}}}
 	fl := []EdgeLabel{s.EdgeLabel(0), foreign}
-	ctx, err := s.PrepareFaults(fl)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ctx := s.PrepareFaults(fl)
 	want, err := s.Decode(s.VertexLabel(0), s.VertexLabel(15), fl)
 	if err != nil {
 		t.Fatal(err)

@@ -71,10 +71,7 @@ func TestFaultContextPreparesOnlyReachedInstances(t *testing.T) {
 		fl := edgeLabels(s, graph.RandomFaults(g, 2, seed))
 		faulty := faultInstances(fl)
 		for _, p := range [][2]int32{{0, 1}, {3, 90}, {17, 60}, {5, 119}} {
-			ctx, err := s.PrepareFaults(fl)
-			if err != nil {
-				t.Fatal(err)
-			}
+			ctx := s.PrepareFaults(fl)
 			for k := range faulty {
 				if ctx.conn.IsPrepared(k) {
 					t.Fatalf("seed %d: PrepareFaults prepared instance %+v", seed, k)
@@ -118,10 +115,7 @@ func TestFaultContextConcurrentFirstUse(t *testing.T) {
 		}
 		want[i] = v
 	}
-	ctx, err := s.PrepareFaults(fl)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ctx := s.PrepareFaults(fl)
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for w := 0; w < 8; w++ {
@@ -174,10 +168,7 @@ func TestFaultContextCorruptedTreeFault(t *testing.T) {
 	if corrupted == 0 {
 		t.Fatal("fixture fault is a tree edge of no instance")
 	}
-	ctx, err := s.PrepareFaults(fl)
-	if err != nil {
-		t.Fatalf("PrepareFaults: %v", err)
-	}
+	ctx := s.PrepareFaults(fl)
 	failed, answered := 0, 0
 	for sv := int32(0); sv < int32(g.N()); sv += 3 {
 		for _, tv := range []int32{(sv + 1) % 120, (sv + 61) % 120} {
@@ -213,14 +204,8 @@ func TestFaultContextAlternatingZeroAlloc(t *testing.T) {
 		t.Skip("allocation gate: race instrumentation allocates")
 	}
 	s, g := lazyFixture(t)
-	one, err := s.PrepareFaults(edgeLabels(s, graph.RandomFaults(g, 1, 21)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	two, err := s.PrepareFaults(edgeLabels(s, graph.RandomFaults(g, 2, 22)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	one := s.PrepareFaults(edgeLabels(s, graph.RandomFaults(g, 1, 21)))
+	two := s.PrepareFaults(edgeLabels(s, graph.RandomFaults(g, 2, 22)))
 	n := int32(g.N())
 	run := func() {
 		for i := int32(0); i < 16; i++ {

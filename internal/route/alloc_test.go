@@ -19,10 +19,7 @@ func routeAllocFixture(t testing.TB) (*Router, *ForbiddenContext, graph.EdgeSet)
 		t.Fatal(err)
 	}
 	ids := graph.RandomFaults(g, 2, 11)
-	ctx, err := r.PrepareForbidden(ids)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ctx := r.PrepareForbidden(ids)
 	return r, ctx, graph.NewEdgeSet(ids...)
 }
 

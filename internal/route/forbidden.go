@@ -28,7 +28,7 @@ type ForbiddenContext struct {
 // PrepareForbidden runs the per-fault-set part of RouteForbidden once:
 // restrict F to every instance that contains one of its edges. Each
 // instance's connectivity decoder is prepared on first use.
-func (r *Router) PrepareForbidden(faultIDs []graph.EdgeID) (*ForbiddenContext, error) {
+func (r *Router) PrepareForbidden(faultIDs []graph.EdgeID) *ForbiddenContext {
 	ctx := &ForbiddenContext{
 		r:        r,
 		faultIDs: faultIDs,
@@ -49,7 +49,7 @@ func (r *Router) PrepareForbidden(faultIDs []graph.EdgeID) (*ForbiddenContext, e
 			}
 		}
 	}
-	return ctx, nil
+	return ctx
 }
 
 // Route routes one pair under the prepared forbidden set; results are

@@ -26,10 +26,7 @@ func TestForbiddenContextMatchesRouteForbidden(t *testing.T) {
 			}
 			for nf := 0; nf <= 2; nf++ {
 				ids := graph.RandomFaults(tc.g, nf, uint64(nf+6))
-				ctx, err := r.PrepareForbidden(ids)
-				if err != nil {
-					t.Fatal(err)
-				}
+				ctx := r.PrepareForbidden(ids)
 				n := int32(tc.g.N())
 				for i := int32(0); i < 10; i++ {
 					s, d := (i*3)%n, (i*7+n/2)%n

@@ -62,10 +62,7 @@ func TestForbiddenContextPreparesOnlyReachedInstances(t *testing.T) {
 		ids := graph.RandomFaults(g, 2, seed)
 		faulty := faultInstances(r, ids)
 		for _, p := range [][2]int32{{0, 1}, {3, 70}, {17, 45}, {5, 89}} {
-			ctx, err := r.PrepareForbidden(ids)
-			if err != nil {
-				t.Fatal(err)
-			}
+			ctx := r.PrepareForbidden(ids)
 			for k := range faulty {
 				if ctx.conn.IsPrepared(k) {
 					t.Fatalf("seed %d: PrepareForbidden prepared instance %+v", seed, k)
@@ -108,10 +105,7 @@ func TestForbiddenContextConcurrentFirstUse(t *testing.T) {
 		}
 		want[i] = res
 	}
-	ctx, err := r.PrepareForbidden(ids)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ctx := r.PrepareForbidden(ids)
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for w := 0; w < 8; w++ {
@@ -192,14 +186,8 @@ func TestForbiddenContextAlternatingZeroAlloc(t *testing.T) {
 		t.Skip("allocation gate: race instrumentation allocates")
 	}
 	r, g := lazyRouterFixture(t)
-	one, err := r.PrepareForbidden(graph.RandomFaults(g, 1, 21))
-	if err != nil {
-		t.Fatal(err)
-	}
-	two, err := r.PrepareForbidden(graph.RandomFaults(g, 2, 22))
-	if err != nil {
-		t.Fatal(err)
-	}
+	one := r.PrepareForbidden(graph.RandomFaults(g, 1, 21))
+	two := r.PrepareForbidden(graph.RandomFaults(g, 2, 22))
 	var res Result
 	n := int32(g.N())
 	run := func() {

@@ -260,6 +260,121 @@ func TestShardedErrorEquivalence(t *testing.T) {
 	}
 }
 
+// TestPlanExecutorsRejectBadContexts hands each of the four plan
+// executors a context map with a planned shard missing, or with a
+// context of the wrong kind (or nil) in a planned shard's slot: every
+// case must be an error, never a panic, at any parallelism.
+func TestPlanExecutorsRejectBadContexts(t *testing.T) {
+	g := shardDisconn()
+	conn, err := BuildConnectivityLabels(g, ConnOptions{Scheme: CutBased, MaxFaults: 2, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dist, err := BuildDistanceLabels(g, 2, 2, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	router, err := NewRouter(g, 2, 2, RouterOptions{Seed: 7, Balanced: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults := []EdgeID{1}
+	connCtx, err := conn.PrepareFaults(faults)
+	if err != nil {
+		t.Fatal(err)
+	}
+	distCtx, err := dist.PrepareFaults(faults)
+	if err != nil {
+		t.Fatal(err)
+	}
+	routeCtx, err := router.PrepareFaults(faults)
+	if err != nil {
+		t.Fatal(err)
+	}
+	connM, err := SaveShardedConn(t.TempDir(), conn, ShardOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	distM, err := SaveShardedDist(t.TempDir(), dist, ShardOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	routeM, err := SaveShardedRouter(t.TempDir(), router, ShardOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// In-shard pairs on three components, a cross-component pair and an
+	// equal-endpoint pair.
+	batch := QueryBatch{Pairs: []Pair{{0, 5}, {6, 13}, {14, 20}, {0, 20}, {3, 3}}, Faults: faults}
+
+	type executor struct {
+		name  string
+		m     *Manifest
+		wrong any // a prepared context of another kind
+		run   func(p *BatchPlan, ctxs map[int]any, opts BatchOptions) error
+	}
+	executors := []executor{
+		{"ConnectedBatch", connM, routeCtx, func(p *BatchPlan, ctxs map[int]any, opts BatchOptions) error {
+			_, err := p.ConnectedBatch(ctxs, opts)
+			return err
+		}},
+		{"EstimateBatch", distM, connCtx, func(p *BatchPlan, ctxs map[int]any, opts BatchOptions) error {
+			_, err := p.EstimateBatch(ctxs, opts)
+			return err
+		}},
+		{"RouteBatch", routeM, distCtx, func(p *BatchPlan, ctxs map[int]any, opts BatchOptions) error {
+			_, err := p.RouteBatch(ctxs, opts)
+			return err
+		}},
+		{"RouteForbiddenBatch", routeM, connCtx, func(p *BatchPlan, ctxs map[int]any, opts BatchOptions) error {
+			_, err := p.RouteForbiddenBatch(ctxs, opts)
+			return err
+		}},
+	}
+	for _, ex := range executors {
+		plan, err := ex.m.PlanBatch(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids := plan.ShardIDs()
+		if len(ids) < 3 {
+			t.Fatalf("%s: plan touches %d shards, want 3", ex.name, len(ids))
+		}
+		good := loadPlanContexts(t, ex.m, plan)
+		if err := ex.run(plan, good, BatchOptions{Parallelism: 1}); err != nil {
+			t.Fatalf("%s: well-formed contexts failed: %v", ex.name, err)
+		}
+		// Each case swaps one planned shard's slot; the last shard checks
+		// that a bad context late in the pair order is still caught.
+		for _, id := range []int{ids[0], ids[len(ids)-1]} {
+			cases := map[string]func(map[int]any){
+				"missing": func(c map[int]any) { delete(c, id) },
+				"nil":     func(c map[int]any) { c[id] = nil },
+				"wrong":   func(c map[int]any) { c[id] = ex.wrong },
+			}
+			for cname, mutate := range cases {
+				for _, par := range []int{1, 4} {
+					ctxs := make(map[int]any, len(good))
+					for k, v := range good {
+						ctxs[k] = v
+					}
+					mutate(ctxs)
+					func() {
+						defer func() {
+							if r := recover(); r != nil {
+								t.Fatalf("%s shard %d %s par %d: panic: %v", ex.name, id, cname, par, r)
+							}
+						}()
+						if err := ex.run(plan, ctxs, BatchOptions{Parallelism: par}); err == nil {
+							t.Fatalf("%s shard %d %s par %d: no error", ex.name, id, cname, par)
+						}
+					}()
+				}
+			}
+		}
+	}
+}
+
 // TestShardedDistHeavyEdgeFaultCount pins the planner's fault counting
 // against the decoder's: an edge heavier than the top-scale radius
 // appears in no cluster instance, so the decoder counts every occurrence
