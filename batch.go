@@ -574,7 +574,7 @@ func (m *Manifest) PlanBatch(b QueryBatch) (*BatchPlan, error) {
 	if len(b.Pairs) == 0 {
 		return p, nil
 	}
-	if err := checkFaults(b.Faults, m.g.M(), m.checkBound()); err != nil {
+	if err := checkFaults(b.Faults, m.g.M(), m.FaultBound()); err != nil {
 		return nil, err
 	}
 	n := m.g.N()

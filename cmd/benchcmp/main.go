@@ -1,6 +1,6 @@
 // Command benchcmp is the benchmark-regression gate of the bench-compare
 // CI job: it parses two `go test -bench` outputs (base and head, several
-// -count repetitions each), compares every benchmark whose name matches
+// repetitions each), compares every benchmark whose name matches
 // -filter with a two-sided Mann-Whitney U test, and exits non-zero only
 // when a benchmark regressed both statistically significantly (p < alpha)
 // and by more than -threshold percent in median ns/op — or when its
@@ -11,8 +11,9 @@
 //
 // Usage:
 //
-//	go test -run=NONE -bench=. -benchtime=1x -count=5 ./... > head.txt
-//	git stash / checkout base, same command > base.txt
+//	go test -run=NONE -bench=Query -benchtime=100ms ./... >> head.txt
+//	(in a checkout of base) same command >> base.txt
+//	repeat both, alternating, for five rounds; then
 //	benchcmp -base base.txt -head head.txt -filter Query -threshold 25
 //
 // It is a self-contained benchstat-style comparator so the gate works

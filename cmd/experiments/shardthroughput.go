@@ -14,6 +14,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -37,9 +38,10 @@ const (
 	e18FaultCount = 8
 )
 
-// postQuery posts one batch and fails on any non-200. It discards the
-// response body unread, so the timed loops of E18 and E19 measure the
-// server, not a client-side decode.
+// postQuery posts one batch and fails on any non-200. It drains the
+// response body without decoding it, so the timed loops of E18 and E19
+// measure the server, not a client-side decode, and every request reuses
+// one keep-alive connection.
 func postQuery(client *http.Client, url string, req api.QueryRequest) error {
 	raw, err := json.Marshal(req)
 	if err != nil {
@@ -51,11 +53,11 @@ func postQuery(client *http.Client, url string, req api.QueryRequest) error {
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		var body bytes.Buffer
-		body.ReadFrom(resp.Body)
-		return fmt.Errorf("POST %s: status %d: %s", url, resp.StatusCode, body.String())
+		body, _ := io.ReadAll(resp.Body)
+		return fmt.Errorf("POST %s: status %d: %s", url, resp.StatusCode, body)
 	}
-	return nil
+	_, err = io.Copy(io.Discard, resp.Body)
+	return err
 }
 
 func shardThroughput(seed uint64) *experiments.Table {

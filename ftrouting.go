@@ -302,7 +302,7 @@ func (c *ConnLabels) compBits() int {
 // VertexLabel returns the label of vertex v.
 func (c *ConnLabels) VertexLabel(v int32) VertexLabel {
 	ci := c.comp[v]
-	lv := c.subs[ci].ToLocal[v]
+	lv, _ := c.subs[ci].LocalVertex(v)
 	l := VertexLabel{comp: ci}
 	n := c.subs[ci].Local.N()
 	switch c.opts.Scheme {
@@ -320,7 +320,7 @@ func (c *ConnLabels) VertexLabel(v int32) VertexLabel {
 func (c *ConnLabels) EdgeLabel(id EdgeID) EdgeLabel {
 	e := c.g.Edge(id)
 	ci := c.comp[e.U]
-	le := c.subs[ci].EdgeToLocal[id]
+	le, _ := c.subs[ci].LocalEdge(id)
 	l := EdgeLabel{comp: ci}
 	n := c.subs[ci].Local.N()
 	switch c.opts.Scheme {

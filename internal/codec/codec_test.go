@@ -316,15 +316,49 @@ func TestSubgraphRoundTrip(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if !reflect.DeepEqual(back.ToGlobal, sub.ToGlobal) || !reflect.DeepEqual(back.EdgeToGlobal, sub.EdgeToGlobal) ||
-			!reflect.DeepEqual(back.ToLocal, sub.ToLocal) || !reflect.DeepEqual(back.EdgeToLocal, sub.EdgeToLocal) {
-			t.Fatal("subgraph maps differ after round trip")
+		if !reflect.DeepEqual(back.ToGlobal, sub.ToGlobal) || !reflect.DeepEqual(back.EdgeToGlobal, sub.EdgeToGlobal) {
+			t.Fatal("subgraph columns differ after round trip")
 		}
+		// Equal columns, each inverted exactly by its lookups: the
+		// lookups of both sides agree on every id.
+		checkSubgraphInverse(t, g, sub)
+		checkSubgraphInverse(t, g, back)
 		if !reflect.DeepEqual(back.Local.Edges(), sub.Local.Edges()) {
 			t.Fatal("local graphs differ after round trip (weights and ports must match)")
 		}
 		return nil
 	})
+}
+
+// checkSubgraphInverse requires LocalVertex and LocalEdge to invert the
+// ToGlobal and EdgeToGlobal columns and to report every other id of g as
+// absent.
+func checkSubgraphInverse(t *testing.T, g *graph.Graph, s *graph.Subgraph) {
+	t.Helper()
+	for lv, gv := range s.ToGlobal {
+		if got, ok := s.LocalVertex(gv); !ok || got != int32(lv) {
+			t.Fatalf("LocalVertex(%d) = %d,%v, want %d", gv, got, ok, lv)
+		}
+	}
+	for le, ge := range s.EdgeToGlobal {
+		if got, ok := s.LocalEdge(ge); !ok || got != graph.EdgeID(le) {
+			t.Fatalf("LocalEdge(%d) = %d,%v, want %d", ge, got, ok, le)
+		}
+	}
+	vs, es := 0, 0
+	for v := int32(-1); v <= int32(g.N()); v++ {
+		if s.Contains(v) {
+			vs++
+		}
+	}
+	for id := graph.EdgeID(-1); id <= graph.EdgeID(g.M()); id++ {
+		if _, ok := s.LocalEdge(id); ok {
+			es++
+		}
+	}
+	if vs != len(s.ToGlobal) || es != len(s.EdgeToGlobal) {
+		t.Fatalf("lookups find %d vertices and %d edges, subgraph has %d and %d", vs, es, len(s.ToGlobal), len(s.EdgeToGlobal))
+	}
 }
 
 func TestSubgraphDecodeRejectsNonsense(t *testing.T) {

@@ -116,7 +116,7 @@ func DecodeCluster(r *Reader, g *graph.Graph) (*treecover.Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	localCenter, ok := sub.ToLocal[center]
+	localCenter, ok := sub.LocalVertex(center)
 	if !ok {
 		return nil, fmt.Errorf("%w: cluster center %d outside its subgraph", ErrCorrupt, center)
 	}

@@ -72,11 +72,7 @@ func FuzzDecodeSubgraph(f *testing.F) {
 		if err := s.Local.Validate(); err != nil {
 			t.Fatalf("decoded subgraph violates invariants: %v", err)
 		}
-		for lv, gv := range s.ToGlobal {
-			if s.ToLocal[gv] != int32(lv) {
-				t.Fatal("decoded subgraph maps are not inverse")
-			}
-		}
+		checkSubgraphInverse(t, g, s)
 	})
 }
 

@@ -128,7 +128,7 @@ func DecodeTree(r *Reader, g *graph.Graph) (*graph.Tree, error) {
 //	nv Count, nv x i32 (global vertices, strictly ascending)
 //	ne Count, ne x i32 (global edges, strictly ascending)
 //
-// The local graph, local ports and both direction maps are re-derived;
+// The local graph and local ports are re-derived;
 // weights come from the parent graph.
 
 // EncodeSubgraph writes s as a section of w.

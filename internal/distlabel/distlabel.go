@@ -181,7 +181,7 @@ func (s *Scheme) VertexLabel(u int32) VertexLabel {
 			if cl == nil {
 				continue // foreign shard's instance; cannot contain u
 			}
-			if lu, ok := cl.Sub.ToLocal[u]; ok {
+			if lu, ok := cl.Sub.LocalVertex(u); ok {
 				l.Entries = append(l.Entries, VEntry{Scale: i, Cluster: int32(j), L: s.inst[i][j].Conn.VertexLabel(lu)})
 			}
 		}
@@ -217,7 +217,7 @@ func (s *Scheme) EdgeLabel(e graph.EdgeID) EdgeLabel {
 	var l EdgeLabel
 	for _, ve := range s.CachedVertexLabel(s.g.Edge(e).U).Entries {
 		inst := s.inst[ve.Scale][ve.Cluster]
-		if le, ok := inst.Cluster.Sub.EdgeToLocal[e]; ok {
+		if le, ok := inst.Cluster.Sub.LocalEdge(e); ok {
 			l.Entries = append(l.Entries, EEntry{Scale: ve.Scale, Cluster: ve.Cluster, L: inst.Conn.EdgeLabel(le)})
 		}
 	}

@@ -18,7 +18,7 @@ func edgeLabelFullScan(s *Scheme, e graph.EdgeID) EdgeLabel {
 			if cl == nil {
 				continue // foreign shard's instance; cannot contain e
 			}
-			if le, ok := cl.Sub.EdgeToLocal[e]; ok {
+			if le, ok := cl.Sub.LocalEdge(e); ok {
 				l.Entries = append(l.Entries, EEntry{Scale: i, Cluster: int32(j), L: s.inst[i][j].Conn.EdgeLabel(le)})
 			}
 		}

@@ -78,14 +78,8 @@ func NewTreeFromParts(g *Graph, root int32, parent []int32, parentEdge []EdgeID,
 // takes ownership of both lists, and its local graph is built in bulk
 // (FromEdges).
 func SubgraphFromParts(g *Graph, toGlobal []int32, edgeToGlobal []EdgeID) (*Subgraph, error) {
-	sub := &Subgraph{
-		ToGlobal:     toGlobal,
-		ToLocal:      make(map[int32]int32, len(toGlobal)),
-		EdgeToGlobal: edgeToGlobal,
-		EdgeToLocal:  make(map[EdgeID]int32, len(edgeToGlobal)),
-	}
 	prev := int32(-1)
-	for i, v := range toGlobal {
+	for _, v := range toGlobal {
 		if v < 0 || int(v) >= g.N() {
 			return nil, fmt.Errorf("graph: subgraph vertex %d out of range", v)
 		}
@@ -93,7 +87,6 @@ func SubgraphFromParts(g *Graph, toGlobal []int32, edgeToGlobal []EdgeID) (*Subg
 			return nil, fmt.Errorf("graph: subgraph vertices not strictly ascending at %d", v)
 		}
 		prev = v
-		sub.ToLocal[v] = int32(i)
 	}
 	edges := make([]Edge, len(edgeToGlobal))
 	prevE := EdgeID(-1)
@@ -106,18 +99,16 @@ func SubgraphFromParts(g *Graph, toGlobal []int32, edgeToGlobal []EdgeID) (*Subg
 		}
 		prevE = id
 		e := g.Edge(id)
-		lu, okU := sub.ToLocal[e.U]
-		lv, okV := sub.ToLocal[e.V]
+		lu, okU := search(toGlobal, e.U)
+		lv, okV := search(toGlobal, e.V)
 		if !okU || !okV {
 			return nil, fmt.Errorf("graph: subgraph edge %d has an endpoint outside the vertex set", id)
 		}
 		edges[i] = Edge{U: lu, V: lv, W: e.W}
-		sub.EdgeToLocal[id] = int32(i)
 	}
 	local, err := FromEdges(len(toGlobal), edges)
 	if err != nil {
 		return nil, err
 	}
-	sub.Local = local
-	return sub, nil
+	return &Subgraph{Local: local, ToGlobal: toGlobal, EdgeToGlobal: edgeToGlobal}, nil
 }

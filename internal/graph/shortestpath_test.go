@@ -242,6 +242,9 @@ func TestInducedErrors(t *testing.T) {
 	if _, err := Induced(g, []int32{0, 9}, Inf); err == nil {
 		t.Fatal("out of range accepted")
 	}
+	if _, err := Induced(g, []int32{2, 0, 1}, Inf); err == nil {
+		t.Fatal("unsorted vertices accepted")
+	}
 }
 
 func TestSortedCopy(t *testing.T) {

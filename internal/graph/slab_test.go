@@ -2,7 +2,7 @@ package graph
 
 import (
 	"errors"
-	"maps"
+	"math"
 	"reflect"
 	"slices"
 	"testing"
@@ -105,6 +105,23 @@ func sortedSubset(g *Graph, rng *xrand.SplitMix64) []int32 {
 	return vs
 }
 
+// inducedPerEdge is the reference induced subgraph: every edge of g, in
+// id order, with both endpoints in the ascending vertex list and weight at
+// most maxW, added to the local graph one AddEdge at a time.
+func inducedPerEdge(g *Graph, verts []int32, maxW int64) (*Graph, []EdgeID) {
+	local := New(len(verts))
+	var ids []EdgeID
+	for id, e := range g.Edges() {
+		lu, okU := slices.BinarySearch(verts, e.U)
+		lv, okV := slices.BinarySearch(verts, e.V)
+		if okU && okV && e.W <= maxW {
+			local.MustAddEdge(int32(lu), int32(lv), e.W)
+			ids = append(ids, EdgeID(id))
+		}
+	}
+	return local, ids
+}
+
 func TestSubgraphFromPartsMatchesInduced(t *testing.T) {
 	rng := xrand.NewSplitMix64(11)
 	for name, g := range slabMatrix() {
@@ -124,19 +141,92 @@ func TestSubgraphFromPartsMatchesInduced(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
+			refLocal, refEdges := inducedPerEdge(g, c.verts, c.maxW)
+			sameGraph(t, name+"/reference", want.Local, refLocal)
+			if !slices.Equal(want.EdgeToGlobal, refEdges) {
+				t.Fatalf("%s: Induced kept edges %v, reference %v", name, want.EdgeToGlobal, refEdges)
+			}
 			got, err := SubgraphFromParts(g, append([]int32(nil), want.ToGlobal...), append([]EdgeID(nil), want.EdgeToGlobal...))
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 			sameGraph(t, name, got.Local, want.Local)
-			if !slices.Equal(got.ToGlobal, want.ToGlobal) || !maps.Equal(got.ToLocal, want.ToLocal) {
-				t.Fatalf("%s: vertex maps differ", name)
+			if !slices.Equal(got.ToGlobal, want.ToGlobal) {
+				t.Fatalf("%s: vertex columns differ", name)
 			}
-			if !slices.Equal(got.EdgeToGlobal, want.EdgeToGlobal) || !maps.Equal(got.EdgeToLocal, want.EdgeToLocal) {
-				t.Fatalf("%s: edge maps differ", name)
+			if !slices.Equal(got.EdgeToGlobal, want.EdgeToGlobal) {
+				t.Fatalf("%s: edge columns differ", name)
 			}
+			// Equal columns plus lookups that agree with a scan of the
+			// columns on both sides: the lookups of the two agree too.
+			checkLookups(t, name+"/induced", g, want)
+			checkLookups(t, name+"/parts", g, got)
 		}
 	}
+}
+
+// checkLookups compares LocalVertex, Contains, LocalEdge and the
+// constructors' search with a linear scan of the ToGlobal/EdgeToGlobal
+// columns for every id from -2 to two past the parent's range: present
+// ids, negatives, ids below the minimum, in a gap and above the maximum.
+func checkLookups(t *testing.T, name string, g *Graph, s *Subgraph) {
+	t.Helper()
+	for v := int32(-2); v < int32(g.N())+2; v++ {
+		want := slices.Index(s.ToGlobal, v)
+		got, ok := s.LocalVertex(v)
+		if ok != (want >= 0) || (ok && got != int32(want)) || s.Contains(v) != ok {
+			t.Fatalf("%s: LocalVertex(%d) = %d,%v, scan finds %d", name, v, got, ok, want)
+		}
+		if got, ok := search(s.ToGlobal, v); ok != (want >= 0) || (ok && got != int32(want)) {
+			t.Fatalf("%s: search for vertex %d = %d,%v, scan finds %d", name, v, got, ok, want)
+		}
+	}
+	for id := EdgeID(-2); id < EdgeID(g.M())+2; id++ {
+		want := slices.Index(s.EdgeToGlobal, id)
+		got, ok := s.LocalEdge(id)
+		if ok != (want >= 0) || (ok && got != EdgeID(want)) {
+			t.Fatalf("%s: LocalEdge(%d) = %d,%v, scan finds %d", name, id, got, ok, want)
+		}
+		if got, ok := search(s.EdgeToGlobal, id); ok != (want >= 0) || (ok && got != EdgeID(want)) {
+			t.Fatalf("%s: search for edge %d = %d,%v, scan finds %d", name, id, got, ok, want)
+		}
+	}
+}
+
+// TestSubgraphLookups checks the binary-search lookups on subgraphs from
+// both constructors, including one whose vertex and edge columns have ids
+// below their minimum, in gaps and above their maximum.
+func TestSubgraphLookups(t *testing.T) {
+	g := Grid(5, 5)
+	verts := []int32{3, 4, 8, 9, 15, 16, 20}
+	sub, err := Induced(g, verts, Inf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := sub.EdgeToGlobal
+	if len(ids) < 3 || ids[0] == 0 || int(ids[len(ids)-1]) == g.M()-1 || ids[len(ids)-1]-ids[0] == EdgeID(len(ids)-1) {
+		t.Fatalf("edge column %v lacks an id below, in a gap or above it", ids)
+	}
+	checkLookups(t, "grid/induced", g, sub)
+	parts, err := SubgraphFromParts(g, slices.Clone(sub.ToGlobal), slices.Clone(sub.EdgeToGlobal))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkLookups(t, "grid/parts", g, parts)
+	for _, x := range []int32{math.MinInt32, math.MaxInt32} {
+		_, inV := sub.LocalVertex(x)
+		_, inE := sub.LocalEdge(x)
+		_, foundV := search(sub.ToGlobal, x)
+		_, foundE := search(sub.EdgeToGlobal, x)
+		if inV || inE || foundV || foundE {
+			t.Fatalf("id %d found", x)
+		}
+	}
+	empty, err := Induced(g, nil, Inf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkLookups(t, "empty", g, empty)
 }
 
 // TestAddEdgeOnSlabGraphKeepsNeighbours grows the adjacency lists of a

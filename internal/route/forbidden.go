@@ -86,7 +86,7 @@ func (c *ForbiddenContext) instanceContext(i int, j int32, inst *Instance) (*cor
 func instanceFaultLabels(inst *Instance, faultIDs []graph.EdgeID) []core.SketchEdgeLabel {
 	var fl []core.SketchEdgeLabel
 	for _, id := range faultIDs {
-		if le, ok := inst.Cluster.Sub.EdgeToLocal[id]; ok {
+		if le, ok := inst.Cluster.Sub.LocalEdge(id); ok {
 			fl = append(fl, inst.Conn.EdgeLabel(le))
 		}
 	}
@@ -133,11 +133,11 @@ func (r *Router) routeForbiddenInto(s, t int32, faultIDs []graph.EdgeID, ctx *Fo
 		// Section 5.1 phases use the instance covering the 2^i-ball of s.
 		j := r.hier.Home(i, s)
 		inst := r.inst[i][j]
-		lt, ok := inst.Cluster.Sub.ToLocal[t]
+		lt, ok := inst.Cluster.Sub.LocalVertex(t)
 		if !ok {
 			continue
 		}
-		ls, ok := inst.Cluster.Sub.ToLocal[s]
+		ls, ok := inst.Cluster.Sub.LocalVertex(s)
 		if !ok {
 			return fmt.Errorf("route: s=%d missing from its home instance (%d,%d)", s, i, j)
 		}

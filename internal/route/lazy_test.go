@@ -44,7 +44,7 @@ func reachedInstances(r *Router, s, t int32, phases int) map[core.InstanceKey]bo
 			break
 		}
 		j := r.hier.Home(i, s)
-		if _, ok := r.inst[i][j].Cluster.Sub.ToLocal[t]; ok {
+		if r.inst[i][j].Cluster.Sub.Contains(t) {
 			reached[core.InstanceKey{Scale: i, Cluster: j}] = true
 		}
 	}

@@ -96,7 +96,7 @@ func (r *Router) walkPath(inst *Instance, p *core.SuccinctPath, faults graph.Edg
 				}
 				gu := sub.ToGlobal[cur]
 				arc := r.g.ArcAt(gu, hop.Port)
-				le, ok := sub.EdgeToLocal[arc.E]
+				le, ok := sub.LocalEdge(arc.E)
 				if !ok {
 					return out, fmt.Errorf("route: tree hop left the instance via edge %d", arc.E)
 				}
@@ -110,7 +110,7 @@ func (r *Router) walkPath(inst *Instance, p *core.SuccinctPath, faults graph.Edg
 				out.cost += arc.W
 				out.hops++
 				out.visited = append(out.visited, arc.To)
-				cur = sub.ToLocal[arc.To]
+				cur = sub.Local.Edge(le).Other(cur)
 			}
 			continue
 		}
@@ -119,7 +119,7 @@ func (r *Router) walkPath(inst *Instance, p *core.SuccinctPath, faults graph.Edg
 		_, port, _ := st.Edge.EndpointInfo(cur)
 		gu := sub.ToGlobal[cur]
 		arc := r.g.ArcAt(gu, port)
-		le, ok := sub.EdgeToLocal[arc.E]
+		le, ok := sub.LocalEdge(arc.E)
 		if !ok {
 			return out, fmt.Errorf("route: recovery edge %d not in instance", arc.E)
 		}
@@ -132,7 +132,7 @@ func (r *Router) walkPath(inst *Instance, p *core.SuccinctPath, faults graph.Edg
 		out.cost += arc.W
 		out.hops++
 		out.visited = append(out.visited, arc.To)
-		cur = sub.ToLocal[arc.To]
+		cur = sub.Local.Edge(le).Other(cur)
 		if cur != st.To {
 			return out, fmt.Errorf("route: edge step landed at %d, want %d", cur, st.To)
 		}
@@ -163,7 +163,7 @@ func (r *Router) fetchFaultLabel(inst *Instance, out walkOutcome, faults graph.E
 		}
 		cost += 2 * arc.W
 		probes++
-		lw, ok := sub.ToLocal[arc.To]
+		lw, ok := sub.LocalVertex(arc.To)
 		if !ok {
 			continue
 		}
@@ -207,7 +207,7 @@ func (r *Router) RouteFT(s, t int32, faults graph.EdgeSet) (Result, error) {
 	tLabel := r.Label(t) // the only destination information given to s
 	for i := range r.inst {
 		inst := r.inst[i][tLabel.Home[i]]
-		ls, ok := inst.Cluster.Sub.ToLocal[s]
+		ls, ok := inst.Cluster.Sub.LocalVertex(s)
 		if !ok {
 			continue // s not in T_{i,i*(t)}; next phase
 		}

@@ -245,7 +245,8 @@ func (r *Router) Label(t int32) Label {
 		j := r.hier.Home(i, t)
 		l.Home[i] = j
 		inst := r.inst[i][j]
-		l.Entries[i] = inst.Conn.VertexLabel(inst.Cluster.Sub.ToLocal[t])
+		lt, _ := inst.Cluster.Sub.LocalVertex(t)
+		l.Entries[i] = inst.Conn.VertexLabel(lt)
 	}
 	return l
 }
@@ -298,7 +299,7 @@ func (r *Router) TableBits(v int32) int {
 			if inst == nil {
 				continue // foreign shard's instance of a partial router
 			}
-			lv, ok := inst.Cluster.Sub.ToLocal[v]
+			lv, ok := inst.Cluster.Sub.LocalVertex(v)
 			if !ok {
 				continue
 			}

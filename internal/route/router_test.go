@@ -87,8 +87,8 @@ func TestStoresEdgeLabelPlacement(t *testing.T) {
 			continue
 		}
 		instB := bal.inst[i][bal.hier.Home(i, 0)]
-		hubN := instN.Cluster.Sub.ToLocal[0]
-		hubB := instB.Cluster.Sub.ToLocal[0]
+		hubN, _ := instN.Cluster.Sub.LocalVertex(0)
+		hubB, _ := instB.Cluster.Sub.LocalVertex(0)
 		storedN, storedB := 0, 0
 		for le := graph.EdgeID(0); int(le) < instN.Cluster.Sub.Local.M(); le++ {
 			if instN.Cluster.Tree.InTree[le] && naive.storesEdgeLabel(instN, hubN, le) {

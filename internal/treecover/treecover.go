@@ -86,7 +86,7 @@ func Build(g *graph.Graph, rho int64, k int) (*Cover, error) {
 		if err != nil {
 			return nil, err
 		}
-		localCenter := sub.ToLocal[v0]
+		localCenter, _ := sub.LocalVertex(v0)
 		tree := graph.ShortestPathTree(sub.Local, localCenter, nil)
 		if tree.Size() != sub.Local.N() {
 			return nil, fmt.Errorf("treecover: cluster subgraph not connected from center (bug)")

@@ -157,7 +157,11 @@ func TestTreeIsShortestPathTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cl := range c.Clusters {
-		dist, _, _, _ := graph.Dijkstra(cl.Sub.Local, cl.Sub.ToLocal[cl.Center], nil)
+		center, ok := cl.Sub.LocalVertex(cl.Center)
+		if !ok {
+			t.Fatalf("center %d outside its cluster", cl.Center)
+		}
+		dist, _, _, _ := graph.Dijkstra(cl.Sub.Local, center, nil)
 		wd := cl.Tree.WeightedDepth()
 		for v := int32(0); v < int32(cl.Sub.Local.N()); v++ {
 			if wd[v] != dist[v] {

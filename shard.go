@@ -188,10 +188,6 @@ func (m *Manifest) FaultBound() int {
 	}
 }
 
-// checkBound is the bound PlanBatch enforces on distinct faults — the
-// same value the monolithic PrepareFaults paths pass to checkFaults.
-func (m *Manifest) checkBound() int { return m.FaultBound() }
-
 // rhoTop returns the top-scale radius 2^K of the tree-cover hierarchy
 // (dist/router kinds). At the top scale every home cluster spans its
 // whole component, so an edge appears in at least one cluster instance
@@ -683,10 +679,6 @@ func (m *Manifest) readShard(r io.Reader) (*Shard, uint32, error) {
 // original instance seeds) with only this shard's slots populated.
 func (m *Manifest) decodeHierarchyShard(cr *codec.Reader, id int) (any, error) {
 	verts := shardVertices(m, id)
-	inShard := make(map[int32]bool, len(verts))
-	for _, v := range verts {
-		inShard[v] = true
-	}
 	numScales := cr.Count(len(m.clusterCounts))
 	if err := cr.Err(); err != nil {
 		return nil, err
@@ -735,7 +727,7 @@ func (m *Manifest) decodeHierarchyShard(cr *codec.Reader, id int) (any, error) {
 				return nil, fmt.Errorf("scale %d cluster %d: %w", i, j, err)
 			}
 			for _, v := range cl.Sub.ToGlobal {
-				if !inShard[v] {
+				if m.ShardOf(v) != id {
 					cr.Corrupt("scale %d cluster %d contains vertex %d of another shard", i, j, v)
 					return nil, cr.Err()
 				}
