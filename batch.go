@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"ftrouting/internal/codec"
 	"ftrouting/internal/core"
@@ -334,11 +333,10 @@ func (c *ConnLabels) ConnectedBatch(b QueryBatch, opts BatchOptions) ([]bool, er
 }
 
 // DistFaultContext is a fault set preprocessed against a distance
-// labeling: the distinct-fault count and the per-instance fault
-// restrictions are built by PrepareFaults; each instance's connectivity
-// decoder state is built once, by the first Estimate whose scale walk
-// reaches that instance, and shared by every later one. Safe for
-// concurrent Estimate calls.
+// labeling: PrepareFaults counts the distinct faults, and each instance's
+// fault restriction and connectivity decoder state are built once, by the
+// first Estimate whose scale walk reaches that instance, and shared by
+// every later one. Safe for concurrent Estimate calls.
 type DistFaultContext struct {
 	d     *DistLabels
 	inner *distlabel.FaultContext
@@ -353,22 +351,20 @@ func (d *DistLabels) PrepareFaults(faults []EdgeID) (*DistFaultContext, error) {
 
 // prepareFaults is PrepareFaults with the distinct-fault count of the
 // estimate formula (4k-1)(|F|+1)·2^i supplied by the caller; a negative
-// count derives it from the fault labels. The shard planner passes the
+// count derives it from the fault list. The shard planner passes the
 // whole batch's |F|, which a shard-restricted fault list cannot
-// reconstruct from its own labels.
+// reconstruct.
 func (d *DistLabels) prepareFaults(faults []EdgeID, distinct int) (*DistFaultContext, error) {
 	g := d.inner.Graph()
 	if err := checkFaults(faults, g.M(), d.inner.F()); err != nil {
 		return nil, err
 	}
-	fl := make([]distlabel.EdgeLabel, len(faults))
-	for i, id := range faults {
-		fl[i] = d.inner.EdgeLabel(id)
-	}
 	if distinct < 0 {
-		return &DistFaultContext{d: d, inner: d.inner.PrepareFaults(fl)}, nil
+		distinct = distlabel.DistinctFaults(g, faults, d.inner.Scales())
 	}
-	return &DistFaultContext{d: d, inner: d.inner.PrepareFaultsWithCount(fl, distinct)}, nil
+	// The context keeps its ids, so it gets its own copy.
+	ids := append([]EdgeID(nil), faults...)
+	return &DistFaultContext{d: d, inner: d.inner.PrepareFaults(ids, distinct)}, nil
 }
 
 // Estimate answers one pair against the prepared fault set,
@@ -413,16 +409,12 @@ func (d *DistLabels) EstimateBatch(b QueryBatch, opts BatchOptions) ([]int64, er
 // RouteFaultContext is a fault set preprocessed against a router. The
 // fault-tolerant model (Route) discovers faults by bumping into them, so
 // only the fault set itself is shared; the forbidden-set model
-// (RouteForbidden) additionally shares the per-instance fault
-// restrictions, built on first use, and each instance's connectivity
-// decoder state, built by the first route whose scale walk reaches that
-// instance. Safe for concurrent Route/RouteForbidden calls.
+// (RouteForbidden) additionally shares each instance's fault restriction
+// and connectivity decoder state, built by the first route whose scale
+// walk reaches that instance. Safe for concurrent Route/RouteForbidden
+// calls.
 type RouteFaultContext struct {
-	r        *Router
-	faultIDs []EdgeID
-	faults   EdgeSet
-
-	once      sync.Once
+	r         *Router
 	forbidden *route.ForbiddenContext
 }
 
@@ -434,9 +426,9 @@ func (r *Router) PrepareFaults(faults []EdgeID) (*RouteFaultContext, error) {
 	if err := checkFaults(faults, g.M(), r.inner.F()); err != nil {
 		return nil, err
 	}
-	ids := make([]EdgeID, len(faults))
-	copy(ids, faults)
-	return &RouteFaultContext{r: r, faultIDs: ids, faults: NewEdgeSet(ids...)}, nil
+	// The context keeps its ids, so it gets its own copy.
+	ids := append([]EdgeID(nil), faults...)
+	return &RouteFaultContext{r: r, forbidden: r.inner.PrepareForbidden(ids)}, nil
 }
 
 // Route routes one pair under the prepared (unknown-fault) set,
@@ -449,27 +441,14 @@ func (x *RouteFaultContext) Route(s, t int32) (RouteResult, error) {
 	if err := checkVertex("t", t, g.N()); err != nil {
 		return RouteResult{}, err
 	}
-	return x.r.inner.RouteFT(s, t, x.faults)
+	return x.r.inner.RouteFT(s, t, x.forbidden.Faults())
 }
 
-// prepareForbidden lazily builds the forbidden-set structures exactly
-// once per context (the fault-tolerant model never needs them).
-func (x *RouteFaultContext) prepareForbidden() *route.ForbiddenContext {
-	x.once.Do(func() {
-		x.forbidden = x.r.inner.PrepareForbidden(x.faultIDs)
-	})
-	return x.forbidden
-}
-
-// PrepareForbidden eagerly builds the per-instance fault restriction the
-// context otherwise builds on the first RouteForbidden call, so a timed
-// loop can keep it out of the clock. Each instance's decoder state is
-// still built by the first route that reaches it. The restriction cannot
-// fail: the returned error is always nil. Idempotent.
-func (x *RouteFaultContext) PrepareForbidden() error {
-	x.prepareForbidden()
-	return nil
-}
+// PrepareForbidden does nothing and returns nil. PrepareFaults already
+// builds everything the forbidden-set model shares up front; each
+// instance's restriction and decoder state are built by the first route
+// that reaches it.
+func (x *RouteFaultContext) PrepareForbidden() error { return nil }
 
 // RouteForbidden routes one pair under the prepared known fault set,
 // bit-identically to Router.RouteForbidden with the same faults.
@@ -481,7 +460,7 @@ func (x *RouteFaultContext) RouteForbidden(s, t int32) (RouteResult, error) {
 	if err := checkVertex("t", t, g.N()); err != nil {
 		return RouteResult{}, err
 	}
-	return x.prepareForbidden().Route(s, t)
+	return x.forbidden.Route(s, t)
 }
 
 // RouteBatch routes a pair list under the prepared (unknown-fault) set,
@@ -517,11 +496,11 @@ func (r *Router) RouteBatch(b QueryBatch, opts BatchOptions) ([]RouteResult, err
 }
 
 // RouteForbiddenBatch routes every pair of the batch under the known-fault
-// model (Theorem 5.3), restricting F per instance once, preparing each
-// instance the walks reach once, and fanning the pairs out across the worker pool. Results are in pair
-// order and bit-identical to a sequential loop of RouteForbidden calls at
-// any parallelism. An empty pair list returns (nil, nil) without touching
-// the fault set.
+// model (Theorem 5.3), restricting F to and preparing each instance the
+// walks reach once, and fanning the pairs out across the worker pool.
+// Results are in pair order and bit-identical to a sequential loop of
+// RouteForbidden calls at any parallelism. An empty pair list returns
+// (nil, nil) without touching the fault set.
 func (r *Router) RouteForbiddenBatch(b QueryBatch, opts BatchOptions) ([]RouteResult, error) {
 	if len(b.Pairs) == 0 {
 		return nil, nil
@@ -614,37 +593,11 @@ func (m *Manifest) PlanBatch(b QueryBatch) (*BatchPlan, error) {
 		}
 		p.faults[shard] = append(p.faults[shard], id)
 	}
-	p.distinct = m.distinctFaultCount(b.Faults)
+	if m.kind == codec.KindDistLabels {
+		// Only the distance estimate formula consumes |F|.
+		p.distinct = distlabel.DistinctFaults(m.g, b.Faults, len(m.clusterCounts))
+	}
 	return p, nil
-}
-
-// distinctFaultCount reproduces, from edge ids alone, the |F| the
-// distance decoder derives from the full fault-label list
-// (distlabel.countDistinct): distinct edges that appear in at least one
-// cluster instance count once, and every occurrence of an edge absent
-// from all instances counts separately. An edge has an instance entry iff
-// its weight is at most the top-scale radius 2^K (the top-scale home
-// cluster spans the whole component and keeps edges up to its radius),
-// so membership is decidable from the manifest topology without
-// assembling any foreign shard's labels.
-func (m *Manifest) distinctFaultCount(faults []EdgeID) int {
-	if m.kind != codec.KindDistLabels {
-		return 0 // only the distance estimate formula consumes |F|
-	}
-	rhoTop := m.rhoTop()
-	seen := make(map[EdgeID]bool, len(faults))
-	n := 0
-	for _, id := range faults {
-		if m.g.Edge(id).W > rhoTop {
-			n++
-			continue
-		}
-		if !seen[id] {
-			seen[id] = true
-			n++
-		}
-	}
-	return n
 }
 
 // ShardIDs returns the shards the plan needs prepared contexts for, in

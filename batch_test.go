@@ -170,6 +170,72 @@ func TestFaultContextReuse(t *testing.T) {
 	}
 }
 
+// TestFaultContextKeepsOwnFaults checks a prepared context owns its fault
+// list: overwriting the caller's slice after PrepareFaults, before the
+// first query restricts it to any instance, changes no answer.
+func TestFaultContextKeepsOwnFaults(t *testing.T) {
+	g := WithRandomWeights(RandomConnected(50, 90, 5), 4, 6)
+	dist, err := BuildDistanceLabels(g, 2, 2, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	router, err := NewRouter(g, 2, 2, RouterOptions{Seed: 9, Balanced: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := batchPairs(g.N())
+	for seed := uint64(1); seed <= 4; seed++ {
+		faults := RandomFaults(g, 2, seed)
+		orig := append([]EdgeID(nil), faults...)
+		distCtx, err := dist.PrepareFaults(faults)
+		if err != nil {
+			t.Fatal(err)
+		}
+		routeCtx, err := router.PrepareFaults(faults)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range faults {
+			faults[i] = EdgeID((int(faults[i]) + 1 + i) % g.M())
+		}
+		for _, p := range pairs {
+			want, err := dist.Estimate(p.S, p.T, orig)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := distCtx.Estimate(p.S, p.T)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatalf("seed %d pair (%d,%d): estimate %d after the caller's faults changed, want %d", seed, p.S, p.T, got, want)
+			}
+			wantFb, err := router.RouteForbidden(p.S, p.T, orig)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotFb, err := routeCtx.RouteForbidden(p.S, p.T)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(gotFb, wantFb) {
+				t.Fatalf("seed %d pair (%d,%d): forbidden route %+v after the caller's faults changed, want %+v", seed, p.S, p.T, gotFb, wantFb)
+			}
+			wantFT, err := router.Route(p.S, p.T, NewEdgeSet(orig...))
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotFT, err := routeCtx.Route(p.S, p.T)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(gotFT, wantFT) {
+				t.Fatalf("seed %d pair (%d,%d): route %+v after the caller's faults changed, want %+v", seed, p.S, p.T, gotFT, wantFT)
+			}
+		}
+	}
+}
+
 // --- Error paths ---------------------------------------------------------
 
 func TestBatchEmpty(t *testing.T) {

@@ -880,7 +880,7 @@ func BenchmarkLoadShardCut(b *testing.B) {
 }
 
 // loadShardAllocCeiling bounds the allocations of one cold cut-shard load
-// of loadShardCutFixture: 62 measured, plus headroom. A load builds its
+// of loadShardCutFixture: 46 measured, plus headroom. A load builds its
 // subgraph, tree and labels from a few slabs, so the count does not grow
 // with the shard's size; an allocation per edge or per vertex creeping
 // back in (a shard has 1000 vertices and 3000 edges) breaks the ceiling

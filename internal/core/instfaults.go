@@ -2,7 +2,8 @@ package core
 
 import (
 	"sync"
-	"sync/atomic"
+
+	"ftrouting/internal/graph"
 )
 
 // InstanceKey addresses one (scale, cluster) connectivity instance of a
@@ -14,68 +15,67 @@ type InstanceKey struct {
 	Cluster int32
 }
 
-// InstanceFaults is a fault set restricted to the instances it touches,
-// with each instance's Steps 1-3 (PrepareFaults) deferred to the first
-// decode that reaches it. The scale walks of Sections 4 and 5.1 read one
-// home instance per scale and stop at the first connected scale, so a
-// batch of pairs typically reaches a few of the instances F touches; only
-// those are prepared.
-//
-// Add builds the restriction and must not run concurrently with Context;
-// once the restriction is built, Context is safe for concurrent use.
+// InstanceFaults is a fault set, given by global edge ids, restricted to
+// an instance only when a decode first reaches it. The scale walks of
+// Sections 4 and 5.1 read one home instance per scale and stop at the
+// first connected scale, so a batch of pairs typically reaches a few of
+// the instances F touches; only those restrict F, build the fault edge
+// labels and run Steps 1-3 (PrepareFaults). Safe for concurrent use.
 type InstanceFaults struct {
-	m map[InstanceKey]*instanceFaults
+	ids []graph.EdgeID
+	m   sync.Map // InstanceKey -> *instanceFaults
 }
 
-// instanceFaults is one instance's restriction of F and its context,
-// prepared at most once.
+// instanceFaults is one reached instance's context, prepared at most once.
 type instanceFaults struct {
-	scheme   *SketchScheme
-	faults   []SketchEdgeLabel
-	once     sync.Once
-	prepared atomic.Bool
-	ctx      *SketchFaultContext
-	err      error
+	once   sync.Once
+	faulty bool
+	ctx    *SketchFaultContext
+	err    error
 }
 
-// NewInstanceFaults returns an empty restriction.
-func NewInstanceFaults() *InstanceFaults {
-	return &InstanceFaults{m: make(map[InstanceKey]*instanceFaults)}
+// NewInstanceFaults returns the fault set ids, restricted to no instance
+// yet. The set keeps ids; the caller must not modify them afterwards.
+func NewInstanceFaults(ids []graph.EdgeID) *InstanceFaults {
+	return &InstanceFaults{ids: ids}
 }
 
-// Add appends fault label l to the restriction of instance k, whose
-// connectivity scheme is s. An instance's labels reach PrepareFaults in
-// Add order.
-func (x *InstanceFaults) Add(k InstanceKey, s *SketchScheme, l SketchEdgeLabel) {
-	e := x.m[k]
-	if e == nil {
-		e = &instanceFaults{scheme: s}
-		x.m[k] = e
+// Context returns the fault context (sketch copy 0) of instance k, whose
+// local graph is sub and connectivity scheme s. The first call for k
+// restricts F to sub (RestrictFaults) and prepares the context; every
+// later call shares it. ok is false when no fault lies in k: the instance
+// tree is intact and every pair in it is connected. A preparation error
+// is returned by every call that reaches k.
+func (x *InstanceFaults) Context(k InstanceKey, sub *graph.Subgraph, s *SketchScheme) (ctx *SketchFaultContext, ok bool, err error) {
+	v, found := x.m.Load(k)
+	if !found {
+		v, _ = x.m.LoadOrStore(k, new(instanceFaults))
 	}
-	e.faults = append(e.faults, l)
+	e := v.(*instanceFaults)
+	e.once.Do(func() {
+		if fl := RestrictFaults(sub, s, x.ids); len(fl) > 0 {
+			e.faulty = true
+			e.ctx, e.err = s.PrepareFaults(fl, 0)
+		}
+	})
+	return e.ctx, e.faulty, e.err
 }
 
-// Context returns the fault context of instance k (sketch copy 0),
-// preparing it on the first call. ok is false when no fault lies in k:
-// the instance tree is intact and every pair in it is connected. A
-// preparation error is returned by every call that reaches k.
-func (x *InstanceFaults) Context(k InstanceKey) (ctx *SketchFaultContext, ok bool, err error) {
-	e := x.m[k]
-	if e == nil {
-		return nil, false, nil
+// Reached reports whether a Context call has reached instance k.
+func (x *InstanceFaults) Reached(k InstanceKey) bool {
+	_, ok := x.m.Load(k)
+	return ok
+}
+
+// RestrictFaults returns the labels, under scheme s, of the fault edges
+// ids that lie in the instance whose local graph is sub: in ids order,
+// duplicates kept, the order Decode and PrepareFaults consume them in.
+func RestrictFaults(sub *graph.Subgraph, s *SketchScheme, ids []graph.EdgeID) []SketchEdgeLabel {
+	var fl []SketchEdgeLabel
+	for _, id := range ids {
+		if le, ok := sub.LocalEdge(id); ok {
+			fl = append(fl, s.EdgeLabel(le))
+		}
 	}
-	e.once.Do(e.prepare)
-	return e.ctx, true, e.err
-}
-
-func (e *instanceFaults) prepare() {
-	e.ctx, e.err = e.scheme.PrepareFaults(e.faults, 0)
-	e.prepared.Store(true)
-}
-
-// IsPrepared reports whether instance k holds a fault and its context has
-// been prepared.
-func (x *InstanceFaults) IsPrepared(k InstanceKey) bool {
-	e := x.m[k]
-	return e != nil && e.prepared.Load()
+	return fl
 }

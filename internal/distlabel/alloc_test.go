@@ -17,13 +17,7 @@ func distAllocFixture(t testing.TB) (*Scheme, *FaultContext) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids := graph.RandomFaults(g, 2, 5)
-	labels := make([]EdgeLabel, len(ids))
-	for i, id := range ids {
-		labels[i] = s.EdgeLabel(id)
-	}
-	ctx := s.PrepareFaults(labels)
-	return s, ctx
+	return s, prepareIDs(s, graph.RandomFaults(g, 2, 5))
 }
 
 func TestFaultContextEstimateZeroAlloc(t *testing.T) {

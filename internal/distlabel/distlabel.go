@@ -307,6 +307,32 @@ func countDistinct(faults []EdgeLabel) int {
 	return n
 }
 
+// DistinctFaults returns, from edge ids alone, the |F| that Decode derives
+// from the ids' fault labels (countDistinct) on a labeling of g with the
+// given number of scales: an edge that lies in some instance counts once
+// however often it is listed, and every listing of an edge in no instance
+// counts separately. An edge lies in some instance iff its weight is at
+// most the top-scale radius 2^K: the top-scale home cluster spans its
+// whole component and keeps every edge up to that radius. So the count
+// needs no labels, and a shard planner gets the global count without
+// assembling any foreign shard's labels.
+func DistinctFaults(g *graph.Graph, ids []graph.EdgeID, scales int) int {
+	top := int64(1) << uint(scales-1) // the top-scale radius 2^K
+	seen := make(map[graph.EdgeID]bool, len(ids))
+	n := 0
+	for _, id := range ids {
+		if g.Edge(id).W > top {
+			n++
+			continue
+		}
+		if !seen[id] {
+			seen[id] = true
+			n++
+		}
+	}
+	return n
+}
+
 // VertexLabelBits returns the label size in bits under the paper's
 // accounting (sum of per-instance connectivity labels plus the home
 // indices).

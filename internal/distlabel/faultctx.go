@@ -4,72 +4,36 @@ import (
 	"fmt"
 
 	"ftrouting/internal/core"
+	"ftrouting/internal/graph"
 )
 
 // FaultContext is a fault set preprocessed for repeated distance decodes.
-// The distinct-fault count and the per-instance restriction of the fault
-// labels depend only on F and are computed by PrepareFaults. The
-// per-instance connectivity fault contexts (Steps 1-3 of the sketch
-// decoder) also depend only on F, but the scale walk of Decode reads one
-// home instance per scale and stops at the first connected scale, so each
-// is prepared by the first Decode that reaches its instance and shared by
-// every later one. The restriction is immutable after PrepareFaults, the
-// lazily prepared contexts are built at most once, and the context is safe
-// for concurrent Decode calls.
+// The per-instance connectivity fault contexts (Steps 1-3 of the sketch
+// decoder) depend only on F, but the scale walk of Decode reads one home
+// instance per scale and stops at the first connected scale, so each
+// instance restricts F and prepares its context on the first Decode that
+// reaches it, and every later Decode shares it. The context is safe for
+// concurrent Decode calls.
 type FaultContext struct {
 	s  *Scheme
 	nf int
-	// conn restricts F to the instances holding at least one fault entry
-	// (for the rest the connectivity decode is trivially "connected": the
-	// instance tree is intact).
+	// conn restricts F to the instances the decodes reach (for those
+	// holding no fault the connectivity decode is trivially "connected":
+	// the instance tree is intact).
 	conn *core.InstanceFaults
 }
 
-// PrepareFaults runs the per-fault-set part of Decode once: count the
-// distinct faults and restrict them to every instance that contains one.
-// Each instance's connectivity context is prepared on first use.
-func (s *Scheme) PrepareFaults(faults []EdgeLabel) *FaultContext {
-	return s.PrepareFaultsWithCount(faults, countDistinct(faults))
-}
-
-// PrepareFaultsWithCount is PrepareFaults with the distinct-fault count
-// supplied by the caller instead of derived from the fault labels. A
-// sharded deployment restricts F to one shard's components before label
-// assembly, which would undercount |F| in the estimate formula
-// (4k-1)(|F|+1)·2^i; the shard planner passes the global count here so
-// per-shard decodes stay bit-identical to a whole-scheme decode.
-func (s *Scheme) PrepareFaultsWithCount(faults []EdgeLabel, distinct int) *FaultContext {
-	ctx := &FaultContext{s: s, nf: distinct, conn: core.NewInstanceFaults()}
-	// Restrict in the same (faults outer, entries inner) order Decode
-	// filters them, so prepared decodes see the fault labels in the
-	// identical sequence.
-	for _, f := range faults {
-		for _, e := range f.Entries {
-			inst := s.instance(e.Scale, e.Cluster)
-			if inst == nil {
-				// Entries of foreign or corrupted labels that address no
-				// instance of this scheme can never be selected by Decode's
-				// (scale, home-cluster) walk; skip rather than fail so
-				// prepared and direct decodes accept the same inputs.
-				continue
-			}
-			ctx.conn.Add(core.InstanceKey{Scale: e.Scale, Cluster: e.Cluster}, inst.Conn, e.L)
-		}
-	}
-	return ctx
-}
-
-// instance returns instance (scale, cluster), or nil when the coordinates
-// address none of this scheme's built instances.
-func (s *Scheme) instance(scale int, cluster int32) *Instance {
-	if scale < 0 || scale >= len(s.inst) || cluster < 0 || int(cluster) >= len(s.inst[scale]) {
-		return nil
-	}
-	return s.inst[scale][cluster]
+// PrepareFaults returns a context for the fault edges ids, which it keeps
+// (the caller must not modify them). distinct is the |F| of the estimate
+// formula (4k-1)(|F|+1)·2^i: DistinctFaults of the whole fault set, which
+// a sharded deployment passes for a shard-restricted ids so per-shard
+// decodes stay bit-identical to a whole-scheme decode.
+func (s *Scheme) PrepareFaults(ids []graph.EdgeID, distinct int) *FaultContext {
+	return &FaultContext{s: s, nf: distinct, conn: core.NewInstanceFaults(ids)}
 }
 
 // Decode answers one pair against the prepared fault set; results are
-// bit-identical to Scheme.Decode with the same fault labels.
+// bit-identical to Scheme.Decode with the fault labels of the same ids.
 func (ctx *FaultContext) Decode(sl, tl VertexLabel) (int64, error) {
 	s := ctx.s
 	if sl.Global == tl.Global {
@@ -88,7 +52,8 @@ func (ctx *FaultContext) Decode(sl, tl VertexLabel) (int64, error) {
 		if !ok {
 			return 0, fmt.Errorf("distlabel: vertex %d missing from its own home instance (%d,%d)", sl.Global, i, j)
 		}
-		prepared, okc, err := ctx.conn.Context(core.InstanceKey{Scale: i, Cluster: j})
+		inst := s.inst[i][j]
+		prepared, okc, err := ctx.conn.Context(core.InstanceKey{Scale: i, Cluster: j}, inst.Cluster.Sub, inst.Conn)
 		if err != nil {
 			return 0, fmt.Errorf("distlabel: instance (%d,%d): %w", i, j, err)
 		}
@@ -100,8 +65,8 @@ func (ctx *FaultContext) Decode(sl, tl VertexLabel) (int64, error) {
 			}
 			connected = v.Connected
 		}
-		// No fault entry restricted to this instance: its tree is intact
-		// and the connectivity decode is trivially "connected".
+		// No fault restricted to this instance: its tree is intact and the
+		// connectivity decode is trivially "connected".
 		if connected {
 			return int64(4*s.k-1) * int64(ctx.nf+1) * (int64(1) << uint(i)), nil
 		}

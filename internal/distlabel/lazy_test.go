@@ -20,6 +20,12 @@ func lazyFixture(t testing.TB) (*Scheme, *graph.Graph) {
 	return s, g
 }
 
+// prepareIDs prepares the whole fault set ids, counted as Decode counts
+// their labels.
+func prepareIDs(s *Scheme, ids []graph.EdgeID) *FaultContext {
+	return s.PrepareFaults(ids, DistinctFaults(s.g, ids, s.Scales()))
+}
+
 func edgeLabels(s *Scheme, ids []graph.EdgeID) []EdgeLabel {
 	fl := make([]EdgeLabel, len(ids))
 	for i, id := range ids {
@@ -60,21 +66,35 @@ func reachedInstances(s *Scheme, nf int, sl, tl VertexLabel, est int64) map[core
 	return reached
 }
 
+// allInstances returns the key of every built instance of s.
+func allInstances(s *Scheme) []core.InstanceKey {
+	var keys []core.InstanceKey
+	for i := range s.inst {
+		for j, inst := range s.inst[i] {
+			if inst != nil {
+				keys = append(keys, core.InstanceKey{Scale: i, Cluster: int32(j)})
+			}
+		}
+	}
+	return keys
+}
+
 // TestFaultContextPreparesOnlyReachedInstances checks the laziness itself:
-// PrepareFaults prepares no instance, and after one decode exactly the
-// fault-holding instances the scale walk visited are prepared. On this
-// fixture that is strictly fewer than the instances F touches.
+// PrepareFaults creates no instance entry, and after one decode exactly
+// the instances the scale walk visited have one. On this fixture the walk
+// skips some of the instances F touches.
 func TestFaultContextPreparesOnlyReachedInstances(t *testing.T) {
 	s, g := lazyFixture(t)
+	all := allInstances(s)
 	skipped := 0
 	for seed := uint64(1); seed <= 6; seed++ {
-		fl := edgeLabels(s, graph.RandomFaults(g, 2, seed))
-		faulty := faultInstances(fl)
+		ids := graph.RandomFaults(g, 2, seed)
+		faulty := faultInstances(edgeLabels(s, ids))
 		for _, p := range [][2]int32{{0, 1}, {3, 90}, {17, 60}, {5, 119}} {
-			ctx := s.PrepareFaults(fl)
-			for k := range faulty {
-				if ctx.conn.IsPrepared(k) {
-					t.Fatalf("seed %d: PrepareFaults prepared instance %+v", seed, k)
+			ctx := prepareIDs(s, ids)
+			for _, k := range all {
+				if ctx.conn.Reached(k) {
+					t.Fatalf("seed %d: PrepareFaults created an entry for instance %+v", seed, k)
 				}
 			}
 			sl, tl := s.CachedVertexLabel(p[0]), s.CachedVertexLabel(p[1])
@@ -83,11 +103,11 @@ func TestFaultContextPreparesOnlyReachedInstances(t *testing.T) {
 				t.Fatal(err)
 			}
 			reached := reachedInstances(s, ctx.nf, sl, tl, est)
-			for k := range faulty {
-				if got := ctx.conn.IsPrepared(k); got != reached[k] {
-					t.Fatalf("seed %d pair %v: instance %+v prepared=%v, reached by the walk=%v", seed, p, k, got, reached[k])
+			for _, k := range all {
+				if got := ctx.conn.Reached(k); got != reached[k] {
+					t.Fatalf("seed %d pair %v: instance %+v has an entry=%v, reached by the walk=%v", seed, p, k, got, reached[k])
 				}
-				if !reached[k] {
+				if faulty[k] && !reached[k] {
 					skipped++
 				}
 			}
@@ -103,7 +123,8 @@ func TestFaultContextPreparesOnlyReachedInstances(t *testing.T) {
 // answer must match the direct decoder.
 func TestFaultContextConcurrentFirstUse(t *testing.T) {
 	s, g := lazyFixture(t)
-	fl := edgeLabels(s, graph.RandomFaults(g, 2, 9))
+	ids := graph.RandomFaults(g, 2, 9)
+	fl := edgeLabels(s, ids)
 	n := int32(g.N())
 	pairs := make([][2]int32, 48)
 	want := make([]int64, len(pairs))
@@ -115,7 +136,7 @@ func TestFaultContextConcurrentFirstUse(t *testing.T) {
 		}
 		want[i] = v
 	}
-	ctx := s.PrepareFaults(fl)
+	ctx := prepareIDs(s, ids)
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for w := 0; w < 8; w++ {
@@ -143,32 +164,51 @@ func TestFaultContextConcurrentFirstUse(t *testing.T) {
 	}
 }
 
-// TestFaultContextCorruptedTreeFault corrupts every tree entry of one
-// fault label (non-nested endpoint intervals). PrepareFaults no longer
-// touches the entries, so it succeeds; the first decode that reaches a
-// corrupted instance returns the wrapped preparation error (the same one
-// the direct decoder reports), never a panic, and decodes whose walk
-// avoids those instances still answer.
-func TestFaultContextCorruptedTreeFault(t *testing.T) {
-	s, g := lazyFixture(t)
-	fl := edgeLabels(s, graph.RandomFaults(g, 2, 3))
-	bad := fl[0].Entries
-	fl[0].Entries = make([]EEntry, len(bad))
-	copy(fl[0].Entries, bad)
-	corrupted := 0
-	for i := range fl[0].Entries {
-		e := &fl[0].Entries[i]
-		if !e.L.IsTree {
+// markCrossFaultsTree corrupts the connectivity scheme of the instance
+// whose local graph is sub: every fault edge of ids that lies in it off
+// the tree, with neither endpoint an ancestor of the other, is marked a
+// tree edge, so its edge label carries non-nested endpoint intervals. It
+// returns the number of edges marked.
+func markCrossFaultsTree(sub *graph.Subgraph, conn *core.SketchScheme, ids []graph.EdgeID) int {
+	marked := 0
+	tree := conn.Tree()
+	for _, id := range ids {
+		le, ok := sub.LocalEdge(id)
+		if !ok || tree.InTree[le] {
 			continue
 		}
-		e.L.EID = append([]uint64(nil), e.L.EID...)
-		e.L.EID[3] = e.L.EID[2] // AncV := AncU: neither is a proper ancestor
-		corrupted++
+		e := sub.Local.Edge(le)
+		au, av := conn.Anc(e.U), conn.Anc(e.V)
+		if au.IsAncestorOf(av) || av.IsAncestorOf(au) {
+			continue
+		}
+		tree.InTree[le] = true
+		marked++
+	}
+	return marked
+}
+
+// TestFaultContextCorruptedTreeFault corrupts the instances where a fault
+// edge is a cross edge of the instance tree by marking it a tree edge
+// (non-nested endpoint intervals). PrepareFaults touches no instance, so
+// it succeeds; the first decode that reaches a corrupted instance returns
+// the wrapped preparation error (the same one the direct decoder
+// reports), never a panic, and decodes whose walk avoids those instances
+// still answer.
+func TestFaultContextCorruptedTreeFault(t *testing.T) {
+	s, g := lazyFixture(t)
+	ids := graph.RandomFaults(g, 2, 3)
+	corrupted := 0
+	for i := range s.inst {
+		for _, inst := range s.inst[i] {
+			corrupted += markCrossFaultsTree(inst.Cluster.Sub, inst.Conn, ids)
+		}
 	}
 	if corrupted == 0 {
-		t.Fatal("fixture fault is a tree edge of no instance")
+		t.Fatal("fixture faults are cross edges of no instance tree")
 	}
-	ctx := s.PrepareFaults(fl)
+	fl := edgeLabels(s, ids)
+	ctx := prepareIDs(s, ids)
 	failed, answered := 0, 0
 	for sv := int32(0); sv < int32(g.N()); sv += 3 {
 		for _, tv := range []int32{(sv + 1) % 120, (sv + 61) % 120} {
@@ -179,7 +219,8 @@ func TestFaultContextCorruptedTreeFault(t *testing.T) {
 			}
 			if gerr != nil {
 				if !strings.HasPrefix(gerr.Error(), "distlabel: instance (") || errors.Unwrap(gerr) == nil ||
-					!strings.HasSuffix(gerr.Error(), werr.Error()) {
+					!strings.HasSuffix(gerr.Error(), werr.Error()) ||
+					!strings.Contains(gerr.Error(), "non-nested endpoint intervals") {
 					t.Fatalf("pair (%d,%d): error %q does not wrap %q", sv, tv, gerr, werr)
 				}
 				failed++
@@ -204,8 +245,8 @@ func TestFaultContextAlternatingZeroAlloc(t *testing.T) {
 		t.Skip("allocation gate: race instrumentation allocates")
 	}
 	s, g := lazyFixture(t)
-	one := s.PrepareFaults(edgeLabels(s, graph.RandomFaults(g, 1, 21)))
-	two := s.PrepareFaults(edgeLabels(s, graph.RandomFaults(g, 2, 22)))
+	one := prepareIDs(s, graph.RandomFaults(g, 1, 21))
+	two := prepareIDs(s, graph.RandomFaults(g, 2, 22))
 	n := int32(g.N())
 	run := func() {
 		for i := int32(0); i < 16; i++ {

@@ -152,57 +152,3 @@ func Map[T any](parallelism, n int, fn func(i int) (T, error)) ([]T, error) {
 	}
 	return out, nil
 }
-
-// Group is an error-collecting task group with bounded concurrency, for
-// build phases whose tasks are heterogeneous rather than indexed. The
-// zero value is not usable; construct with NewGroup.
-type Group struct {
-	sem chan struct{}
-	wg  sync.WaitGroup
-
-	mu  sync.Mutex
-	seq int // submission index of the next Go call
-	// firstSeq/firstErr track the error of the earliest submitted failing
-	// task, mirroring the lowest-index rule of ForEach.
-	firstSeq int
-	firstErr error
-}
-
-// NewGroup returns a group running at most Workers(parallelism) tasks
-// concurrently.
-func NewGroup(parallelism int) *Group {
-	return &Group{sem: make(chan struct{}, Workers(parallelism)), firstSeq: -1}
-}
-
-// Go submits a task. It blocks while the pool is saturated, so a
-// submitting loop cannot race ahead of the workers unboundedly.
-func (g *Group) Go(fn func() error) {
-	g.mu.Lock()
-	seq := g.seq
-	g.seq++
-	g.mu.Unlock()
-	g.sem <- struct{}{}
-	g.wg.Add(1)
-	go func() {
-		defer func() {
-			<-g.sem
-			g.wg.Done()
-		}()
-		if err := fn(); err != nil {
-			g.mu.Lock()
-			if g.firstSeq < 0 || seq < g.firstSeq {
-				g.firstSeq, g.firstErr = seq, err
-			}
-			g.mu.Unlock()
-		}
-	}()
-}
-
-// Wait blocks until every submitted task has finished and returns the
-// error of the earliest submitted failing task, if any.
-func (g *Group) Wait() error {
-	g.wg.Wait()
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.firstErr
-}

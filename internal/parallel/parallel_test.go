@@ -95,68 +95,3 @@ func TestMapError(t *testing.T) {
 		t.Fatalf("got (%v, %v), want (nil, boom)", got, err)
 	}
 }
-
-func TestGroup(t *testing.T) {
-	g := NewGroup(4)
-	var sum atomic.Int64
-	for i := 1; i <= 100; i++ {
-		i := i
-		g.Go(func() error {
-			sum.Add(int64(i))
-			return nil
-		})
-	}
-	if err := g.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if sum.Load() != 5050 {
-		t.Fatalf("sum = %d, want 5050", sum.Load())
-	}
-}
-
-func TestGroupEarliestError(t *testing.T) {
-	errA := errors.New("a")
-	errB := errors.New("b")
-	g := NewGroup(2)
-	for i := 0; i < 20; i++ {
-		i := i
-		g.Go(func() error {
-			switch i {
-			case 4:
-				return errA
-			case 12:
-				return errB
-			}
-			return nil
-		})
-	}
-	if err := g.Wait(); err != errA {
-		t.Fatalf("got %v, want %v", err, errA)
-	}
-}
-
-func TestGroupBoundsConcurrency(t *testing.T) {
-	const workers = 3
-	g := NewGroup(workers)
-	var inFlight, peak atomic.Int32
-	for i := 0; i < 50; i++ {
-		g.Go(func() error {
-			cur := inFlight.Add(1)
-			for {
-				p := peak.Load()
-				if cur <= p || peak.CompareAndSwap(p, cur) {
-					break
-				}
-			}
-			runtime.Gosched()
-			inFlight.Add(-1)
-			return nil
-		})
-	}
-	if err := g.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if peak.Load() > workers {
-		t.Fatalf("peak concurrency %d exceeds bound %d", peak.Load(), workers)
-	}
-}

@@ -8,54 +8,36 @@ import (
 )
 
 // ForbiddenContext is a forbidden fault set preprocessed for repeated
-// routes. The per-instance restriction of the fault labels depends only on
-// F and is computed by PrepareForbidden. The per-instance connectivity
-// fault contexts (Steps 1-3 of the sketch decoder) also depend only on F,
-// but the Section 5.1 walk decodes one home instance per scale and stops
-// at the first connected scale, so each is prepared by the first Route
-// that reaches its instance and shared by every later one. The restriction
-// is immutable after PrepareForbidden, the lazily prepared contexts are
-// built at most once, and the context is safe for concurrent Route calls.
+// routes. The per-instance connectivity fault contexts (Steps 1-3 of the
+// sketch decoder) depend only on F, but the Section 5.1 walk decodes one
+// home instance per scale and stops at the first connected scale, so each
+// instance restricts F and prepares its context on the first Route that
+// reaches it, and every later Route shares it. The context is safe for
+// concurrent Route calls.
 type ForbiddenContext struct {
-	r        *Router
-	faultIDs []graph.EdgeID
-	faults   graph.EdgeSet
-	// conn restricts F to the instances containing at least one fault
-	// edge.
+	r      *Router
+	faults graph.EdgeSet
+	// conn restricts F to the instances the routes reach.
 	conn *core.InstanceFaults
 }
 
-// PrepareForbidden runs the per-fault-set part of RouteForbidden once:
-// restrict F to every instance that contains one of its edges. Each
-// instance's connectivity decoder is prepared on first use.
+// PrepareForbidden returns a context for the forbidden fault set
+// faultIDs, which it keeps (the caller must not modify them).
 func (r *Router) PrepareForbidden(faultIDs []graph.EdgeID) *ForbiddenContext {
-	ctx := &ForbiddenContext{
-		r:        r,
-		faultIDs: faultIDs,
-		faults:   graph.NewEdgeSet(faultIDs...),
-		conn:     core.NewInstanceFaults(),
+	return &ForbiddenContext{
+		r:      r,
+		faults: graph.NewEdgeSet(faultIDs...),
+		conn:   core.NewInstanceFaults(faultIDs),
 	}
-	for i := range r.inst {
-		for j, inst := range r.inst[i] {
-			if inst == nil {
-				// Foreign shard's instance of a partial router; the planner
-				// restricts F to this shard's components, so no fault edge
-				// can lie in it.
-				continue
-			}
-			k := core.InstanceKey{Scale: i, Cluster: int32(j)}
-			for _, l := range instanceFaultLabels(inst, faultIDs) {
-				ctx.conn.Add(k, inst.Conn, l)
-			}
-		}
-	}
-	return ctx
 }
+
+// Faults returns the context's fault set.
+func (c *ForbiddenContext) Faults() graph.EdgeSet { return c.faults }
 
 // Route routes one pair under the prepared forbidden set; results are
 // bit-identical to RouteForbidden with the same fault ids.
 func (c *ForbiddenContext) Route(s, t int32) (Result, error) {
-	return c.r.routeForbidden(s, t, c.faultIDs, c)
+	return c.r.routeForbidden(s, t, nil, c)
 }
 
 // RouteInto is Route with the result written into res, reusing its Trace
@@ -63,7 +45,7 @@ func (c *ForbiddenContext) Route(s, t int32) (Result, error) {
 // scratch pool, so a warm serving loop that recycles one Result performs
 // zero heap allocations per route. Results are bit-identical to Route's.
 func (c *ForbiddenContext) RouteInto(s, t int32, res *Result) error {
-	return c.r.routeForbiddenInto(s, t, c.faultIDs, c, res)
+	return c.r.routeForbiddenInto(s, t, nil, c, res)
 }
 
 // instanceContext returns the fault context of instance (i, j), preparing
@@ -71,7 +53,7 @@ func (c *ForbiddenContext) RouteInto(s, t int32, res *Result) error {
 // scheme's shared empty-fault context (trivially connected through the
 // intact tree).
 func (c *ForbiddenContext) instanceContext(i int, j int32, inst *Instance) (*core.SketchFaultContext, error) {
-	prepared, ok, err := c.conn.Context(core.InstanceKey{Scale: i, Cluster: j})
+	prepared, ok, err := c.conn.Context(core.InstanceKey{Scale: i, Cluster: j}, inst.Cluster.Sub, inst.Conn)
 	if err != nil {
 		return nil, fmt.Errorf("route: instance (%d,%d): %w", i, j, err)
 	}
@@ -79,18 +61,6 @@ func (c *ForbiddenContext) instanceContext(i int, j int32, inst *Instance) (*cor
 		return inst.Conn.TrivialContext(0)
 	}
 	return prepared, nil
-}
-
-// instanceFaultLabels restricts the fault set to one instance, in fault-id
-// order (the order the single-query path assembles them in).
-func instanceFaultLabels(inst *Instance, faultIDs []graph.EdgeID) []core.SketchEdgeLabel {
-	var fl []core.SketchEdgeLabel
-	for _, id := range faultIDs {
-		if le, ok := inst.Cluster.Sub.LocalEdge(id); ok {
-			fl = append(fl, inst.Conn.EdgeLabel(le))
-		}
-	}
-	return fl
 }
 
 // RouteForbidden routes under the forbidden-set model of Section 5.1
@@ -103,8 +73,9 @@ func (r *Router) RouteForbidden(s, t int32, faultIDs []graph.EdgeID) (Result, er
 }
 
 // routeForbidden is the shared walk of RouteForbidden and
-// ForbiddenContext.Route; a non-nil ctx supplies prepared per-instance
-// connectivity decoders instead of assembling fault labels per query.
+// ForbiddenContext.Route; a non-nil ctx supplies the fault set and
+// prepared per-instance connectivity decoders (faultIDs is then unused)
+// instead of assembling fault labels per query.
 func (r *Router) routeForbidden(s, t int32, faultIDs []graph.EdgeID, ctx *ForbiddenContext) (Result, error) {
 	var res Result
 	err := r.routeForbiddenInto(s, t, faultIDs, ctx, &res)
@@ -151,7 +122,7 @@ func (r *Router) routeForbiddenInto(s, t int32, faultIDs []graph.EdgeID, ctx *Fo
 			}
 		} else {
 			// The forbidden-set labels of F restricted to this instance.
-			fl := instanceFaultLabels(inst, faultIDs)
+			fl := core.RestrictFaults(inst.Cluster.Sub, inst.Conn, faultIDs)
 			verdict, err = inst.Conn.Decode(inst.Conn.VertexLabel(ls), inst.Conn.VertexLabel(lt), fl, 0, true)
 		}
 		if err != nil {

@@ -26,12 +26,25 @@ func faultInstances(r *Router, ids []graph.EdgeID) map[core.InstanceKey]bool {
 	faulty := make(map[core.InstanceKey]bool)
 	for i := range r.inst {
 		for j, inst := range r.inst[i] {
-			if len(instanceFaultLabels(inst, ids)) > 0 {
+			if len(core.RestrictFaults(inst.Cluster.Sub, inst.Conn, ids)) > 0 {
 				faulty[core.InstanceKey{Scale: i, Cluster: int32(j)}] = true
 			}
 		}
 	}
 	return faulty
+}
+
+// allInstances returns the key of every built instance of r.
+func allInstances(r *Router) []core.InstanceKey {
+	var keys []core.InstanceKey
+	for i := range r.inst {
+		for j, inst := range r.inst[i] {
+			if inst != nil {
+				keys = append(keys, core.InstanceKey{Scale: i, Cluster: int32(j)})
+			}
+		}
+	}
+	return keys
 }
 
 // reachedInstances replays the scale walk of a route that decoded phases
@@ -52,20 +65,21 @@ func reachedInstances(r *Router, s, t int32, phases int) map[core.InstanceKey]bo
 }
 
 // TestForbiddenContextPreparesOnlyReachedInstances checks the laziness:
-// PrepareForbidden prepares no instance, and after one route exactly the
-// fault-holding instances the scale walk decoded are prepared. On this
-// fixture that is strictly fewer than the instances F touches.
+// PrepareForbidden creates no instance entry, and after one route exactly
+// the instances the scale walk decoded have one. On this fixture the walk
+// skips some of the instances F touches.
 func TestForbiddenContextPreparesOnlyReachedInstances(t *testing.T) {
 	r, g := lazyRouterFixture(t)
+	all := allInstances(r)
 	skipped := 0
 	for seed := uint64(1); seed <= 6; seed++ {
 		ids := graph.RandomFaults(g, 2, seed)
 		faulty := faultInstances(r, ids)
 		for _, p := range [][2]int32{{0, 1}, {3, 70}, {17, 45}, {5, 89}} {
 			ctx := r.PrepareForbidden(ids)
-			for k := range faulty {
-				if ctx.conn.IsPrepared(k) {
-					t.Fatalf("seed %d: PrepareForbidden prepared instance %+v", seed, k)
+			for _, k := range all {
+				if ctx.conn.Reached(k) {
+					t.Fatalf("seed %d: PrepareForbidden created an entry for instance %+v", seed, k)
 				}
 			}
 			res, err := ctx.Route(p[0], p[1])
@@ -73,11 +87,11 @@ func TestForbiddenContextPreparesOnlyReachedInstances(t *testing.T) {
 				t.Fatal(err)
 			}
 			reached := reachedInstances(r, p[0], p[1], res.Phases)
-			for k := range faulty {
-				if got := ctx.conn.IsPrepared(k); got != reached[k] {
-					t.Fatalf("seed %d pair %v: instance %+v prepared=%v, reached by the walk=%v", seed, p, k, got, reached[k])
+			for _, k := range all {
+				if got := ctx.conn.Reached(k); got != reached[k] {
+					t.Fatalf("seed %d pair %v: instance %+v has an entry=%v, reached by the walk=%v", seed, p, k, got, reached[k])
 				}
-				if !reached[k] {
+				if faulty[k] && !reached[k] {
 					skipped++
 				}
 			}
@@ -133,31 +147,48 @@ func TestForbiddenContextConcurrentFirstUse(t *testing.T) {
 	}
 }
 
-// TestForbiddenContextCorruptedTreeFault restricts a fault set whose tree
-// labels are corrupted (non-nested endpoint intervals) by hand: building
-// the restriction succeeds, the first route that reaches a corrupted
-// instance returns the wrapped preparation error, never a panic, and
-// routes whose walk avoids those instances still succeed.
+// markCrossFaultsTree corrupts the connectivity scheme of inst: every
+// fault edge of ids that lies in it off the tree, with neither endpoint an
+// ancestor of the other, is marked a tree edge, so its edge label carries
+// non-nested endpoint intervals. It returns the number of edges marked.
+func markCrossFaultsTree(inst *Instance, ids []graph.EdgeID) int {
+	marked := 0
+	tree := inst.Conn.Tree()
+	for _, id := range ids {
+		le, ok := inst.Cluster.Sub.LocalEdge(id)
+		if !ok || tree.InTree[le] {
+			continue
+		}
+		e := inst.Cluster.Sub.Local.Edge(le)
+		au, av := inst.Conn.Anc(e.U), inst.Conn.Anc(e.V)
+		if au.IsAncestorOf(av) || av.IsAncestorOf(au) {
+			continue
+		}
+		tree.InTree[le] = true
+		marked++
+	}
+	return marked
+}
+
+// TestForbiddenContextCorruptedTreeFault corrupts the instances where a
+// forbidden edge is a cross edge of the instance tree by marking it a
+// tree edge (non-nested endpoint intervals): PrepareForbidden succeeds,
+// the first route that reaches a corrupted instance returns the wrapped
+// preparation error, never a panic, and routes whose walk avoids those
+// instances still succeed.
 func TestForbiddenContextCorruptedTreeFault(t *testing.T) {
 	r, g := lazyRouterFixture(t)
 	ids := graph.RandomFaults(g, 2, 3)
-	ctx := &ForbiddenContext{r: r, faultIDs: ids, faults: graph.NewEdgeSet(ids...), conn: core.NewInstanceFaults()}
 	corrupted := 0
 	for i := range r.inst {
-		for j, inst := range r.inst[i] {
-			for _, l := range instanceFaultLabels(inst, ids) {
-				if l.IsTree {
-					l.EID = append([]uint64(nil), l.EID...)
-					l.EID[3] = l.EID[2] // AncV := AncU: neither is a proper ancestor
-					corrupted++
-				}
-				ctx.conn.Add(core.InstanceKey{Scale: i, Cluster: int32(j)}, inst.Conn, l)
-			}
+		for _, inst := range r.inst[i] {
+			corrupted += markCrossFaultsTree(inst, ids)
 		}
 	}
 	if corrupted == 0 {
-		t.Fatal("fixture faults are tree edges of no instance")
+		t.Fatal("fixture faults are cross edges of no instance tree")
 	}
+	ctx := r.PrepareForbidden(ids)
 	failed, routed := 0, 0
 	for s := int32(0); s < int32(g.N()); s += 3 {
 		for _, d := range []int32{(s + 1) % 90, (s + 45) % 90} {

@@ -188,15 +188,6 @@ func (m *Manifest) FaultBound() int {
 	}
 }
 
-// rhoTop returns the top-scale radius 2^K of the tree-cover hierarchy
-// (dist/router kinds). At the top scale every home cluster spans its
-// whole component, so an edge appears in at least one cluster instance
-// iff its weight is at most rhoTop — the fact planner fault counting
-// relies on (see distinctFaultCount).
-func (m *Manifest) rhoTop() int64 {
-	return int64(1) << uint(len(m.clusterCounts)-1)
-}
-
 // assignShards groups components into at most want shards, balancing by
 // vertex count: components in decreasing size order go to the currently
 // lightest shard (ties to the lowest id). Deterministic, and with

@@ -375,11 +375,12 @@ func TestPlanExecutorsRejectBadContexts(t *testing.T) {
 	}
 }
 
-// TestShardedDistHeavyEdgeFaultCount pins the planner's fault counting
+// TestShardedDistHeavyEdgeFaultCount pins the batch paths' fault counting
 // against the decoder's: an edge heavier than the top-scale radius
 // appears in no cluster instance, so the decoder counts every occurrence
-// of it, not just the distinct id. The planner must reproduce that from
-// topology alone.
+// of it, not just the distinct id. The planner and the monolithic
+// PrepareFaults share one id-based count; both must reproduce the
+// label-based count of the per-pair Estimate from topology alone.
 func TestShardedDistHeavyEdgeFaultCount(t *testing.T) {
 	g := NewGraph(8)
 	heavy := g.MustAddEdge(0, 1, 50) // weight far above 2*ecc bound
@@ -418,6 +419,15 @@ func TestShardedDistHeavyEdgeFaultCount(t *testing.T) {
 	}
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("estimates diverge with entry-less faults: %v != %v", got, want)
+	}
+	for i, p := range batch.Pairs {
+		single, err := built.Estimate(p.S, p.T, batch.Faults)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if single != want[i] {
+			t.Fatalf("pair (%d,%d): batch estimate %d, per-pair Estimate %d", p.S, p.T, want[i], single)
+		}
 	}
 }
 
