@@ -109,15 +109,16 @@ perfbench-check:
 	cd perfbench && $(GO) vet . && $(GO) test .
 
 # shard-smoke proves the serving pipeline end to end: build a
-# multi-component scheme, split it into a manifest + shards, serve both
-# the scheme file and the manifest, probe the scheme daemon's healthz
-# and stats, check the two daemons' answers are byte-identical for the
-# same requests, and check both exit 0 on SIGTERM after draining — the
-# same path the CI shard-smoke job runs.
+# multi-component connectivity scheme and a distance scheme, split each
+# into a manifest + shards, serve every scheme file and manifest, probe
+# the scheme daemon's healthz and stats, check each file daemon and its
+# manifest daemon answer byte-identically for the same requests (error
+# envelopes included), and check all exit 0 on SIGTERM after draining —
+# the same path the CI shard-smoke job runs.
 shard-smoke:
 	@set -e; \
 	tmp=$$(mktemp -d); \
-	trap 'kill $$mpid $$spid 2>/dev/null || true; rm -rf "$$tmp"' EXIT; \
+	trap 'kill $$mpid $$spid $$dmpid $$dspid 2>/dev/null || true; rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o "$$tmp/ftroute" ./cmd/ftroute; \
 	"$$tmp/ftroute" build -type conn -graph islands -n 40 -extra 60 -f 3 -out "$$tmp/scheme.ftlb"; \
 	"$$tmp/ftroute" shard -in "$$tmp/scheme.ftlb" -out-dir "$$tmp/shards"; \
@@ -143,10 +144,33 @@ shard-smoke:
 	done; \
 	curl -fsS "http://$$maddr/v1/stats"; echo; \
 	curl -fsS "http://$$saddr/v1/stats" | grep -q '"shards"' || { echo "stats missing per-shard block" >&2; exit 1; }; \
-	kill -TERM $$mpid $$spid; \
+	"$$tmp/ftroute" build -type dist -graph islands -n 40 -extra 60 -f 2 -k 2 -out "$$tmp/dist.ftlb"; \
+	"$$tmp/ftroute" shard -in "$$tmp/dist.ftlb" -out-dir "$$tmp/dshards"; \
+	"$$tmp/ftroute" serve -in "$$tmp/dist.ftlb" -addr 127.0.0.1:0 > "$$tmp/dmono.log" 2>&1 & dmpid=$$!; \
+	"$$tmp/ftroute" serve -in "$$tmp/dshards" -addr 127.0.0.1:0 -shard-budget 30000 > "$$tmp/dshard.log" 2>&1 & dspid=$$!; \
+	dmaddr=""; dsaddr=""; \
+	for i in $$(seq 1 50); do \
+		dmaddr=$$(sed -n 's/^listening on //p' "$$tmp/dmono.log"); \
+		dsaddr=$$(sed -n 's/^listening on //p' "$$tmp/dshard.log"); \
+		[ -n "$$dmaddr" ] && [ -n "$$dsaddr" ] && break; \
+		sleep 0.2; \
+	done; \
+	[ -n "$$dmaddr" ] && [ -n "$$dsaddr" ] || { echo "distance daemons never announced addresses" >&2; cat "$$tmp"/d*.log >&2; exit 1; }; \
+	for body in '{"pairs":[[0,39],[0,41],[41,79],[80,119]],"faults":[1,2]}' \
+	            '{"pairs":[[5,7],[120,159],[159,120]],"faults":[3,3,200]}' \
+	            '{"pairs":[[0,999]]}' \
+	            '{"pairs":[[0,1]],"faults":[1,2,3]}'; do \
+		curl -sS -d "$$body" "http://$$dmaddr/v1/estimate" > "$$tmp/dmono.out"; \
+		curl -sS -d "$$body" "http://$$dsaddr/v1/estimate" > "$$tmp/dshard.out"; \
+		cmp "$$tmp/dmono.out" "$$tmp/dshard.out" || { echo "estimates diverge for $$body" >&2; cat "$$tmp/dmono.out" "$$tmp/dshard.out" >&2; exit 1; }; \
+	done; \
+	grep -q '"code":"fault_bound_exceeded"' "$$tmp/dmono.out" || { echo "distance daemon did not report the fault bound: $$(cat "$$tmp/dmono.out")" >&2; exit 1; }; \
+	kill -TERM $$mpid $$spid $$dmpid $$dspid; \
 	wait $$mpid; \
 	wait $$spid; \
-	cat "$$tmp/mono.log" "$$tmp/shard.log"; \
+	wait $$dmpid; \
+	wait $$dspid; \
+	cat "$$tmp/mono.log" "$$tmp/shard.log" "$$tmp/dmono.log" "$$tmp/dshard.log"; \
 	echo "shard-smoke OK"
 
 # proxy-smoke proves the fan-out tier end to end: build a multi-island

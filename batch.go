@@ -186,7 +186,7 @@ func forEachPair[T any](pairs []Pair, parallelism int, eval func(Pair) (T, error
 // pooled decoder scratch hot across its whole run.
 func forEachPairIndexed[T any](pairs []Pair, parallelism int, eval func(int, Pair) (T, error)) ([]T, error) {
 	out := make([]T, len(pairs))
-	err := parallel.ForEachChunked(parallelism, len(pairs), func(_, i int) error {
+	err := parallel.ForEachChunked(parallelism, len(pairs), func(i int) error {
 		v, err := eval(i, pairs[i])
 		if err != nil {
 			return wrapPairError(i, err)
@@ -239,9 +239,13 @@ func (c *ConnLabels) PrepareFaults(faults []EdgeID) (*ConnFaultContext, error) {
 		return nil, err
 	}
 	// Assemble the edge labels once and group them per component in input
-	// order — exactly the restriction Query applies per pair.
+	// order — exactly the restriction Query applies per pair (a partial
+	// scheme ignores faults outside its components, as Connected does).
 	byComp := make(map[int32][]EdgeLabel)
 	for _, id := range faults {
+		if !c.holds(c.g.Edge(id).U) {
+			continue
+		}
 		l := c.EdgeLabel(id)
 		byComp[l.comp] = append(byComp[l.comp], l)
 	}
@@ -281,6 +285,9 @@ func (x *ConnFaultContext) Connected(s, t int32) (bool, error) {
 		return false, err
 	}
 	if err := checkVertex("t", t, c.g.N()); err != nil {
+		return false, err
+	}
+	if err := c.checkHeld(s, t); err != nil {
 		return false, err
 	}
 	sv, tv := c.VertexLabel(s), c.VertexLabel(t)
@@ -377,9 +384,7 @@ func (x *DistFaultContext) Estimate(s, t int32) (int64, error) {
 	if err := checkVertex("t", t, g.N()); err != nil {
 		return 0, err
 	}
-	// Cached labels: per-query label assembly is the only allocation on the
-	// warm estimate path (the prepared decode itself is allocation-free).
-	return x.inner.Decode(x.d.inner.CachedVertexLabel(s), x.d.inner.CachedVertexLabel(t))
+	return x.inner.Decode(s, t)
 }
 
 // EstimateBatch evaluates a pair list against the prepared fault set,

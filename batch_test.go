@@ -236,6 +236,40 @@ func TestFaultContextKeepsOwnFaults(t *testing.T) {
 	}
 }
 
+// firstEstimateAllocCeiling bounds the heap bytes of the first estimate on
+// a fresh RandomConnected(2000,4000) distance labeling: the instances its
+// scale walk reaches are prepared (about 64 KB), and nothing is built
+// per vertex. A table of every vertex's label was about 13 MB here.
+const firstEstimateAllocCeiling = 4 << 20
+
+// TestDistFirstEstimateBuildsNoLabelTable checks the first estimate on a
+// freshly built distance labeling allocates only for the instances it
+// reaches, never a per-vertex label table.
+func TestDistFirstEstimateBuildsNoLabelTable(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 2000-vertex distance labeling; skipped in -short")
+	}
+	g := RandomConnected(2000, 4000, 1)
+	d, err := BuildDistanceLabels(g, 2, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, err := d.PrepareFaults(RandomFaults(g, 2, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if _, err := ctx.Estimate(3, 1500); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > firstEstimateAllocCeiling {
+		t.Fatalf("first estimate allocated %d bytes, want at most %d", got, firstEstimateAllocCeiling)
+	}
+}
+
 // --- Error paths ---------------------------------------------------------
 
 func TestBatchEmpty(t *testing.T) {

@@ -763,7 +763,7 @@ func BenchmarkQueryBatchDistFreshFaults(b *testing.B) {
 	}
 	pairs := batchBenchPairs(g.N(), 16)
 	opts := BatchOptions{Parallelism: 1}
-	// Untimed: materialize the cached vertex-label table once.
+	// Untimed: one warm-up batch.
 	if _, err := d.EstimateBatch(QueryBatch{Pairs: pairs, Faults: graph.RandomFaults(g, 2, 1)}, opts); err != nil {
 		b.Fatal(err)
 	}

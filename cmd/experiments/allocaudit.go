@@ -88,7 +88,7 @@ func allocAudit(seed uint64) *experiments.Table {
 		return fail(err)
 	}
 
-	// Distance: prepared estimate over cached vertex labels.
+	// Distance: prepared estimate from vertex ids.
 	dg := ftrouting.WithRandomWeights(ftrouting.RandomConnected(128, 220, seed+2), 4, seed+3)
 	dist, err := ftrouting.BuildDistanceLabels(dg, 2, 2, seed)
 	if err != nil {

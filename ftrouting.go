@@ -378,16 +378,37 @@ func (c *ConnLabels) Query(s, t VertexLabel, faults []EdgeLabel) (bool, error) {
 	return false, fmt.Errorf("ftrouting: unknown scheme")
 }
 
-// Connected is the convenience form of Query over vertex/edge ids.
+// Connected is the convenience form of Query over vertex/edge ids. A
+// partial (shard) scheme ignores fault edges outside its components.
 func (c *ConnLabels) Connected(s, t int32, faults []EdgeID) (bool, error) {
 	if err := checkQuery(c.g, s, t, faults); err != nil {
 		return false, err
 	}
-	fl := make([]EdgeLabel, len(faults))
-	for i, id := range faults {
-		fl[i] = c.EdgeLabel(id)
+	if err := c.checkHeld(s, t); err != nil {
+		return false, err
+	}
+	var fl []EdgeLabel
+	for _, id := range faults {
+		if c.holds(c.g.Edge(id).U) {
+			fl = append(fl, c.EdgeLabel(id))
+		}
 	}
 	return c.Query(c.VertexLabel(s), c.VertexLabel(t), fl)
+}
+
+// holds reports whether the scheme holds v's component: every component
+// for a whole scheme, its own ones for a partial (shard) scheme.
+func (c *ConnLabels) holds(v int32) bool { return c.subs[c.comp[v]] != nil }
+
+// checkHeld rejects a pair with an endpoint outside the scheme's
+// components.
+func (c *ConnLabels) checkHeld(s, t int32) error {
+	for _, v := range [2]int32{s, t} {
+		if !c.holds(v) {
+			return fmt.Errorf("ftrouting: vertex %d lies in a component the partial scheme does not hold", v)
+		}
+	}
+	return nil
 }
 
 // DistLabels is an f-FT approximate distance labeling (Theorem 1.4).
@@ -412,14 +433,21 @@ func BuildDistanceLabels(g *Graph, f, k int, seed uint64) (*DistLabels, error) {
 // satisfying dist <= estimate <= (8k-2)(|F|+1) * dist w.h.p., or
 // Unreachable.
 func (d *DistLabels) Estimate(s, t int32, faults []EdgeID) (int64, error) {
-	if err := checkQuery(d.inner.Graph(), s, t, faults); err != nil {
+	g := d.inner.Graph()
+	if err := checkQuery(g, s, t, faults); err != nil {
 		return 0, err
 	}
+	if err := d.inner.Hierarchy().CheckHeld(s, t); err != nil {
+		return 0, err
+	}
+	// A fault outside a partial scheme's components has an empty label: it
+	// cuts nothing, and |F| counts it by id as the whole scheme does.
 	fl := make([]distlabel.EdgeLabel, len(faults))
 	for i, id := range faults {
 		fl[i] = d.inner.EdgeLabel(id)
 	}
-	return d.inner.Decode(d.inner.VertexLabel(s), d.inner.VertexLabel(t), fl)
+	nf := distlabel.DistinctFaults(g, faults, d.inner.Scales())
+	return d.inner.DecodeCount(d.inner.VertexLabel(s), d.inner.VertexLabel(t), fl, nf)
 }
 
 // Graph returns the labeled graph.

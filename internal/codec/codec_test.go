@@ -443,3 +443,14 @@ func TestHierarchyDecodeRejectsBadHome(t *testing.T) {
 		t.Fatalf("home out of range: %v", err)
 	}
 }
+
+// TestHierarchyDecodeRejectsNoScales checks a hierarchy section with no
+// scale is corrupt: every build has at least one, and decoders read the
+// home clusters of scale 0.
+func TestHierarchyDecodeRejectsNoScales(t *testing.T) {
+	var buf bytes.Buffer
+	NewWriter(&buf).Count(0)
+	if _, err := DecodeHierarchy(NewReader(bytes.NewReader(buf.Bytes())), graph.Path(3)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("zero scales: %v", err)
+	}
+}

@@ -22,7 +22,7 @@ import (
 // linear-time, seed-driven step.
 
 // maxScales bounds the scale count: 2^i must fit an int64 radius, so more
-// than 63 scales cannot arise from a real build.
+// than 63 scales cannot arise from a real build (nor fewer than one).
 const maxScales = 64
 
 // EncodeHierarchy writes h as a section of w.
@@ -44,6 +44,9 @@ func DecodeHierarchy(r *Reader, g *graph.Graph) (*treecover.Hierarchy, error) {
 	numScales := r.Count(maxScales)
 	if r.Err() != nil {
 		return nil, r.Err()
+	}
+	if numScales < 1 {
+		return nil, fmt.Errorf("%w: hierarchy has no scales", ErrCorrupt)
 	}
 	h := &treecover.Hierarchy{G: g, K: numScales - 1}
 	for i := 0; i < numScales; i++ {

@@ -28,10 +28,9 @@ type InstanceFaults struct {
 
 // instanceFaults is one reached instance's context, prepared at most once.
 type instanceFaults struct {
-	once   sync.Once
-	faulty bool
-	ctx    *SketchFaultContext
-	err    error
+	once sync.Once
+	ctx  *SketchFaultContext
+	err  error
 }
 
 // NewInstanceFaults returns the fault set ids, restricted to no instance
@@ -43,10 +42,10 @@ func NewInstanceFaults(ids []graph.EdgeID) *InstanceFaults {
 // Context returns the fault context (sketch copy 0) of instance k, whose
 // local graph is sub and connectivity scheme s. The first call for k
 // restricts F to sub (RestrictFaults) and prepares the context; every
-// later call shares it. ok is false when no fault lies in k: the instance
-// tree is intact and every pair in it is connected. A preparation error
-// is returned by every call that reaches k.
-func (x *InstanceFaults) Context(k InstanceKey, sub *graph.Subgraph, s *SketchScheme) (ctx *SketchFaultContext, ok bool, err error) {
+// later call shares it. When no fault lies in k it is the scheme's shared
+// empty-fault context: the instance tree is intact and every pair in it is
+// connected. A preparation error is returned by every call that reaches k.
+func (x *InstanceFaults) Context(k InstanceKey, sub *graph.Subgraph, s *SketchScheme) (*SketchFaultContext, error) {
 	v, found := x.m.Load(k)
 	if !found {
 		v, _ = x.m.LoadOrStore(k, new(instanceFaults))
@@ -54,11 +53,12 @@ func (x *InstanceFaults) Context(k InstanceKey, sub *graph.Subgraph, s *SketchSc
 	e := v.(*instanceFaults)
 	e.once.Do(func() {
 		if fl := RestrictFaults(sub, s, x.ids); len(fl) > 0 {
-			e.faulty = true
 			e.ctx, e.err = s.PrepareFaults(fl, 0)
+		} else {
+			e.ctx = &s.empty
 		}
 	})
-	return e.ctx, e.faulty, e.err
+	return e.ctx, e.err
 }
 
 // Reached reports whether a Context call has reached instance k.

@@ -60,7 +60,7 @@ func TestRestrictFaults(t *testing.T) {
 // call for that instance, concurrent first uses included, returns the
 // preparation error without a panic, while an intact instance holding the
 // same fault prepares and decodes like the direct decoder, and an
-// instance holding no fault reports ok=false.
+// instance holding no fault gets its scheme's shared empty-fault context.
 func TestInstanceFaultsCorruptedTreeFault(t *testing.T) {
 	g := graph.RandomConnected(40, 70, 3)
 	sub, bad := wholeInstance(t, g, 5)
@@ -96,8 +96,8 @@ func TestInstanceFaultsCorruptedTreeFault(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 4; i++ {
-				ctx, ok, err := x.Context(badKey, sub, bad)
-				if err == nil || !ok || ctx != nil {
+				ctx, err := x.Context(badKey, sub, bad)
+				if err == nil || ctx != nil {
 					errs <- "corrupted instance prepared without an error"
 					return
 				}
@@ -114,9 +114,9 @@ func TestInstanceFaultsCorruptedTreeFault(t *testing.T) {
 		t.Fatal(msg)
 	}
 
-	ctx, ok, err := x.Context(goodKey, sub, good)
-	if err != nil || !ok || ctx == nil {
-		t.Fatalf("intact instance: ctx %v, ok %v, err %v", ctx, ok, err)
+	ctx, err := x.Context(goodKey, sub, good)
+	if err != nil || ctx == nil || ctx == &good.empty {
+		t.Fatalf("intact instance: ctx %v, err %v", ctx, err)
 	}
 	fl := RestrictFaults(sub, good, ids)
 	for v := int32(0); v < int32(g.N()); v += 3 {
@@ -133,8 +133,8 @@ func TestInstanceFaultsCorruptedTreeFault(t *testing.T) {
 		}
 	}
 
-	if ctx, ok, err := x.Context(freeKey, cycleSub, cycle); ctx != nil || ok || err != nil {
-		t.Fatalf("fault-free instance: ctx %v, ok %v, err %v", ctx, ok, err)
+	if ctx, err := x.Context(freeKey, cycleSub, cycle); ctx != &cycle.empty || err != nil {
+		t.Fatalf("fault-free instance: ctx %v (want the shared empty context %v), err %v", ctx, &cycle.empty, err)
 	}
 	for _, k := range []InstanceKey{badKey, goodKey, freeKey} {
 		if !x.Reached(k) {

@@ -53,11 +53,10 @@ type SketchScheme struct {
 	engines []*sketch.Engine
 	seedID  uint64
 	opts    SketchOptions
-	// trivial[c] lazily caches the empty-fault-set context of copy c, so
-	// hot paths that decode an instance containing no fault skip
-	// PrepareFaults (and its allocations) entirely.
-	trivialOnce []sync.Once
-	trivialCtx  []*SketchFaultContext
+	// empty is the shared copy-0 context of the empty fault set, so hot
+	// paths that decode an instance containing no fault skip PrepareFaults
+	// (and its allocations) entirely.
+	empty SketchFaultContext
 }
 
 // BuildSketch labels the graph spanned by tree; the tree must span all of
@@ -135,23 +134,8 @@ func BuildSketch(g *graph.Graph, tree *graph.Tree, opts SketchOptions) (*SketchS
 	if err != nil {
 		return nil, err
 	}
-	s.trivialOnce = make([]sync.Once, opts.Copies)
-	s.trivialCtx = make([]*SketchFaultContext, opts.Copies)
+	s.empty = SketchFaultContext{scheme: s, trivial: true}
 	return s, nil
-}
-
-// TrivialContext returns the shared prepared context of the empty fault set
-// under the given copy (T intact: every same-instance pair is connected
-// through the tree). It is cached per scheme and copy and bit-identical to
-// PrepareFaults(nil, copy).
-func (s *SketchScheme) TrivialContext(copy int) (*SketchFaultContext, error) {
-	if copy < 0 || copy >= len(s.engines) {
-		return nil, fmt.Errorf("core: copy %d out of range [0,%d)", copy, len(s.engines))
-	}
-	s.trivialOnce[copy].Do(func() {
-		s.trivialCtx[copy] = &SketchFaultContext{scheme: s, copy: copy, trivial: true}
-	})
-	return s.trivialCtx[copy], nil
 }
 
 // Copies returns the number of independent sketch copies f'.

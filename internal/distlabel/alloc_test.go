@@ -7,8 +7,8 @@ import (
 )
 
 // The distance-estimate allocation gate: after PrepareFaults, a warm
-// estimate — cached vertex labels plus FaultContext.Decode — must not
-// touch the heap. This is the eval stage under every /estimate request.
+// estimate — FaultContext.Decode on a pair of vertex ids — must not touch
+// the heap. This is the eval stage under every /estimate request.
 
 func distAllocFixture(t testing.TB) (*Scheme, *FaultContext) {
 	t.Helper()
@@ -24,12 +24,12 @@ func TestFaultContextEstimateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation gate: race instrumentation allocates")
 	}
-	s, ctx := distAllocFixture(t)
+	_, ctx := distAllocFixture(t)
 	n := int32(64)
 	allocs := testing.AllocsPerRun(100, func() {
 		for i := int32(0); i < 8; i++ {
 			sv, tv := (i*5)%n, (i*11+32)%n
-			if _, err := ctx.Decode(s.CachedVertexLabel(sv), s.CachedVertexLabel(tv)); err != nil {
+			if _, err := ctx.Decode(sv, tv); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -40,17 +40,17 @@ func TestFaultContextEstimateZeroAlloc(t *testing.T) {
 }
 
 func BenchmarkDistEstimateWarmDecode(b *testing.B) {
-	s, ctx := distAllocFixture(b)
-	sl, tl := s.CachedVertexLabel(3), s.CachedVertexLabel(60)
+	_, ctx := distAllocFixture(b)
+	const sv, tv = 3, 60
 	// Untimed filling pass: prepares the instances the walk reaches, so a
 	// single timed iteration measures the warm decode.
-	if _, err := ctx.Decode(sl, tl); err != nil {
+	if _, err := ctx.Decode(sv, tv); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ctx.Decode(sl, tl); err != nil {
+		if _, err := ctx.Decode(sv, tv); err != nil {
 			b.Fatal(err)
 		}
 	}

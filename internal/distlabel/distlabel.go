@@ -18,7 +18,6 @@ package distlabel
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"ftrouting/internal/core"
 	"ftrouting/internal/graph"
@@ -54,10 +53,6 @@ type Scheme struct {
 	opts Options
 	hier *treecover.Hierarchy
 	inst [][]*Instance // [scale][cluster]
-	// labels is the lazily materialized table of all vertex labels; warm
-	// serving paths read it instead of reassembling per query.
-	labelsOnce sync.Once
-	labels     []VertexLabel
 }
 
 // Build constructs the labeling for fault bound f and stretch parameter k.
@@ -189,33 +184,13 @@ func (s *Scheme) VertexLabel(u int32) VertexLabel {
 	return l
 }
 
-// CachedVertexLabel returns VertexLabel(u) from a table of every vertex's
-// label, materialized once (in parallel, under the build Parallelism) on
-// first use. A serving deployment answers many pair queries against the
-// same scheme, so the per-query label assembly of VertexLabel — home-array
-// allocation plus per-entry appends — dominates the otherwise
-// allocation-free warm estimate; the table makes the whole warm path heap
-// allocation free. Labels are bit-identical to VertexLabel's.
-func (s *Scheme) CachedVertexLabel(u int32) VertexLabel {
-	s.labelsOnce.Do(func() {
-		labels := make([]VertexLabel, s.g.N())
-		_ = parallel.ForEach(s.opts.Parallelism, len(labels), func(v int) error {
-			labels[v] = s.VertexLabel(int32(v))
-			return nil
-		})
-		s.labels = labels
-	})
-	return s.labels[u]
-}
-
 // EdgeLabel assembles DistLabel(e). Every instance containing e contains
-// its endpoint U (instances are induced subgraphs), so the scan walks the
-// (scale, cluster) memberships of U's cached vertex label instead of every
-// cluster of every scale; entries come out in the same (scale, cluster)
-// order.
+// its endpoint U (instances are induced subgraphs), so only the instances
+// of U's vertex label are searched for e; entries come out in the (scale,
+// cluster) order of a scan of every cluster.
 func (s *Scheme) EdgeLabel(e graph.EdgeID) EdgeLabel {
 	var l EdgeLabel
-	for _, ve := range s.CachedVertexLabel(s.g.Edge(e).U).Entries {
+	for _, ve := range s.VertexLabel(s.g.Edge(e).U).Entries {
 		inst := s.inst[ve.Scale][ve.Cluster]
 		if le, ok := inst.Cluster.Sub.LocalEdge(e); ok {
 			l.Entries = append(l.Entries, EEntry{Scale: ve.Scale, Cluster: ve.Cluster, L: inst.Conn.EdgeLabel(le)})
@@ -246,10 +221,16 @@ const Unreachable = int64(graph.Inf)
 // the estimate counts the distinct queried edges, matching the theorem
 // statement.
 func (s *Scheme) Decode(sl, tl VertexLabel, faults []EdgeLabel) (int64, error) {
+	return s.DecodeCount(sl, tl, faults, countDistinct(faults))
+}
+
+// DecodeCount is Decode with the |F| of the estimate given by the caller:
+// DistinctFaults of the fault ids, as PrepareFaults takes it, since a
+// partial (shard) scheme's label of a foreign fault edge is empty.
+func (s *Scheme) DecodeCount(sl, tl VertexLabel, faults []EdgeLabel, nf int) (int64, error) {
 	if sl.Global == tl.Global {
 		return 0, nil
 	}
-	nf := countDistinct(faults)
 	for i := range s.inst {
 		j := sl.Home[i]
 		if j < 0 {

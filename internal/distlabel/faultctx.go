@@ -15,11 +15,8 @@ import (
 // reaches it, and every later Decode shares it. The context is safe for
 // concurrent Decode calls.
 type FaultContext struct {
-	s  *Scheme
-	nf int
-	// conn restricts F to the instances the decodes reach (for those
-	// holding no fault the connectivity decode is trivially "connected":
-	// the instance tree is intact).
+	s    *Scheme
+	nf   int
 	conn *core.InstanceFaults
 }
 
@@ -32,43 +29,41 @@ func (s *Scheme) PrepareFaults(ids []graph.EdgeID, distinct int) *FaultContext {
 	return &FaultContext{s: s, nf: distinct, conn: core.NewInstanceFaults(ids)}
 }
 
-// Decode answers one pair against the prepared fault set; results are
-// bit-identical to Scheme.Decode with the fault labels of the same ids.
-func (ctx *FaultContext) Decode(sl, tl VertexLabel) (int64, error) {
-	s := ctx.s
-	if sl.Global == tl.Global {
+// Decode answers one pair of vertex ids against the prepared fault set;
+// results are bit-identical to Scheme.Decode on the vertex labels of s and
+// t and the fault labels of the same ids. The walk reads the hierarchy
+// directly, as the forbidden-set router does: per scale the home cluster
+// i*(s), skipped when t lies outside it. An endpoint in a component a
+// partial (shard) scheme does not hold is an error.
+func (ctx *FaultContext) Decode(s, t int32) (int64, error) {
+	sch := ctx.s
+	if err := sch.hier.CheckHeld(s, t); err != nil {
+		return 0, err
+	}
+	if s == t {
 		return 0, nil
 	}
-	for i := range s.inst {
-		j := sl.Home[i]
-		if j < 0 {
-			continue
-		}
-		tEntry, ok := tl.find(i, j)
+	for i := range sch.inst {
+		j := sch.hier.Home(i, s)
+		inst := sch.inst[i][j]
+		lt, ok := inst.Cluster.Sub.LocalVertex(t)
 		if !ok {
 			continue // t outside the 2^i-ball instance of s
 		}
-		sEntry, ok := sl.find(i, j)
+		ls, ok := inst.Cluster.Sub.LocalVertex(s)
 		if !ok {
-			return 0, fmt.Errorf("distlabel: vertex %d missing from its own home instance (%d,%d)", sl.Global, i, j)
+			return 0, fmt.Errorf("distlabel: vertex %d missing from its own home instance (%d,%d)", s, i, j)
 		}
-		inst := s.inst[i][j]
-		prepared, okc, err := ctx.conn.Context(core.InstanceKey{Scale: i, Cluster: j}, inst.Cluster.Sub, inst.Conn)
+		prepared, err := ctx.conn.Context(core.InstanceKey{Scale: i, Cluster: j}, inst.Cluster.Sub, inst.Conn)
 		if err != nil {
 			return 0, fmt.Errorf("distlabel: instance (%d,%d): %w", i, j, err)
 		}
-		connected := true
-		if okc {
-			v, err := prepared.Decode(sEntry, tEntry, false)
-			if err != nil {
-				return 0, err
-			}
-			connected = v.Connected
+		v, err := prepared.Decode(inst.Conn.VertexLabel(ls), inst.Conn.VertexLabel(lt), false)
+		if err != nil {
+			return 0, err
 		}
-		// No fault restricted to this instance: its tree is intact and the
-		// connectivity decode is trivially "connected".
-		if connected {
-			return int64(4*s.k-1) * int64(ctx.nf+1) * (int64(1) << uint(i)), nil
+		if v.Connected {
+			return int64(4*sch.k-1) * int64(ctx.nf+1) * (int64(1) << uint(i)), nil
 		}
 	}
 	return Unreachable, nil

@@ -29,7 +29,7 @@ func TestFaultContextMatchesDecode(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := ctx.Decode(s.VertexLabel(sv), s.VertexLabel(tv))
+				got, err := ctx.Decode(sv, tv)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -63,7 +63,7 @@ func TestFaultContextForeignEntries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := ctx.Decode(s.VertexLabel(0), s.VertexLabel(tv))
+		got, err := ctx.Decode(0, tv)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -97,12 +97,11 @@ func TestFaultContextPreparesOnlyReachedInstances(t *testing.T) {
 					t.Fatalf("seed %d: PrepareFaults created an entry for instance %+v", seed, k)
 				}
 			}
-			sl, tl := s.CachedVertexLabel(p[0]), s.CachedVertexLabel(p[1])
-			est, err := ctx.Decode(sl, tl)
+			est, err := ctx.Decode(p[0], p[1])
 			if err != nil {
 				t.Fatal(err)
 			}
-			reached := reachedInstances(s, ctx.nf, sl, tl, est)
+			reached := reachedInstances(s, ctx.nf, s.VertexLabel(p[0]), s.VertexLabel(p[1]), est)
 			for _, k := range all {
 				if got := ctx.conn.Reached(k); got != reached[k] {
 					t.Fatalf("seed %d pair %v: instance %+v has an entry=%v, reached by the walk=%v", seed, p, k, got, reached[k])
@@ -145,7 +144,7 @@ func TestFaultContextConcurrentFirstUse(t *testing.T) {
 			defer wg.Done()
 			for k := range pairs {
 				i := (k + w*6) % len(pairs)
-				got, err := ctx.Decode(s.CachedVertexLabel(pairs[i][0]), s.CachedVertexLabel(pairs[i][1]))
+				got, err := ctx.Decode(pairs[i][0], pairs[i][1])
 				if err != nil {
 					errs <- err
 					return
@@ -213,7 +212,7 @@ func TestFaultContextCorruptedTreeFault(t *testing.T) {
 	for sv := int32(0); sv < int32(g.N()); sv += 3 {
 		for _, tv := range []int32{(sv + 1) % 120, (sv + 61) % 120} {
 			want, werr := s.Decode(s.VertexLabel(sv), s.VertexLabel(tv), fl)
-			got, gerr := ctx.Decode(s.CachedVertexLabel(sv), s.CachedVertexLabel(tv))
+			got, gerr := ctx.Decode(sv, tv)
 			if (werr != nil) != (gerr != nil) {
 				t.Fatalf("pair (%d,%d): direct error %v, prepared error %v", sv, tv, werr, gerr)
 			}
@@ -250,9 +249,9 @@ func TestFaultContextAlternatingZeroAlloc(t *testing.T) {
 	n := int32(g.N())
 	run := func() {
 		for i := int32(0); i < 16; i++ {
-			sl, tl := s.CachedVertexLabel((i*5)%n), s.CachedVertexLabel((i*11+60)%n)
+			sv, tv := (i*5)%n, (i*11+60)%n
 			for _, ctx := range []*FaultContext{one, two} {
-				if _, err := ctx.Decode(sl, tl); err != nil {
+				if _, err := ctx.Decode(sv, tv); err != nil {
 					t.Fatal(err)
 				}
 			}

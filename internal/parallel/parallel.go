@@ -76,14 +76,12 @@ func ForEach(parallelism, n int, fn func(i int) error) error {
 	return nil
 }
 
-// ForEachChunked runs fn(worker, i) for every i in [0, n) under the same
-// pool and error discipline as ForEach, but hands items to workers in
-// contiguous chunks: one atomic claim amortizes over many items (ForEach
-// pays one per item), and the worker id — in [0, Workers(parallelism)) —
-// lets callers key per-worker scratch without any per-item setup. This is
-// the fan-out under the per-pair batch evaluators, whose items are far
-// cheaper than a build step.
-func ForEachChunked(parallelism, n int, fn func(worker, i int) error) error {
+// ForEachChunked runs fn(i) for every i in [0, n) under the same pool and
+// error discipline as ForEach, but hands items to workers in contiguous
+// chunks: one atomic claim amortizes over many items (ForEach pays one per
+// item). This is the fan-out under the per-pair batch evaluators, whose
+// items are far cheaper than a build step.
+func ForEachChunked(parallelism, n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
 	}
@@ -93,7 +91,7 @@ func ForEachChunked(parallelism, n int, fn func(worker, i int) error) error {
 	}
 	if workers == 1 {
 		for i := 0; i < n; i++ {
-			if err := fn(0, i); err != nil {
+			if err := fn(i); err != nil {
 				return err
 			}
 		}
@@ -108,7 +106,7 @@ func ForEachChunked(parallelism, n int, fn func(worker, i int) error) error {
 	errIdx, errVal := n, error(nil)
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for {
 				lo := int(next.Add(int64(chunk))) - chunk
@@ -120,7 +118,7 @@ func ForEachChunked(parallelism, n int, fn func(worker, i int) error) error {
 					hi = n
 				}
 				for i := lo; i < hi; i++ {
-					if err := fn(w, i); err != nil {
+					if err := fn(i); err != nil {
 						mu.Lock()
 						if i < errIdx {
 							errIdx, errVal = i, err
@@ -129,7 +127,7 @@ func ForEachChunked(parallelism, n int, fn func(worker, i int) error) error {
 					}
 				}
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	return errVal

@@ -95,3 +95,39 @@ func TestMapError(t *testing.T) {
 		t.Fatalf("got (%v, %v), want (nil, boom)", got, err)
 	}
 }
+
+func TestForEachChunkedRunsAllItems(t *testing.T) {
+	for _, tc := range []struct{ p, n int }{
+		{1, 250}, {2, 250}, {8, 250}, {8, 3}, {8, 1}, {2, 0},
+	} {
+		t.Run(fmt.Sprintf("p=%d/n=%d", tc.p, tc.n), func(t *testing.T) {
+			hits := make([]atomic.Int32, tc.n)
+			if err := ForEachChunked(tc.p, tc.n, func(i int) error {
+				hits[i].Add(1)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			for i := range hits {
+				if hits[i].Load() != 1 {
+					t.Fatalf("item %d ran %d times", i, hits[i].Load())
+				}
+			}
+		})
+	}
+}
+
+func TestForEachChunkedLowestIndexError(t *testing.T) {
+	errs := map[int]error{}
+	for _, i := range []int{5, 40, 41, 199} {
+		errs[i] = fmt.Errorf("item %d", i)
+	}
+	for _, p := range []int{1, 2, 8} {
+		// Items 5, 40, 41 and 199 fail, in different chunks at p > 1; the
+		// error of item 5 must win at any parallelism.
+		err := ForEachChunked(p, 200, func(i int) error { return errs[i] })
+		if err != errs[5] {
+			t.Errorf("p=%d: got %v, want %v", p, err, errs[5])
+		}
+	}
+}

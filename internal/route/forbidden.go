@@ -48,21 +48,6 @@ func (c *ForbiddenContext) RouteInto(s, t int32, res *Result) error {
 	return c.r.routeForbiddenInto(s, t, nil, c, res)
 }
 
-// instanceContext returns the fault context of instance (i, j), preparing
-// it on first use. An instance holding no fault edge decodes against the
-// scheme's shared empty-fault context (trivially connected through the
-// intact tree).
-func (c *ForbiddenContext) instanceContext(i int, j int32, inst *Instance) (*core.SketchFaultContext, error) {
-	prepared, ok, err := c.conn.Context(core.InstanceKey{Scale: i, Cluster: j}, inst.Cluster.Sub, inst.Conn)
-	if err != nil {
-		return nil, fmt.Errorf("route: instance (%d,%d): %w", i, j, err)
-	}
-	if !ok {
-		return inst.Conn.TrivialContext(0)
-	}
-	return prepared, nil
-}
-
 // RouteForbidden routes under the forbidden-set model of Section 5.1
 // (Theorem 5.3): the labels of the faulty edges are known to the source, so
 // each distance scale needs a single decode, the chosen path avoids F by
@@ -85,6 +70,9 @@ func (r *Router) routeForbidden(s, t int32, faultIDs []graph.EdgeID, ctx *Forbid
 // routeForbiddenInto is routeForbidden writing into a caller-owned result
 // (Trace storage reused) with all walk state on pooled scratch.
 func (r *Router) routeForbiddenInto(s, t int32, faultIDs []graph.EdgeID, ctx *ForbiddenContext, res *Result) error {
+	if err := r.hier.CheckHeld(s, t); err != nil {
+		return err
+	}
 	var faults graph.EdgeSet
 	if ctx != nil {
 		faults = ctx.faults
@@ -116,10 +104,12 @@ func (r *Router) routeForbiddenInto(s, t int32, faultIDs []graph.EdgeID, ctx *Fo
 		var verdict core.Verdict
 		var err error
 		if ctx != nil {
-			var prepared *core.SketchFaultContext
-			if prepared, err = ctx.instanceContext(i, j, inst); err == nil {
-				verdict, err = prepared.DecodeInto(inst.Conn.VertexLabel(ls), inst.Conn.VertexLabel(lt), &sc.path)
+			// F restricted to this instance and prepared on first reach.
+			prepared, perr := ctx.conn.Context(core.InstanceKey{Scale: i, Cluster: j}, inst.Cluster.Sub, inst.Conn)
+			if perr != nil {
+				return fmt.Errorf("route: instance (%d,%d): %w", i, j, perr)
 			}
+			verdict, err = prepared.DecodeInto(inst.Conn.VertexLabel(ls), inst.Conn.VertexLabel(lt), &sc.path)
 		} else {
 			// The forbidden-set labels of F restricted to this instance.
 			fl := core.RestrictFaults(inst.Cluster.Sub, inst.Conn, faultIDs)

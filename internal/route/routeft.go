@@ -195,6 +195,9 @@ func (r *Router) headerBits(inst *Instance, p *core.SuccinctPath, known []core.S
 // The behaviour is specified for |faults| <= f; with more faults the
 // router may fail to reach a connected target (it never violates safety).
 func (r *Router) RouteFT(s, t int32, faults graph.EdgeSet) (Result, error) {
+	if err := r.hier.CheckHeld(s, t); err != nil {
+		return Result{}, err
+	}
 	sc := r.getScratch()
 	defer r.scratch.Put(sc)
 	res := Result{Opt: sc.sp.Distance(r.g, s, t, graph.SkipSet(faults))}

@@ -188,3 +188,15 @@ func (h *Hierarchy) Cluster(i int, j int32) *Cluster { return h.Scales[i].Cluste
 
 // Home returns i*(v) at scale i.
 func (h *Hierarchy) Home(i int, v int32) int32 { return h.Scales[i].Home[v] }
+
+// CheckHeld rejects a query endpoint without a home cluster. Every vertex
+// of a built hierarchy has one; a partial (shard) hierarchy has them only
+// for the vertices of the components it holds.
+func (h *Hierarchy) CheckHeld(s, t int32) error {
+	for _, v := range [2]int32{s, t} {
+		if h.Scales[0].Home[v] < 0 {
+			return fmt.Errorf("treecover: vertex %d lies in a component the partial scheme does not hold", v)
+		}
+	}
+	return nil
+}
