@@ -12,10 +12,12 @@ BENCHCOUNT ?= 5
 BENCHFILTER ?= Query|Decode|Routing|Serve|Obs|Sketch|Hierarchy|Load
 BENCHTHRESHOLD ?= 25
 
-# Every decoder has a FuzzUnmarshal*/FuzzDecode*/FuzzLoad* target; `make
-# fuzz` runs each for FUZZTIME (package:target pairs, one -fuzz pattern
-# per `go test` invocation as the fuzzer requires).
+# Every decoder has a FuzzUnmarshal*/FuzzDecode*/FuzzLoad* target, and
+# FuzzSPDistance checks the pooled Opt search against graph.Distance;
+# `make fuzz` runs each for FUZZTIME (package:target pairs, one -fuzz
+# pattern per `go test` invocation as the fuzzer requires).
 FUZZ_TARGETS = \
+	./internal/graph:FuzzSPDistance \
 	./internal/codec:FuzzDecodeGraph \
 	./internal/codec:FuzzDecodeTree \
 	./internal/codec:FuzzDecodeSubgraph \

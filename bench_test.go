@@ -809,6 +809,38 @@ func BenchmarkQueryBatchRouteForbidden(b *testing.B) {
 			reportQPS(b)
 		})
 	}
+	// fattree-warm is the shape of a warm served route-forbidden request:
+	// FatTree(8), f=2, k=2, balanced tables, 16 prepared 2-fault contexts
+	// taken round-robin, 16 pairs a batch, one worker. Every instance the
+	// pairs reach is prepared before timing, so a batch costs its routes
+	// and their Opt searches.
+	b.Run("fattree-warm", func(b *testing.B) {
+		g, _ := graph.FatTree(8)
+		r, err := NewRouter(g, 2, 2, RouterOptions{Seed: 1, Balanced: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		ctxs := make([]*RouteFaultContext, 16)
+		for i := range ctxs {
+			if ctxs[i], err = r.PrepareFaults(graph.RandomFaults(g, 2, uint64(100+i))); err != nil {
+				b.Fatal(err)
+			}
+		}
+		pairs := batchBenchPairs(g.N(), 16)
+		opts := BatchOptions{Parallelism: 1}
+		for _, x := range ctxs {
+			if _, err := x.RouteForbiddenBatch(pairs, opts); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := ctxs[i%len(ctxs)].RouteForbiddenBatch(pairs, opts); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(len(pairs))*float64(b.N)/b.Elapsed().Seconds(), "queries/s")
+	})
 }
 
 func BenchmarkQueryBatchRouteFT(b *testing.B) {

@@ -299,8 +299,11 @@ func (c *ConnLabels) compBits() int {
 	return b
 }
 
-// VertexLabel returns the label of vertex v.
+// VertexLabel returns the label of vertex v. A partial (shard) scheme
+// labels only the vertices it holds; for any other v it panics with the
+// error its queries return for such an endpoint.
 func (c *ConnLabels) VertexLabel(v int32) VertexLabel {
+	mustHold(c.checkHeld(v, v))
 	ci := c.comp[v]
 	lv, _ := c.subs[ci].LocalVertex(v)
 	l := VertexLabel{comp: ci}
@@ -316,9 +319,12 @@ func (c *ConnLabels) VertexLabel(v int32) VertexLabel {
 	return l
 }
 
-// EdgeLabel returns the label of edge id.
+// EdgeLabel returns the label of edge id. A partial (shard) scheme labels
+// only the edges of the components it holds, and panics like VertexLabel
+// for any other edge.
 func (c *ConnLabels) EdgeLabel(id EdgeID) EdgeLabel {
 	e := c.g.Edge(id)
+	mustHold(c.checkHeld(e.U, e.U))
 	ci := c.comp[e.U]
 	le, _ := c.subs[ci].LocalEdge(id)
 	l := EdgeLabel{comp: ci}
@@ -411,6 +417,17 @@ func (c *ConnLabels) checkHeld(s, t int32) error {
 	return nil
 }
 
+// mustHold guards the label accessors (VertexLabel, EdgeLabel, LabelBits,
+// VertexLabelBits, EdgeLabelBits), which have no error result: asking a
+// partial scheme for the label of a vertex or edge it does not hold is a
+// caller bug, so it panics with err, the error a query naming that vertex
+// returns. A whole scheme holds every vertex.
+func mustHold(err error) {
+	if err != nil {
+		panic(err)
+	}
+}
+
 // DistLabels is an f-FT approximate distance labeling (Theorem 1.4).
 type DistLabels struct {
 	inner *distlabel.Scheme
@@ -456,11 +473,22 @@ func (d *DistLabels) Graph() *Graph { return d.inner.Graph() }
 // FaultBound returns the fault bound f the labels were built for.
 func (d *DistLabels) FaultBound() int { return d.inner.F() }
 
-// VertexLabelBits returns the per-vertex label size in bits.
-func (d *DistLabels) VertexLabelBits(v int32) int { return d.inner.VertexLabelBits(v) }
+// VertexLabelBits returns the per-vertex label size in bits. A partial
+// (shard) scheme panics for a vertex it does not hold, with the error its
+// queries return for such an endpoint.
+func (d *DistLabels) VertexLabelBits(v int32) int {
+	mustHold(d.inner.Hierarchy().CheckHeld(v, v))
+	return d.inner.VertexLabelBits(v)
+}
 
-// EdgeLabelBits returns the per-edge label size in bits.
-func (d *DistLabels) EdgeLabelBits(e EdgeID) int { return d.inner.EdgeLabelBits(e) }
+// EdgeLabelBits returns the per-edge label size in bits. A partial (shard)
+// scheme panics like VertexLabelBits for an edge of a component it does
+// not hold.
+func (d *DistLabels) EdgeLabelBits(e EdgeID) int {
+	u := d.inner.Graph().Edge(e).U
+	mustHold(d.inner.Hierarchy().CheckHeld(u, u))
+	return d.inner.EdgeLabelBits(e)
+}
 
 // StretchBound returns (8k-2)(|F|+1).
 func (d *DistLabels) StretchBound(numFaults int) int64 { return d.inner.StretchBound(numFaults) }
@@ -525,8 +553,13 @@ func (r *Router) MaxTableBits() int { return r.inner.MaxTableBits() }
 // TotalTableBits returns the global routing table space in bits.
 func (r *Router) TotalTableBits() int64 { return r.inner.TotalTableBits() }
 
-// LabelBits returns the routing label size of a vertex in bits.
-func (r *Router) LabelBits(v int32) int { return r.inner.LabelBits(v) }
+// LabelBits returns the routing label size of a vertex in bits. A partial
+// (shard) router panics for a vertex it does not hold, with the error its
+// routes return for such an endpoint.
+func (r *Router) LabelBits(v int32) int {
+	mustHold(r.inner.Hierarchy().CheckHeld(v, v))
+	return r.inner.LabelBits(v)
+}
 
 // StretchBoundFT returns 32k(|F|+1)^2.
 func (r *Router) StretchBoundFT(numFaults int) int64 { return r.inner.StretchBoundFT(numFaults) }

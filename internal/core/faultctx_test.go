@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -101,6 +104,126 @@ func TestSketchFaultContextConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestSketchFaultContextSlabReadOnly pins the copy-on-write merges: on
+// pairs whose endpoints start in different T\F components (so decodes
+// merge group sketches), sequential and concurrent DecodeInto calls leave
+// the prepared component sketches word-for-word as prepared, and every
+// verdict and succinct path equals the one-shot SketchScheme.Decode.
+func TestSketchFaultContextSlabReadOnly(t *testing.T) {
+	g := graph.RandomConnected(90, 160, 4)
+	tree := graph.BFSTree(g, 0, nil)
+	s, err := BuildSketch(g, tree, SketchOptions{Copies: 2, Seed: 13})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Five tree faults plus two non-tree ones: six components of T\F.
+	var ids []graph.EdgeID
+	for _, v := range []int32{7, 23, 41, 58, 80} {
+		ids = append(ids, tree.ParentEdge[v])
+	}
+	for id := range g.Edges() {
+		if len(ids) < 7 && !tree.InTree[id] {
+			ids = append(ids, graph.EdgeID(id))
+		}
+	}
+	labels := make([]SketchEdgeLabel, len(ids))
+	for i, id := range ids {
+		labels[i] = s.EdgeLabel(id)
+	}
+	type pair struct{ s, t int32 }
+	for copy := 0; copy < s.Copies(); copy++ {
+		ctx, err := s.PrepareFaults(labels, copy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ctx.trivial || ctx.ct.NumComps() < 3 {
+			t.Fatalf("copy %d: want at least 3 components of T\\F", copy)
+		}
+		var snapshot []uint64
+		for _, c := range ctx.comps {
+			snapshot = append(snapshot, c...)
+		}
+		checkSlab := func(when string) {
+			t.Helper()
+			var now []uint64
+			for _, c := range ctx.comps {
+				now = append(now, c...)
+			}
+			if !slices.Equal(now, snapshot) {
+				t.Fatalf("copy %d: prepared component sketches changed %s", copy, when)
+			}
+		}
+		var pairs []pair
+		var want []Verdict
+		merged := 0
+		for sv := int32(0); sv < int32(g.N()); sv += 3 {
+			for tv := int32(1); tv < int32(g.N()); tv += 7 {
+				if ctx.ct.Locate(s.VertexLabel(sv).Anc) == ctx.ct.Locate(s.VertexLabel(tv).Anc) {
+					continue
+				}
+				v, err := s.Decode(s.VertexLabel(sv), s.VertexLabel(tv), labels, copy, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if v.Connected { // across components: at least one merge
+					merged++
+				}
+				pairs = append(pairs, pair{sv, tv})
+				want = append(want, v)
+			}
+		}
+		if merged < 10 {
+			t.Fatalf("copy %d: only %d pairs needed a merge", copy, merged)
+		}
+		same := func(p pair, got, want Verdict) error {
+			if got.Connected != want.Connected || got.Phases != want.Phases {
+				return fmt.Errorf("pair %v: prepared %v/%d phases, direct %v/%d", p, got.Connected, got.Phases, want.Connected, want.Phases)
+			}
+			if (got.Path == nil) != (want.Path == nil) {
+				return fmt.Errorf("pair %v: path presence differs", p)
+			}
+			if got.Path != nil && !reflect.DeepEqual(got.Path.Steps, want.Path.Steps) {
+				return fmt.Errorf("pair %v: paths differ:\n%+v\n%+v", p, got.Path.Steps, want.Path.Steps)
+			}
+			return nil
+		}
+		var path SuccinctPath
+		for i, p := range pairs {
+			v, err := ctx.DecodeInto(s.VertexLabel(p.s), s.VertexLabel(p.t), &path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := same(p, v, want[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		checkSlab("by sequential decodes")
+
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				var path SuccinctPath
+				for i := range pairs {
+					j := (i + w*len(pairs)/4) % len(pairs)
+					p := pairs[j]
+					v, err := ctx.DecodeInto(s.VertexLabel(p.s), s.VertexLabel(p.t), &path)
+					if err == nil {
+						err = same(p, v, want[j])
+					}
+					if err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		checkSlab("by concurrent decodes")
+	}
 }
 
 // TestPrepareFaultsCopyRange mirrors Decode's copy validation.

@@ -290,9 +290,9 @@ type SketchFaultContext struct {
 	trivial bool
 	ct      *comptree.Tree
 	// comps[c] is the cancelled sketch of component c (Steps 2+3 applied),
-	// aliasing slab so that Decode's pre-merge clone is one contiguous copy.
+	// one slot of a contiguous slab. Decodes only read it: a Borůvka merge
+	// writes its union into the decoding goroutine's scratch.
 	comps []sketch.Sketch
-	slab  *sketch.Slab
 }
 
 // foundCand is one candidate outgoing edge found in a Borůvka phase.
@@ -308,14 +308,14 @@ type pathAdj struct {
 }
 
 // decodeScratch is the per-goroutine scratch of SketchFaultContext.decode:
-// the component-sketch clone slab, the Borůvka work queues, the
+// the slab of merged group sketches, the Borůvka work queues, the
 // candidate/recovery slices and the path-assembly buffers, all retained
 // across queries so warm decodes perform zero heap allocations. Every
 // buffer is resized to the context at hand, so one pool serves every
 // context of every scheme: a scratch grows to the largest component count
 // and sketch size it has seen and is then reused allocation-free.
 type decodeScratch struct {
-	slab       sketch.Slab
+	merged     sketch.Slab
 	comps      []sketch.Sketch
 	uf         unionfind.UF
 	cands      []foundCand
@@ -421,9 +421,10 @@ func (s *SketchScheme) PrepareFaults(faults []SketchEdgeLabel, copy int) (*Sketc
 	for i, l := range treeFaults {
 		temp[i+1] = l.ChildSubtreeSketch(copy)
 	}
-	// Component sketches live in one contiguous slab: Decode's pre-merge
-	// clone is then a single copy of flat memory.
-	slab := eng.NewSlab(int(nc))
+	// Component sketches live in one contiguous slab, which decodes scan
+	// in place; every slot is written below.
+	var slab sketch.Slab
+	slab.Resize(eng.Words(), int(nc))
 	comps := make([]sketch.Sketch, nc)
 	for c := int32(0); c < nc; c++ {
 		// CloneInto aliases the slab slot (capacities match exactly); note
@@ -433,7 +434,6 @@ func (s *SketchScheme) PrepareFaults(faults []SketchEdgeLabel, copy int) (*Sketc
 	for c := int32(1); c < nc; c++ {
 		comps[ct.Parent(c)].Xor(temp[c])
 	}
-	ctx.slab = slab
 
 	// Step 3: cancel every faulty edge whose endpoints lie in different
 	// components (same-component faults already cancelled inside the XOR).
@@ -508,10 +508,10 @@ func (ctx *SketchFaultContext) DecodeInto(sv, tv SketchVertexLabel, p *SuccinctP
 	return ctx.decode(sv, tv, true, p)
 }
 
-// decode runs the Boruvka simulation (Step 4) for one pair on a scratch
-// clone of the prepared component sketches. A non-nil p receives the path
-// (reusing its storage); with p == nil and wantPath a fresh path is
-// allocated.
+// decode runs the Boruvka simulation (Step 4) for one pair over the
+// prepared component sketches, which it never writes. A non-nil p receives
+// the path (reusing its storage); with p == nil and wantPath a fresh path
+// is allocated.
 func (ctx *SketchFaultContext) decode(sv, tv SketchVertexLabel, wantPath bool, p *SuccinctPath) (Verdict, error) {
 	if ctx.trivial {
 		v := Verdict{Connected: true}
@@ -530,14 +530,14 @@ func (ctx *SketchFaultContext) decode(sv, tv SketchVertexLabel, wantPath bool, p
 	nc := int32(ct.NumComps())
 	sc := decodePool.Get().(*decodeScratch)
 	defer decodePool.Put(sc)
-	ctx.slab.CloneInto(&sc.slab)
-	if cap(sc.comps) < int(nc) {
-		sc.comps = make([]sketch.Sketch, nc)
-	}
-	comps := sc.comps[:nc]
-	for c := int32(0); c < nc; c++ {
-		comps[c] = sc.slab.At(int(c))
-	}
+	// Copy on write: comps starts as views of the prepared sketches, and
+	// each merge writes its union into the next scratch slot. A union
+	// joins two groups, so nc-1 slots hold every merge of a decode, and a
+	// pair that starts in one component copies nothing.
+	sc.merged.Resize(eng.Words(), int(nc)-1)
+	merges := 0
+	comps := append(sc.comps[:0], ctx.comps...)
+	sc.comps = comps
 
 	// Step 4: Boruvka over the components with a fresh basic unit per
 	// phase. Group sketches live at the union-find roots.
@@ -571,8 +571,9 @@ func (ctx *SketchFaultContext) decode(sv, tv SketchVertexLabel, wantPath bool, p
 				continue
 			}
 			root, _ := uf.Union(ru, rv)
-			merged := comps[ru]
-			merged.Xor(comps[rv])
+			merged := sc.merged.At(merges)
+			merges++
+			merged.SetXor(comps[ru], comps[rv])
 			comps[root] = merged
 			var rec *recoveryEdge
 			sc.recoveries, rec = nextRecovery(sc.recoveries)
@@ -580,6 +581,8 @@ func (ctx *SketchFaultContext) decode(sv, tv SketchVertexLabel, wantPath bool, p
 			setFieldsPreserving(&rec.fields, cand.f)
 		}
 	}
+
+	clear(comps) // the pooled scratch must not pin this context's slab
 
 	if !uf.Same(cs, ctc) {
 		return Verdict{Connected: false, Phases: phases}, nil

@@ -122,65 +122,102 @@ func Distance(g *Graph, s, t int32, skip SkipFunc) int64 {
 	return dist[t]
 }
 
-// SPScratch is reusable single-pair Dijkstra state. The general Dijkstra
-// above allocates its arrays and boxes every heap item through the
-// container/heap interface; repeated point-to-point queries (the Opt field
-// of every routing result) instead run on this scratch, which retains its
-// arrays and uses a non-interface heap, so warm calls perform zero heap
-// allocations. The zero value is ready to use; not safe for concurrent
-// use — pool one per goroutine.
+// SPScratch is reusable single-pair shortest-path state: the exact
+// dist_{G\F}(s,t) behind every routing result's Opt field. Distance runs a
+// bidirectional Dijkstra over the undirected adjacency, one search from s
+// and one from t, and stops once the two frontiers' smallest keys sum to at
+// least the best s-t path seen so far. Both searches keep their arrays and
+// non-interface heaps across calls, and a call resets only the vertices it
+// reached, so a warm call costs the two balls it grows, not n, and
+// performs zero heap allocations. The zero value is ready to use; not safe
+// for concurrent use — pool one per goroutine.
 type SPScratch struct {
+	fwd, bwd spSearch
+	// touched lists every vertex either search reached this call (a vertex
+	// reached by both appears twice); Distance resets exactly these, so
+	// between calls every dist entry of both searches is Inf.
+	touched []int32
+}
+
+// spSearch is one direction of the search: tentative distances and a
+// lazy-deletion binary heap of parallel (vertex, distance) arrays. A vertex
+// is pushed only when its distance strictly falls, so an entry is stale
+// exactly when its key exceeds the vertex's current distance.
+type spSearch struct {
 	dist []int64
-	done []bool
-	// Lazy-deletion binary heap: parallel (vertex, distance) arrays.
-	// Stale entries are skipped on pop, so no decrease-key bookkeeping.
-	hv []int32
-	hd []int64
+	hv   []int32
+	hd   []int64
 }
 
 // Distance returns dist_{G\F}(s,t) or Inf, identical to the package-level
-// Distance. The search stops as soon as t is finalized.
+// Distance.
+//
+// mu is the shortest s-t path found so far: whenever a search scans an
+// edge into a vertex the other search has reached, the joined path is a
+// candidate. Each heap's top key bounds from below every distance that
+// search has yet to settle, so once topF + topB >= mu no unseen path is
+// shorter. When either heap runs dry, its search has settled its whole
+// component of G\F; if that holds the other endpoint, the scan of the
+// last edge into it offered the exact distance to mu (the endpoint is the
+// other search's source, at distance 0).
 func (sc *SPScratch) Distance(g *Graph, s, t int32, skip SkipFunc) int64 {
 	if s == t {
 		return 0
 	}
 	n := g.N()
-	if cap(sc.dist) < n {
-		sc.dist = make([]int64, n)
-		sc.done = make([]bool, n)
-	}
-	dist, done := sc.dist[:n], sc.done[:n]
-	for i := 0; i < n; i++ {
-		dist[i] = Inf
-		done[i] = false
-	}
-	hv, hd := sc.hv[:0], sc.hd[:0]
-	dist[s] = 0
-	hv, hd = spHeapPush(hv, hd, s, 0)
-	for len(hv) > 0 {
-		u, d := hv[0], hd[0]
-		hv, hd = spHeapPop(hv, hd)
-		if done[u] {
-			continue // stale duplicate entry
+	sc.fwd.reserve(n)
+	sc.bwd.reserve(n)
+	f, b := &sc.fwd, &sc.bwd
+	f.dist[s], b.dist[t] = 0, 0
+	touched := append(sc.touched[:0], s, t)
+	f.hv, f.hd = spHeapPush(f.hv[:0], f.hd[:0], s, 0)
+	b.hv, b.hd = spHeapPush(b.hv[:0], b.hd[:0], t, 0)
+	mu := Inf
+	for len(f.hv) > 0 && len(b.hv) > 0 && f.hd[0]+b.hd[0] < mu {
+		// Grow the search with the smaller frontier.
+		x, y := f, b
+		if len(b.hv) < len(f.hv) {
+			x, y = b, f
 		}
-		done[u] = true
-		if u == t {
-			sc.hv, sc.hd = hv, hd
-			return d
+		u, d := x.hv[0], x.hd[0]
+		x.hv, x.hd = spHeapPop(x.hv, x.hd)
+		if d > x.dist[u] {
+			continue // stale duplicate entry
 		}
 		for _, a := range g.Adj(u) {
 			if skip != nil && skip(a.E) {
 				continue
 			}
 			nd := d + a.W
-			if nd < dist[a.To] && !done[a.To] {
-				dist[a.To] = nd
-				hv, hd = spHeapPush(hv, hd, a.To, nd)
+			if od := y.dist[a.To]; od != Inf && nd+od < mu {
+				mu = nd + od
+			}
+			if old := x.dist[a.To]; nd < old {
+				if old == Inf {
+					touched = append(touched, a.To)
+				}
+				x.dist[a.To] = nd
+				x.hv, x.hd = spHeapPush(x.hv, x.hd, a.To, nd)
 			}
 		}
 	}
-	sc.hv, sc.hd = hv, hd
-	return Inf
+	for _, v := range touched {
+		f.dist[v], b.dist[v] = Inf, Inf
+	}
+	sc.touched = touched
+	return mu
+}
+
+// reserve makes dist hold at least n entries, all Inf. Entries past a
+// smaller graph's n stay Inf, so one scratch serves graphs of any size.
+func (x *spSearch) reserve(n int) {
+	if len(x.dist) >= n {
+		return
+	}
+	x.dist = make([]int64, n)
+	for i := range x.dist {
+		x.dist[i] = Inf
+	}
 }
 
 // spHeapLess orders heap slots by (distance, vertex) — the same

@@ -201,6 +201,15 @@ func (s Sketch) Xor(other Sketch) {
 	}
 }
 
+// SetXor overwrites s with a XOR b and leaves a and b as they are. By
+// linearity that is the sketch of the union of two disjoint vertex sets
+// (a Borůvka merge that keeps both inputs).
+func (s Sketch) SetXor(a, b Sketch) {
+	for i := range s {
+		s[i] = a[i] ^ b[i]
+	}
+}
+
 // Clone returns a copy.
 func (s Sketch) Clone() Sketch {
 	out := make(Sketch, len(s))
@@ -239,42 +248,26 @@ func (s Sketch) IsZero() bool {
 }
 
 // Slab backs a run of equally sized sketches with one contiguous []uint64
-// allocation, so cloning a fault context's component sketches is a single
-// copy and neighbouring components share cache lines (the hub-labeling
+// allocation, so neighbouring sketches share cache lines (the hub-labeling
 // "flat arrays, scanned linearly" shape).
 type Slab struct {
 	words int
 	buf   []uint64
 }
 
-// NewSlab returns a slab of count all-zero sketches of words words each.
-func NewSlab(words, count int) *Slab {
-	return &Slab{words: words, buf: make([]uint64, words*count)}
-}
-
-// NewSlab returns a slab of count all-zero sketches sized for this engine.
-func (e *Engine) NewSlab(count int) *Slab { return NewSlab(e.Words(), count) }
-
-// Len returns the number of sketches in the slab.
-func (sl *Slab) Len() int {
-	if sl.words == 0 {
-		return 0
-	}
-	return len(sl.buf) / sl.words
-}
-
 // At returns the i-th sketch, aliasing the slab's storage.
 func (sl *Slab) At(i int) Sketch { return Sketch(sl.buf[i*sl.words : (i+1)*sl.words]) }
 
-// CloneInto copies the slab into dst, reusing dst's buffer capacity when it
-// suffices — zero heap allocations once dst has reached its high-water mark.
-func (sl *Slab) CloneInto(dst *Slab) {
-	dst.words = sl.words
-	if cap(dst.buf) < len(sl.buf) {
-		dst.buf = make([]uint64, len(sl.buf))
+// Resize makes sl a slab of count sketches of words words each, reusing
+// its buffer when it is large enough — zero heap allocations once sl has
+// reached its high-water mark. The contents are unspecified: callers
+// overwrite every sketch they read.
+func (sl *Slab) Resize(words, count int) {
+	sl.words = words
+	if cap(sl.buf) < words*count {
+		sl.buf = make([]uint64, words*count)
 	}
-	dst.buf = dst.buf[:len(sl.buf)]
-	copy(dst.buf, sl.buf)
+	sl.buf = sl.buf[:words*count]
 }
 
 // FindOutgoing scans the cells of the given basic unit for one that holds a

@@ -149,3 +149,93 @@ func TestPartialSchemeForeignInputs(t *testing.T) {
 		})
 	}
 }
+
+// TestPartialSchemeLabelAccessors asks a loaded shard's partial scheme for
+// label sizes through every label accessor. Held vertices and edges read
+// as in the whole scheme; a foreign vertex or edge panics with the error
+// the query entry points return for a foreign endpoint, rather than
+// dereferencing a missing component or answering from a stub label.
+func TestPartialSchemeLabelAccessors(t *testing.T) {
+	g := Islands(4, 20, 10, 1)
+	build := map[string]func() (any, error){
+		"cut": func() (any, error) {
+			return BuildConnectivityLabels(g, ConnOptions{Scheme: CutBased, MaxFaults: 4, Seed: 3})
+		},
+		"sketch": func() (any, error) {
+			return BuildConnectivityLabels(g, ConnOptions{Scheme: SketchBased, Seed: 3})
+		},
+		"dist":   func() (any, error) { return BuildDistanceLabels(g, 4, 2, 3) },
+		"router": func() (any, error) { return NewRouter(g, 4, 2, RouterOptions{Seed: 3}) },
+	}
+	// labelAccessor is one label-size accessor, of a vertex or of an edge
+	// (EdgeID is an int32).
+	type labelAccessor struct {
+		edge bool
+		bits func(id int32) int
+	}
+	accessors := func(scheme any) map[string]labelAccessor {
+		switch x := scheme.(type) {
+		case *ConnLabels:
+			return map[string]labelAccessor{
+				"VertexLabel": {false, func(v int32) int { return x.VertexLabel(v).Bits() }},
+				"EdgeLabel":   {true, func(e EdgeID) int { return x.EdgeLabel(e).Bits() }},
+			}
+		case *DistLabels:
+			return map[string]labelAccessor{
+				"VertexLabelBits": {false, x.VertexLabelBits},
+				"EdgeLabelBits":   {true, x.EdgeLabelBits},
+			}
+		case *Router:
+			return map[string]labelAccessor{"LabelBits": {false, x.LabelBits}}
+		}
+		panic(fmt.Sprintf("unsupported scheme %T", scheme))
+	}
+	// call returns f(id) and the value it panicked with, if any.
+	call := func(f func(int32) int, id int32) (bits int, panicked any) {
+		defer func() { panicked = recover() }()
+		return f(id), nil
+	}
+	for kind, b := range build {
+		t.Run(kind, func(t *testing.T) {
+			whole, err := b()
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := SaveSharded(t.TempDir(), whole, ShardOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sh, err := m.LoadShard(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Shard 0 holds island 0, vertices 0..19.
+			var heldE, foreignE []EdgeID
+			for id := EdgeID(0); int(id) < g.M(); id++ {
+				if m.ShardOf(g.Edge(id).U) == 0 {
+					heldE = append(heldE, id)
+				} else {
+					foreignE = append(foreignE, id)
+				}
+			}
+			held := map[bool][]int32{false: {0, 3, 19}, true: heldE[:3]}
+			foreign := map[bool][]int32{false: {20, 79}, true: {foreignE[0], foreignE[len(foreignE)-1]}}
+			wantA := accessors(whole)
+			for name, a := range accessors(sh.Scheme()) {
+				for _, id := range held[a.edge] {
+					got, p := call(a.bits, id)
+					if want := wantA[name].bits(id); p != nil || got != want {
+						t.Fatalf("%s(%d): partial %d (panic %v), whole %d", name, id, got, p, want)
+					}
+				}
+				for _, id := range foreign[a.edge] {
+					got, p := call(a.bits, id)
+					err, _ := p.(error)
+					if err == nil || !strings.Contains(err.Error(), "lies in a component the partial scheme does not hold") {
+						t.Fatalf("%s(%d) = %d, panic %v; want a panic with the foreign-endpoint error", name, id, got, p)
+					}
+				}
+			}
+		})
+	}
+}
