@@ -12,10 +12,12 @@ BENCHCOUNT ?= 5
 BENCHFILTER ?= Query|Decode|Routing|Serve|Obs|Sketch|Hierarchy|Load
 BENCHTHRESHOLD ?= 25
 
-# Every decoder has a FuzzUnmarshal*/FuzzDecode*/FuzzLoad* target, and
-# FuzzSPDistance checks the pooled Opt search against graph.Distance;
-# `make fuzz` runs each for FUZZTIME (package:target pairs, one -fuzz
-# pattern per `go test` invocation as the fuzzer requires).
+# Every decoder has a FuzzUnmarshal*/FuzzDecode*/FuzzLoad* target,
+# FuzzSPDistance checks the pooled Opt search against graph.Distance, and
+# FuzzSketchDecode checks the sketch decoder's Borůvka step against its
+# plain reference; `make fuzz` runs each for FUZZTIME (package:target
+# pairs, one -fuzz pattern per `go test` invocation as the fuzzer
+# requires).
 FUZZ_TARGETS = \
 	./internal/graph:FuzzSPDistance \
 	./internal/codec:FuzzDecodeGraph \
@@ -26,6 +28,7 @@ FUZZ_TARGETS = \
 	./internal/core:FuzzUnmarshalCutEdgeLabel \
 	./internal/core:FuzzUnmarshalSketchVertexLabel \
 	./internal/core:FuzzUnmarshalSketchEdgeLabel \
+	./internal/core:FuzzSketchDecode \
 	./internal/distlabel:FuzzUnmarshalDistVertexLabel \
 	./internal/distlabel:FuzzUnmarshalDistEdgeLabel \
 	./internal/route:FuzzUnmarshalRouteLabel \

@@ -421,6 +421,8 @@ func (d *DistLabels) EstimateBatch(b QueryBatch, opts BatchOptions) ([]int64, er
 type RouteFaultContext struct {
 	r         *Router
 	forbidden *route.ForbiddenContext
+	// faults is F as the set that the unknown-fault router tests.
+	faults EdgeSet
 }
 
 // PrepareFaults preprocesses a fault set for repeated routing queries.
@@ -433,7 +435,7 @@ func (r *Router) PrepareFaults(faults []EdgeID) (*RouteFaultContext, error) {
 	}
 	// The context keeps its ids, so it gets its own copy.
 	ids := append([]EdgeID(nil), faults...)
-	return &RouteFaultContext{r: r, forbidden: r.inner.PrepareForbidden(ids)}, nil
+	return &RouteFaultContext{r: r, forbidden: r.inner.PrepareForbidden(ids), faults: NewEdgeSet(ids...)}, nil
 }
 
 // Route routes one pair under the prepared (unknown-fault) set,
@@ -446,7 +448,7 @@ func (x *RouteFaultContext) Route(s, t int32) (RouteResult, error) {
 	if err := checkVertex("t", t, g.N()); err != nil {
 		return RouteResult{}, err
 	}
-	return x.r.inner.RouteFT(s, t, x.forbidden.Faults())
+	return x.r.inner.RouteFT(s, t, x.faults)
 }
 
 // PrepareForbidden does nothing and returns nil. PrepareFaults already

@@ -13,6 +13,7 @@ package ftrouting
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -24,6 +25,7 @@ import (
 	"ftrouting/internal/route"
 	"ftrouting/internal/sketch"
 	"ftrouting/internal/treecover"
+	"ftrouting/internal/xrand"
 )
 
 // --- E1 / Table 1: routing comparison ----------------------------------
@@ -714,6 +716,59 @@ func BenchmarkQueryBatchConn(b *testing.B) {
 			reportQPS(b)
 		})
 	}
+	// ringofcliques-warm is the shape of a warm served connectivity
+	// request: sketch labels on RingOfCliques(64,16), f=4, 16 prepared
+	// contexts of two ring links plus two random edges taken round-robin,
+	// 16 pairs a batch, one worker. Two ring cuts split the ring into two
+	// arcs, so a share of the pairs is disconnected and runs every
+	// Borůvka phase.
+	b.Run("ringofcliques-warm", func(b *testing.B) {
+		g := graph.RingOfCliques(64, 16)
+		c, err := BuildConnectivityLabels(g, ConnOptions{Scheme: SketchBased, MaxFaults: 4, Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		var ring []EdgeID
+		for id, e := range g.Edges() {
+			if e.U/16 != e.V/16 {
+				ring = append(ring, EdgeID(id))
+			}
+		}
+		rng := xrand.NewSplitMix64(7)
+		ctxs := make([]*ConnFaultContext, 16)
+		for i := range ctxs {
+			var faults []EdgeID
+			for len(faults) < 4 {
+				id := EdgeID(rng.Intn(g.M()))
+				if len(faults) < 2 {
+					id = ring[rng.Intn(len(ring))]
+				}
+				if !slices.Contains(faults, id) {
+					faults = append(faults, id)
+				}
+			}
+			if ctxs[i], err = c.PrepareFaults(faults); err != nil {
+				b.Fatal(err)
+			}
+		}
+		pairs := make([]Pair, 16)
+		for i := range pairs {
+			pairs[i] = Pair{S: int32(rng.Intn(g.N())), T: int32(rng.Intn(g.N()))}
+		}
+		opts := BatchOptions{Parallelism: 1}
+		for _, x := range ctxs {
+			if _, err := x.ConnectedBatch(pairs, opts); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := ctxs[i%len(ctxs)].ConnectedBatch(pairs, opts); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(len(pairs))*float64(b.N)/b.Elapsed().Seconds(), "queries/s")
+	})
 }
 
 func BenchmarkQueryBatchDist(b *testing.B) {

@@ -290,8 +290,10 @@ type SketchFaultContext struct {
 	trivial bool
 	ct      *comptree.Tree
 	// comps[c] is the cancelled sketch of component c (Steps 2+3 applied),
-	// one slot of a contiguous slab. Decodes only read it: a Borůvka merge
-	// writes its union into the decoding goroutine's scratch.
+	// one slot of a contiguous slab, or nil when that sketch is all zero
+	// (c has no edge to another component of G\F). Decodes only read it:
+	// a Borůvka merge writes its union into the decoding goroutine's
+	// scratch.
 	comps []sketch.Sketch
 }
 
@@ -317,6 +319,7 @@ type pathAdj struct {
 type decodeScratch struct {
 	merged     sketch.Slab
 	comps      []sketch.Sketch
+	unions     []pendingUnion
 	uf         unionfind.UF
 	cands      []foundCand
 	recoveries []recoveryEdge
@@ -327,6 +330,11 @@ type decodeScratch struct {
 	queue   []int32
 	chain   []recoveryEdge
 }
+
+// pendingUnion is a Borůvka union whose group sketch is not written yet:
+// root's group sketch becomes the XOR of the sketches of a and b (root is
+// one of them).
+type pendingUnion struct{ root, a, b int32 }
 
 // decodePool is the package-wide decodeScratch pool. Pooling per package
 // (as prepPool does for PrepareFaults) rather than per context keeps the
@@ -447,6 +455,15 @@ func (s *SketchScheme) PrepareFaults(faults []SketchEdgeLabel, copy int) (*Sketc
 		eng.CancelEdge(comps[cu], f.UID, l.EID)
 		eng.CancelEdge(comps[cv], f.UID, l.EID)
 	}
+	// A zero component sketch has no cell that can validate, so it is
+	// stored as nil and decodes never scan it. When every component is
+	// zero nothing references the slab any more, and the context keeps
+	// none.
+	for c := range comps {
+		if comps[c].IsZero() {
+			comps[c] = nil
+		}
+	}
 	ctx.ct = ct
 	ctx.comps = comps
 	return ctx, nil
@@ -530,28 +547,51 @@ func (ctx *SketchFaultContext) decode(sv, tv SketchVertexLabel, wantPath bool, p
 	nc := int32(ct.NumComps())
 	sc := decodePool.Get().(*decodeScratch)
 	defer decodePool.Put(sc)
-	// Copy on write: comps starts as views of the prepared sketches, and
-	// each merge writes its union into the next scratch slot. A union
-	// joins two groups, so nc-1 slots hold every merge of a decode, and a
-	// pair that starts in one component copies nothing.
+	// Copy on write: comps starts as views of the prepared sketches (nil
+	// for a zero one), and each merge that must be written goes into the
+	// next scratch slot. A union joins two groups, so nc-1 slots hold
+	// every merge of a decode.
 	sc.merged.Resize(eng.Words(), int(nc)-1)
 	merges := 0
 	comps := append(sc.comps[:0], ctx.comps...)
 	sc.comps = comps
 
 	// Step 4: Boruvka over the components with a fresh basic unit per
-	// phase. Group sketches live at the union-find roots.
+	// phase. Group sketches live at the union-find roots. A phase reads
+	// only the cells of its own unit and never the unions it makes, so a
+	// phase's unions are written at the top of the next phase, and a pair
+	// joined in the last phase run writes none.
 	sc.uf.Reset(int(nc))
 	uf := &sc.uf
 	cs := ct.Locate(sv.Anc)
 	ctc := ct.Locate(tv.Anc)
 	sc.recoveries = sc.recoveries[:0]
+	sc.unions = sc.unions[:0]
 	phases := 0
 	for phase := 0; phase < eng.Params().Units && !uf.Same(cs, ctc); phase++ {
 		phases++
+		for _, u := range sc.unions {
+			a, b := comps[u.a], comps[u.b]
+			switch {
+			case a == nil:
+				comps[u.root] = b
+			case b == nil:
+				comps[u.root] = a
+			default:
+				merged := sc.merged.At(merges)
+				if merged.SetXor(a, b) {
+					comps[u.root] = merged
+					merges++
+				} else {
+					comps[u.root] = nil
+				}
+			}
+		}
+		sc.unions = sc.unions[:0]
 		sc.cands = sc.cands[:0]
 		for c := int32(0); c < nc; c++ {
-			if uf.Find(c) != c {
+			// A zero group sketch has no outgoing edge to find.
+			if comps[c] == nil || uf.Find(c) != c {
 				continue
 			}
 			var cand *foundCand
@@ -571,10 +611,7 @@ func (ctx *SketchFaultContext) decode(sv, tv SketchVertexLabel, wantPath bool, p
 				continue
 			}
 			root, _ := uf.Union(ru, rv)
-			merged := sc.merged.At(merges)
-			merges++
-			merged.SetXor(comps[ru], comps[rv])
-			comps[root] = merged
+			sc.unions = append(sc.unions, pendingUnion{root: root, a: ru, b: rv})
 			var rec *recoveryEdge
 			sc.recoveries, rec = nextRecovery(sc.recoveries)
 			rec.cu, rec.cv = cu, cv

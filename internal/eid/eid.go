@@ -5,11 +5,11 @@
 // the endpoints' tree-routing labels.
 //
 // The XOR-ability is what makes graph sketches work: cells of a sketch are
-// XORs of extended identifiers, and Validate (Lemma 3.10) decides whether a
-// cell currently holds exactly one edge by recomputing UID(U,V) from the
-// seed and comparing. The UID is a keyed SplitMix64 PRF over the canonical
-// endpoint pair (see DESIGN.md for the substitution of the paper's
-// epsilon-bias construction).
+// XORs of extended identifiers, and ValidateInto (Lemma 3.10) decides
+// whether a cell currently holds exactly one edge by recomputing UID(U,V)
+// from the seed and comparing. The UID is a keyed SplitMix64 PRF over the
+// canonical endpoint pair (see DESIGN.md for the substitution of the
+// paper's epsilon-bias construction).
 package eid
 
 import (
@@ -167,35 +167,15 @@ func (l *Layout) DecodeInto(w []uint64, f *Fields) {
 	}
 }
 
-// Validate implements Lemma 3.10: it decides whether w is the identifier of
-// a single edge (as opposed to zero or the XOR of two or more identifiers),
-// by checking the endpoint range and recomputing the UID from the seed.
-// False positives require a 64-bit PRF collision.
-func (l *Layout) Validate(w []uint64, seed uint64) (Fields, bool) {
-	if IsZero(w) {
-		return Fields{}, false
-	}
-	u := int32(uint32(w[1]))
-	v := int32(uint32(w[1] >> 32))
-	if u < 0 || v < 0 || u >= v || v >= l.N {
-		return Fields{}, false
-	}
-	if w[0] != UID(seed, u, v) {
-		return Fields{}, false
-	}
-	f := l.Decode(w)
-	if !f.AncU.Valid() || !f.AncV.Valid() {
-		return Fields{}, false
-	}
-	return f, true
-}
-
-// ValidateInto is Validate decoding into a caller-supplied Fields (reusing
-// its extra-payload capacity, see DecodeInto). f is only written on success.
+// ValidateInto implements Lemma 3.10: it decides whether w is the
+// identifier of a single edge (as opposed to zero or the XOR of two or more
+// identifiers), by checking the endpoint range and recomputing the UID from
+// the seed, and on success decodes w into f (reusing its extra-payload
+// capacity, see DecodeInto). f is only written on success. An all-zero
+// cell needs no scan of its own: its word 1 reads U = V = 0, which fails
+// U < V like every other cell whose header words are zero. False positives
+// require a 64-bit PRF collision.
 func (l *Layout) ValidateInto(w []uint64, seed uint64, f *Fields) bool {
-	if IsZero(w) {
-		return false
-	}
 	u := int32(uint32(w[1]))
 	v := int32(uint32(w[1] >> 32))
 	if u < 0 || v < 0 || u >= v || v >= l.N {
@@ -238,14 +218,4 @@ func Xor(dst, src []uint64) {
 	for i := range dst {
 		dst[i] ^= src[i]
 	}
-}
-
-// IsZero reports whether all words are zero.
-func IsZero(w []uint64) bool {
-	for _, x := range w {
-		if x != 0 {
-			return false
-		}
-	}
-	return true
 }

@@ -1,6 +1,7 @@
 package eid
 
 import (
+	"reflect"
 	"testing"
 
 	"ftrouting/internal/ancestry"
@@ -94,7 +95,8 @@ func TestValidateAcceptsSingleEdge(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := l.Encode(11, mkFields(5, 17))
-	f, ok := l.Validate(w, 11)
+	var f Fields
+	ok := l.ValidateInto(w, 11, &f)
 	if !ok || f.U != 5 || f.V != 17 {
 		t.Fatalf("validate failed: %+v ok=%v", f, ok)
 	}
@@ -105,7 +107,8 @@ func TestValidateRejectsZeroAndXors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := l.Validate(make([]uint64, l.Words()), 11); ok {
+	var f Fields
+	if l.ValidateInto(make([]uint64, l.Words()), 11, &f) {
 		t.Fatal("zero validated")
 	}
 	// XOR of two and of three identifiers must not validate.
@@ -118,7 +121,7 @@ func TestValidateRejectsZeroAndXors(t *testing.T) {
 			v := u + 1 + int32(rng.Intn(int(999-u)))
 			Xor(acc, l.Encode(11, mkFields(u, v)))
 		}
-		if _, ok := l.Validate(acc, 11); ok {
+		if l.ValidateInto(acc, 11, &f) {
 			// An XOR of distinct identifiers validating would need a PRF
 			// collision; XORing an identifier with itself gives zero, which
 			// is also rejected. Either way this must not happen.
@@ -133,7 +136,8 @@ func TestValidateRejectsWrongSeed(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := l.Encode(11, mkFields(5, 17))
-	if _, ok := l.Validate(w, 12); ok {
+	var f Fields
+	if l.ValidateInto(w, 12, &f) {
 		t.Fatal("wrong seed validated")
 	}
 }
@@ -148,8 +152,46 @@ func TestValidateRejectsOutOfRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := big.Encode(11, mkFields(5, 500))
-	if _, ok := small.Validate(w, 11); ok {
+	var f Fields
+	if small.ValidateInto(w, 11, &f) {
 		t.Fatal("endpoint beyond layout.N validated")
+	}
+}
+
+// TestValidateRejectsZeroHeaderAtEveryWidth pins the header-only
+// rejection of empty cells: at every layout width (ports or not, any
+// extra-payload width) an all-zero cell is rejected, and so is a cell whose
+// header words (UID, endpoints, ancestry) are zero while its port and
+// payload words are not. A rejection leaves the caller's Fields untouched.
+func TestValidateRejectsZeroHeaderAtEveryWidth(t *testing.T) {
+	for _, ports := range []bool{false, true} {
+		for extra := 0; extra <= 3; extra++ {
+			l, err := NewLayout(1000, ports, extra)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sentinel := Fields{UID: 77, U: 1, V: 2, ExtraU: []uint64{5}}
+			f := sentinel
+			if l.ValidateInto(make([]uint64, l.Words()), 11, &f) {
+				t.Fatalf("ports=%v extra=%d: all-zero cell validated", ports, extra)
+			}
+			if !reflect.DeepEqual(f, sentinel) {
+				t.Fatalf("ports=%v extra=%d: rejection wrote Fields: %+v", ports, extra, f)
+			}
+			if l.Words() == 4 {
+				continue // no payload words to set
+			}
+			w := make([]uint64, l.Words())
+			for i := 4; i < len(w); i++ {
+				w[i] = ^uint64(0) - uint64(i)
+			}
+			if l.ValidateInto(w, 11, &f) {
+				t.Fatalf("ports=%v extra=%d: zero-header cell with payload validated", ports, extra)
+			}
+			if !reflect.DeepEqual(f, sentinel) {
+				t.Fatalf("ports=%v extra=%d: rejection wrote Fields: %+v", ports, extra, f)
+			}
+		}
 	}
 }
 
@@ -165,8 +207,10 @@ func TestXorSelfInverse(t *testing.T) {
 	acc := make([]uint64, l.Words())
 	Xor(acc, w)
 	Xor(acc, w)
-	if !IsZero(acc) {
-		t.Fatal("XOR not self-inverse")
+	for i, x := range acc {
+		if x != 0 {
+			t.Fatalf("XOR not self-inverse: word %d is %#x", i, x)
+		}
 	}
 }
 

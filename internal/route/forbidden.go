@@ -2,6 +2,7 @@ package route
 
 import (
 	"fmt"
+	"slices"
 
 	"ftrouting/internal/core"
 	"ftrouting/internal/graph"
@@ -15,8 +16,11 @@ import (
 // reaches it, and every later Route shares it. The context is safe for
 // concurrent Route calls.
 type ForbiddenContext struct {
-	r      *Router
-	faults graph.EdgeSet
+	r *Router
+	// faults is F as its ids, and isFault its membership test, built once
+	// so that warm routes allocate nothing.
+	faults  []graph.EdgeID
+	isFault graph.SkipFunc
 	// conn restricts F to the instances the routes reach.
 	conn *core.InstanceFaults
 }
@@ -25,14 +29,19 @@ type ForbiddenContext struct {
 // faultIDs, which it keeps (the caller must not modify them).
 func (r *Router) PrepareForbidden(faultIDs []graph.EdgeID) *ForbiddenContext {
 	return &ForbiddenContext{
-		r:      r,
-		faults: graph.NewEdgeSet(faultIDs...),
-		conn:   core.NewInstanceFaults(faultIDs),
+		r:       r,
+		faults:  faultIDs,
+		isFault: faultTest(faultIDs),
+		conn:    core.NewInstanceFaults(faultIDs),
 	}
 }
 
-// Faults returns the context's fault set.
-func (c *ForbiddenContext) Faults() graph.EdgeSet { return c.faults }
+// faultTest returns the membership test of the fault set ids. With
+// |F| ≤ f that is a scan of a few ids, which costs less than a map lookup
+// on the hot paths that test every scanned or walked edge.
+func faultTest(ids []graph.EdgeID) graph.SkipFunc {
+	return func(e graph.EdgeID) bool { return slices.Contains(ids, e) }
+}
 
 // Route routes one pair under the prepared forbidden set; results are
 // bit-identical to RouteForbidden with the same fault ids.
@@ -73,16 +82,20 @@ func (r *Router) routeForbiddenInto(s, t int32, faultIDs []graph.EdgeID, ctx *Fo
 	if err := r.hier.CheckHeld(s, t); err != nil {
 		return err
 	}
-	var faults graph.EdgeSet
+	var isFault graph.SkipFunc
 	if ctx != nil {
-		faults = ctx.faults
+		faultIDs, isFault = ctx.faults, ctx.isFault
 	} else {
-		faults = graph.NewEdgeSet(faultIDs...)
+		isFault = faultTest(faultIDs)
+	}
+	skip := isFault
+	if len(faultIDs) == 0 {
+		skip = nil
 	}
 	sc := r.getScratch()
 	defer r.scratch.Put(sc)
 	trace := res.Trace[:0]
-	*res = Result{Opt: sc.sp.Distance(r.g, s, t, graph.SkipSet(faults)), Trace: append(trace, s)}
+	*res = Result{Opt: sc.sp.Distance(r.g, s, t, skip), Trace: append(trace, s)}
 	if s == t {
 		res.Reached = true
 		res.Stretch = 1
@@ -124,7 +137,7 @@ func (r *Router) routeForbiddenInto(s, t int32, faultIDs []graph.EdgeID, ctx *Fo
 		if hb := r.headerBits(inst, verdict.Path, nil); hb > res.MaxHeaderBits {
 			res.MaxHeaderBits = hb
 		}
-		out, err := r.walkPath(inst, verdict.Path, faults, sc)
+		out, err := r.walkPath(inst, verdict.Path, isFault, sc)
 		res.Cost += out.cost
 		res.Hops += out.hops
 		res.Trace = append(res.Trace, out.visited...)

@@ -61,10 +61,10 @@ type walkOutcome struct {
 // walkPath executes a succinct path on the real network, one port at a
 // time, stopping at the first faulty edge. Routing decisions use only
 // header-carried information (the step endpoints' tree-routing payloads)
-// plus the current vertex's table. The outcome's visited buffer and gamma
-// ports alias sc; callers consume them before the next walk on the same
-// scratch.
-func (r *Router) walkPath(inst *Instance, p *core.SuccinctPath, faults graph.EdgeSet, sc *routeScratch) (walkOutcome, error) {
+// plus the current vertex's table; isFault reports whether an edge is in F.
+// The outcome's visited buffer and gamma ports alias sc; callers consume
+// them before the next walk on the same scratch.
+func (r *Router) walkPath(inst *Instance, p *core.SuccinctPath, isFault graph.SkipFunc, sc *routeScratch) (walkOutcome, error) {
 	var out walkOutcome
 	out.visited = sc.visited[:0]
 	defer func() { sc.visited = out.visited }()
@@ -100,7 +100,7 @@ func (r *Router) walkPath(inst *Instance, p *core.SuccinctPath, faults graph.Edg
 				if !ok {
 					return out, fmt.Errorf("route: tree hop left the instance via edge %d", arc.E)
 				}
-				if faults[arc.E] {
+				if isFault(arc.E) {
 					out.detected = true
 					out.faultLocal = le
 					out.atLocal = cur
@@ -123,7 +123,7 @@ func (r *Router) walkPath(inst *Instance, p *core.SuccinctPath, faults graph.Edg
 		if !ok {
 			return out, fmt.Errorf("route: recovery edge %d not in instance", arc.E)
 		}
-		if faults[arc.E] {
+		if isFault(arc.E) {
 			out.detected = true
 			out.faultLocal = le
 			out.atLocal = cur
@@ -146,7 +146,7 @@ func (r *Router) walkPath(inst *Instance, p *core.SuccinctPath, faults graph.Edg
 // it; otherwise 2·w(u,w) round trips to Γ block members until a live one is
 // found (Claim 5.6 guarantees at least one among f+1 members under at most
 // f faults).
-func (r *Router) fetchFaultLabel(inst *Instance, out walkOutcome, faults graph.EdgeSet) (cost int64, probes int, err error) {
+func (r *Router) fetchFaultLabel(inst *Instance, out walkOutcome, isFault graph.SkipFunc) (cost int64, probes int, err error) {
 	le := out.faultLocal
 	if !inst.Cluster.Tree.InTree[le] {
 		return 0, 0, nil // non-tree edge: its label is its EID, already in the header's path
@@ -158,7 +158,7 @@ func (r *Router) fetchFaultLabel(inst *Instance, out walkOutcome, faults graph.E
 	gu := sub.ToGlobal[out.atLocal]
 	for _, p := range out.gamma {
 		arc := r.g.ArcAt(gu, p)
-		if faults[arc.E] {
+		if isFault(arc.E) {
 			continue // detected for free at gu
 		}
 		cost += 2 * arc.W
@@ -201,6 +201,7 @@ func (r *Router) RouteFT(s, t int32, faults graph.EdgeSet) (Result, error) {
 	sc := r.getScratch()
 	defer r.scratch.Put(sc)
 	res := Result{Opt: sc.sp.Distance(r.g, s, t, graph.SkipSet(faults))}
+	isFault := func(e graph.EdgeID) bool { return faults[e] }
 	res.Trace = append(res.Trace, s)
 	if s == t {
 		res.Reached = true
@@ -235,7 +236,7 @@ func (r *Router) RouteFT(s, t int32, faults graph.EdgeSet) (Result, error) {
 			if hb := r.headerBits(inst, verdict.Path, fl); hb > res.MaxHeaderBits {
 				res.MaxHeaderBits = hb
 			}
-			out, err := r.walkPath(inst, verdict.Path, faults, sc)
+			out, err := r.walkPath(inst, verdict.Path, isFault, sc)
 			res.Cost += out.cost
 			res.Hops += out.hops
 			res.Trace = append(res.Trace, out.visited...)
@@ -248,7 +249,7 @@ func (r *Router) RouteFT(s, t int32, faults graph.EdgeSet) (Result, error) {
 				return res, nil
 			}
 			res.Detections++
-			probeCost, probes, err := r.fetchFaultLabel(inst, out, faults)
+			probeCost, probes, err := r.fetchFaultLabel(inst, out, isFault)
 			res.Cost += probeCost
 			res.ProbeCost += probeCost
 			res.Probes += probes

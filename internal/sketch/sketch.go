@@ -201,13 +201,18 @@ func (s Sketch) Xor(other Sketch) {
 	}
 }
 
-// SetXor overwrites s with a XOR b and leaves a and b as they are. By
-// linearity that is the sketch of the union of two disjoint vertex sets
-// (a Borůvka merge that keeps both inputs).
-func (s Sketch) SetXor(a, b Sketch) {
+// SetXor overwrites s with a XOR b, leaves a and b as they are, and
+// reports whether the result is nonzero. By linearity that is the sketch of
+// the union of two disjoint vertex sets (a Borůvka merge that keeps both
+// inputs); a zero union has no outgoing edge left to find.
+func (s Sketch) SetXor(a, b Sketch) bool {
+	a, b = a[:len(s)], b[:len(s)]
+	var or uint64
 	for i := range s {
 		s[i] = a[i] ^ b[i]
+		or |= s[i]
 	}
+	return or != 0
 }
 
 // Clone returns a copy.
@@ -270,23 +275,13 @@ func (sl *Slab) Resize(words, count int) {
 	sl.buf = sl.buf[:words*count]
 }
 
-// FindOutgoing scans the cells of the given basic unit for one that holds a
-// single valid identifier and returns its decoded fields (Lemma 3.13). With
+// FindOutgoingInto scans the cells of the given basic unit for one that
+// holds a single valid identifier and decodes it into f, reusing f's
+// extra-payload capacity; f is only written on success (Lemma 3.13). With
 // constant probability per unit some level isolates exactly one outgoing
 // edge; levels are scanned from deepest to shallowest so sparse levels are
-// preferred.
-func (e *Engine) FindOutgoing(s Sketch, unit int) (eid.Fields, bool) {
-	for level := e.params.Levels - 1; level >= 0; level-- {
-		if f, ok := e.layout.Validate(e.cell(s, unit, level), e.seedID); ok {
-			return f, true
-		}
-	}
-	return eid.Fields{}, false
-}
-
-// FindOutgoingInto is FindOutgoing decoding into a caller-supplied Fields
-// (reusing its extra-payload capacity); f is only written on success. The
-// allocation-free variant hot decode loops use.
+// preferred. On an all-zero sketch no cell validates, so decoders skip
+// zero sketches without calling it.
 func (e *Engine) FindOutgoingInto(s Sketch, unit int, f *eid.Fields) bool {
 	for level := e.params.Levels - 1; level >= 0; level-- {
 		if e.layout.ValidateInto(e.cell(s, unit, level), e.seedID, f) {

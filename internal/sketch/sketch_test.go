@@ -67,8 +67,8 @@ func TestSingletonFindsItsOnlyEdge(t *testing.T) {
 		s := eng.VertexSketch(leaf)
 		found := false
 		for unit := 0; unit < eng.Params().Units; unit++ {
-			f, ok := eng.FindOutgoing(s, unit)
-			if ok {
+			var f eid.Fields
+			if eng.FindOutgoingInto(s, unit, &f) {
 				if (f.U != 0 || f.V != leaf) && (f.U != leaf || f.V != 0) {
 					t.Fatalf("leaf %d: found wrong edge (%d,%d)", leaf, f.U, f.V)
 				}
@@ -124,8 +124,8 @@ func TestFindOutgoingFromVertexSets(t *testing.T) {
 		}
 		for unit := 0; unit < eng.Params().Units; unit++ {
 			queries++
-			f, ok := eng.FindOutgoing(s, unit)
-			if !ok {
+			var f eid.Fields
+			if !eng.FindOutgoingInto(s, unit, &f) {
 				continue
 			}
 			if !outgoing[[2]int32{f.U, f.V}] {
@@ -178,6 +178,38 @@ func TestCancelEdgeRemovesContribution(t *testing.T) {
 	}
 	if !s.IsZero() {
 		t.Fatal("cancelling all incident edges should zero the sketch")
+	}
+}
+
+// TestSetXorReportsNonzero checks that SetXor writes a XOR b, leaves
+// both inputs as they were, and reports a zero union: the two sides of a
+// cycle's cut cancel, a vertex and its neighbour do not.
+func TestSetXorReportsNonzero(t *testing.T) {
+	g := graph.Cycle(8)
+	eng, _, _ := testEngine(t, g, 5)
+	left, right := eng.NewSketch(), eng.NewSketch()
+	for v := int32(0); v < 8; v++ {
+		if v < 4 {
+			eng.AddVertex(left, v)
+		} else {
+			eng.AddVertex(right, v)
+		}
+	}
+	leftWas, rightWas := left.Clone(), right.Clone()
+	out := eng.NewSketch()
+	if out.SetXor(left, right) || !out.IsZero() {
+		t.Fatal("the union of both sides of a cut must be zero and reported zero")
+	}
+	a, b := eng.VertexSketch(0), eng.VertexSketch(1)
+	if !out.SetXor(a, b) {
+		t.Fatal("the union of two adjacent vertices has outgoing edges but was reported zero")
+	}
+	want := a.Clone()
+	want.Xor(b)
+	for i := range want {
+		if out[i] != want[i] || left[i] != leftWas[i] || right[i] != rightWas[i] {
+			t.Fatalf("word %d: SetXor wrote the wrong union or changed an input", i)
+		}
 	}
 }
 
