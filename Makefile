@@ -114,16 +114,17 @@ perfbench-check:
 	cd perfbench && $(GO) vet . && $(GO) test .
 
 # shard-smoke proves the serving pipeline end to end: build a
-# multi-component connectivity scheme and a distance scheme, split each
-# into a manifest + shards, serve every scheme file and manifest, probe
-# the scheme daemon's healthz and stats, check each file daemon and its
-# manifest daemon answer byte-identically for the same requests (error
-# envelopes included), and check all exit 0 on SIGTERM after draining —
-# the same path the CI shard-smoke job runs.
+# multi-component connectivity scheme under each labeling (sketch and
+# cut) and a distance scheme, split each into a manifest + shards, serve
+# every scheme file and manifest, probe the scheme daemon's healthz and
+# stats, check each file daemon and its manifest daemon answer
+# byte-identically for the same requests (error envelopes included, and
+# the fault-bound envelope of the bounded schemes), and check all exit 0
+# on SIGTERM after draining — the same path the CI shard-smoke job runs.
 shard-smoke:
 	@set -e; \
 	tmp=$$(mktemp -d); \
-	trap 'kill $$mpid $$spid $$dmpid $$dspid 2>/dev/null || true; rm -rf "$$tmp"' EXIT; \
+	trap 'kill $$mpid $$spid $$cmpid $$cspid $$dmpid $$dspid 2>/dev/null || true; rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o "$$tmp/ftroute" ./cmd/ftroute; \
 	"$$tmp/ftroute" build -type conn -graph islands -n 40 -extra 60 -f 3 -out "$$tmp/scheme.ftlb"; \
 	"$$tmp/ftroute" shard -in "$$tmp/scheme.ftlb" -out-dir "$$tmp/shards"; \
@@ -149,6 +150,29 @@ shard-smoke:
 	done; \
 	curl -fsS "http://$$maddr/v1/stats"; echo; \
 	curl -fsS "http://$$saddr/v1/stats" | grep -q '"shards"' || { echo "stats missing per-shard block" >&2; exit 1; }; \
+	"$$tmp/ftroute" build -type conn -scheme cut -graph islands -n 40 -extra 60 -f 3 -out "$$tmp/cut.ftlb"; \
+	"$$tmp/ftroute" shard -in "$$tmp/cut.ftlb" -out-dir "$$tmp/cshards"; \
+	"$$tmp/ftroute" info "$$tmp/cut.ftlb" | grep -q 'fault bound: f=3' || { echo "cut scheme info lacks its fault bound" >&2; exit 1; }; \
+	"$$tmp/ftroute" serve -in "$$tmp/cut.ftlb" -addr 127.0.0.1:0 > "$$tmp/cmono.log" 2>&1 & cmpid=$$!; \
+	"$$tmp/ftroute" serve -in "$$tmp/cshards" -addr 127.0.0.1:0 -shard-budget 8192 > "$$tmp/cshard.log" 2>&1 & cspid=$$!; \
+	cmaddr=""; csaddr=""; \
+	for i in $$(seq 1 50); do \
+		cmaddr=$$(sed -n 's/^listening on //p' "$$tmp/cmono.log"); \
+		csaddr=$$(sed -n 's/^listening on //p' "$$tmp/cshard.log"); \
+		[ -n "$$cmaddr" ] && [ -n "$$csaddr" ] && break; \
+		sleep 0.2; \
+	done; \
+	[ -n "$$cmaddr" ] && [ -n "$$csaddr" ] || { echo "cut daemons never announced addresses" >&2; cat "$$tmp"/c*.log >&2; exit 1; }; \
+	for body in '{"pairs":[[0,39],[0,41],[41,79],[80,119]],"faults":[1,2]}' \
+	            '{"pairs":[[5,7],[120,159]],"faults":[3,3,9]}' \
+	            '{"pairs":[[0,999]]}' \
+	            '{"pairs":[[0,1]],"faults":[99999]}' \
+	            '{"pairs":[[0,1]],"faults":[1,2,3,4]}'; do \
+		curl -sS -d "$$body" "http://$$cmaddr/v1/connected" > "$$tmp/cmono.out"; \
+		curl -sS -d "$$body" "http://$$csaddr/v1/connected" > "$$tmp/cshard.out"; \
+		cmp "$$tmp/cmono.out" "$$tmp/cshard.out" || { echo "cut answers diverge for $$body" >&2; cat "$$tmp/cmono.out" "$$tmp/cshard.out" >&2; exit 1; }; \
+	done; \
+	grep -q '"code":"fault_bound_exceeded"' "$$tmp/cmono.out" || { echo "cut daemon did not report the fault bound: $$(cat "$$tmp/cmono.out")" >&2; exit 1; }; \
 	"$$tmp/ftroute" build -type dist -graph islands -n 40 -extra 60 -f 2 -k 2 -out "$$tmp/dist.ftlb"; \
 	"$$tmp/ftroute" shard -in "$$tmp/dist.ftlb" -out-dir "$$tmp/dshards"; \
 	"$$tmp/ftroute" serve -in "$$tmp/dist.ftlb" -addr 127.0.0.1:0 > "$$tmp/dmono.log" 2>&1 & dmpid=$$!; \
@@ -170,12 +194,14 @@ shard-smoke:
 		cmp "$$tmp/dmono.out" "$$tmp/dshard.out" || { echo "estimates diverge for $$body" >&2; cat "$$tmp/dmono.out" "$$tmp/dshard.out" >&2; exit 1; }; \
 	done; \
 	grep -q '"code":"fault_bound_exceeded"' "$$tmp/dmono.out" || { echo "distance daemon did not report the fault bound: $$(cat "$$tmp/dmono.out")" >&2; exit 1; }; \
-	kill -TERM $$mpid $$spid $$dmpid $$dspid; \
+	kill -TERM $$mpid $$spid $$cmpid $$cspid $$dmpid $$dspid; \
 	wait $$mpid; \
 	wait $$spid; \
+	wait $$cmpid; \
+	wait $$cspid; \
 	wait $$dmpid; \
 	wait $$dspid; \
-	cat "$$tmp/mono.log" "$$tmp/shard.log" "$$tmp/dmono.log" "$$tmp/dshard.log"; \
+	cat "$$tmp/mono.log" "$$tmp/shard.log" "$$tmp/cmono.log" "$$tmp/cshard.log" "$$tmp/dmono.log" "$$tmp/dshard.log"; \
 	echo "shard-smoke OK"
 
 # proxy-smoke proves the fan-out tier end to end: build a multi-island

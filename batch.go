@@ -17,7 +17,6 @@ import (
 	"sort"
 
 	"ftrouting/internal/codec"
-	"ftrouting/internal/core"
 	"ftrouting/internal/distlabel"
 	"ftrouting/internal/parallel"
 	"ftrouting/internal/route"
@@ -221,21 +220,16 @@ func wrapPairError(i int, err error) error {
 // component tree and cancelled sketches for the sketch scheme) is built
 // once. Safe for concurrent Connected calls.
 type ConnFaultContext struct {
-	c      *ConnLabels
-	cut    map[int32]*core.CutFaultContext
-	sketch map[int32]*core.SketchFaultContext
+	c *ConnLabels
+	// comps holds a prepared context for each component with a fault; a
+	// component without one keeps its spanning tree intact.
+	comps map[int32]connContext
 }
 
-// PrepareFaults preprocesses a fault set for repeated connectivity
-// queries. For the cut-based scheme the number of distinct faults must
-// not exceed the MaxFaults bound the labels were sized for; the
-// sketch-based labels are f-independent.
+// PrepareFaults preprocesses a fault set of at most FaultBound distinct
+// faults for repeated connectivity queries.
 func (c *ConnLabels) PrepareFaults(faults []EdgeID) (*ConnFaultContext, error) {
-	bound := -1
-	if c.opts.Scheme == CutBased {
-		bound = c.opts.MaxFaults
-	}
-	if err := checkFaults(faults, c.g.M(), bound); err != nil {
+	if err := checkFaults(faults, c.g.M(), c.FaultBound()); err != nil {
 		return nil, err
 	}
 	// Assemble the edge labels once and group them per component in input
@@ -249,30 +243,13 @@ func (c *ConnLabels) PrepareFaults(faults []EdgeID) (*ConnFaultContext, error) {
 		l := c.EdgeLabel(id)
 		byComp[l.comp] = append(byComp[l.comp], l)
 	}
-	ctx := &ConnFaultContext{
-		c:      c,
-		cut:    make(map[int32]*core.CutFaultContext),
-		sketch: make(map[int32]*core.SketchFaultContext),
-	}
+	ctx := &ConnFaultContext{c: c, comps: make(map[int32]connContext, len(byComp))}
 	for ci, group := range byComp {
-		switch c.opts.Scheme {
-		case CutBased:
-			fl := make([]core.CutEdgeLabel, len(group))
-			for i, l := range group {
-				fl[i] = l.cut
-			}
-			ctx.cut[ci] = core.PrepareCutFaults(fl)
-		case SketchBased:
-			fl := make([]core.SketchEdgeLabel, len(group))
-			for i, l := range group {
-				fl[i] = l.sketch
-			}
-			prepared, err := c.sketches[ci].PrepareFaults(fl, 0)
-			if err != nil {
-				return nil, fmt.Errorf("ftrouting: component %d: %w", ci, err)
-			}
-			ctx.sketch[ci] = prepared
+		prepared, err := c.schemes[ci].prepare(group)
+		if err != nil {
+			return nil, fmt.Errorf("ftrouting: component %d: %w", ci, err)
 		}
+		ctx.comps[ci] = prepared
 	}
 	return ctx, nil
 }
@@ -294,25 +271,11 @@ func (x *ConnFaultContext) Connected(s, t int32) (bool, error) {
 	if sv.comp != tv.comp {
 		return false, nil
 	}
-	switch c.opts.Scheme {
-	case CutBased:
-		ctx, ok := x.cut[sv.comp]
-		if !ok {
-			return true, nil // no faults in this component: tree intact
-		}
-		return ctx.Decode(sv.cut, tv.cut), nil
-	case SketchBased:
-		ctx, ok := x.sketch[sv.comp]
-		if !ok {
-			return true, nil
-		}
-		v, err := ctx.Decode(sv.sketch, tv.sketch, false)
-		if err != nil {
-			return false, err
-		}
-		return v.Connected, nil
+	ctx, ok := x.comps[sv.comp]
+	if !ok {
+		return true, nil // no faults in this component: tree intact
 	}
-	return false, fmt.Errorf("ftrouting: unknown scheme")
+	return ctx.connected(sv, tv)
 }
 
 // ConnectedBatch evaluates a pair list against the prepared fault set,

@@ -39,8 +39,14 @@ func TestConnectedBatchMatchesSequential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				spread := 0 // the most components one batch's faults fall in
 				for nf := 0; nf <= 4 && nf*3 < g.M(); nf++ {
 					batch := QueryBatch{Pairs: batchPairs(g.N()), Faults: RandomFaults(g, nf, uint64(11*nf+3))}
+					comps := make(map[int32]bool)
+					for _, id := range batch.Faults {
+						comps[labels.comp[g.Edge(id).U]] = true
+					}
+					spread = max(spread, len(comps))
 					want := make([]bool, len(batch.Pairs))
 					for i, p := range batch.Pairs {
 						want[i], err = labels.Connected(p.S, p.T, batch.Faults)
@@ -58,8 +64,48 @@ func TestConnectedBatchMatchesSequential(t *testing.T) {
 						}
 					}
 				}
+				// islands exists to spread a fault set over several
+				// components with fault-free ones between them.
+				if name == "islands" && spread < 3 {
+					t.Fatalf("islands batches put faults in at most %d components, want one in >= 3", spread)
+				}
 			})
 		}
+	}
+}
+
+// TestConnFaultContextZeroAlloc pins that a warm ConnFaultContext
+// answers pairs without allocating on either scheme: the per-component
+// dispatch boxes nothing per pair.
+func TestConnFaultContextZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation gate: race instrumentation allocates")
+	}
+	g := RingOfCliques(16, 8)
+	faults := RandomFaults(g, 4, 9)
+	pairs := batchPairs(g.N())
+	for _, scheme := range []ConnSchemeKind{CutBased, SketchBased} {
+		t.Run(fmt.Sprintf("scheme%d", scheme), func(t *testing.T) {
+			labels, err := BuildConnectivityLabels(g, ConnOptions{Scheme: scheme, MaxFaults: 4, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			x, err := labels.PrepareFaults(faults)
+			if err != nil {
+				t.Fatal(err)
+			}
+			answer := func() {
+				for _, p := range pairs {
+					if _, err := x.Connected(p.S, p.T); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			answer() // warm-up: the decoders' scratch pools fill once
+			if allocs := testing.AllocsPerRun(50, answer); allocs != 0 {
+				t.Fatalf("warm ConnFaultContext.Connected allocates %.2f per %d pairs, want 0", allocs, len(pairs))
+			}
+		})
 	}
 }
 

@@ -769,6 +769,53 @@ func BenchmarkQueryBatchConn(b *testing.B) {
 		}
 		b.ReportMetric(float64(len(pairs))*float64(b.N)/b.Elapsed().Seconds(), "queries/s")
 	})
+	// islands-cut-warm is the same warm request on the cut backend: cut
+	// labels on Islands(8,200,400), f=4, 16 prepared contexts of four
+	// faults in four distinct islands, 16 in-island pairs a batch, one
+	// worker. About half the pairs fall in a faulty island and decode; the
+	// rest take the fault-free shortcut.
+	b.Run("islands-cut-warm", func(b *testing.B) {
+		const islands, size = 8, 200
+		g := graph.Islands(islands, size, 400, 1)
+		c, err := BuildConnectivityLabels(g, ConnOptions{Scheme: CutBased, MaxFaults: 4, Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		rng := xrand.NewSplitMix64(7)
+		ctxs := make([]*ConnFaultContext, 16)
+		for i := range ctxs {
+			var faults []EdgeID
+			used := make(map[int32]bool)
+			for len(faults) < 4 {
+				id := EdgeID(rng.Intn(g.M()))
+				if island := g.Edge(id).U / size; !used[island] {
+					used[island] = true
+					faults = append(faults, id)
+				}
+			}
+			if ctxs[i], err = c.PrepareFaults(faults); err != nil {
+				b.Fatal(err)
+			}
+		}
+		pairs := make([]Pair, 16)
+		for i := range pairs {
+			base := int32(rng.Intn(islands) * size)
+			pairs[i] = Pair{S: base + int32(rng.Intn(size)), T: base + int32(rng.Intn(size))}
+		}
+		opts := BatchOptions{Parallelism: 1}
+		for _, x := range ctxs {
+			if _, err := x.ConnectedBatch(pairs, opts); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := ctxs[i%len(ctxs)].ConnectedBatch(pairs, opts); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(len(pairs))*float64(b.N)/b.Elapsed().Seconds(), "queries/s")
+	})
 }
 
 func BenchmarkQueryBatchDist(b *testing.B) {

@@ -102,30 +102,30 @@ func infoScheme(path string, fileBytes int64) error {
 	if err != nil {
 		return err
 	}
-	var n, m int
-	switch v := scheme.(type) {
-	case *ftrouting.ConnLabels:
-		n, m = v.Graph().N(), v.Graph().M()
-	case *ftrouting.DistLabels:
-		n, m = v.Graph().N(), v.Graph().M()
-	case *ftrouting.Router:
-		n, m = v.Graph().N(), v.Graph().M()
-	}
-	printSchemeInfo(scheme, fileBytes, 0, 0, n > 0, m > 0)
+	printSchemeInfo(scheme, fileBytes, 0, 0)
 	return nil
+}
+
+// schemeInfo is what every scheme kind reports about itself.
+type schemeInfo interface {
+	Graph() *ftrouting.Graph
+	FaultBound() int
 }
 
 // printSchemeInfo prints counts, fault bound and per-label sizes of a
 // loaded scheme (shared by monolithic files and a manifest's first
-// shard). sampleV/sampleE pick the representative labels; pass
-// hasV/hasE false to skip (a partial shard scheme can only label its own
-// vertices and edges).
-func printSchemeInfo(scheme any, fileBytes int64, sampleV int32, sampleE ftrouting.EdgeID, hasV, hasE bool) {
+// shard). sampleV/sampleE pick the representative labels; a sample
+// outside the graph (-1 from a shard holding none) skips it, as a partial
+// shard scheme can only label its own vertices and edges.
+func printSchemeInfo(scheme any, fileBytes int64, sampleV int32, sampleE ftrouting.EdgeID) {
+	info := scheme.(schemeInfo)
+	g := info.Graph()
+	hasV := sampleV >= 0 && int(sampleV) < g.N()
+	hasE := sampleE >= 0 && int(sampleE) < g.M()
+	fmt.Printf("graph: n=%d m=%d\n", g.N(), g.M())
+	fmt.Printf("fault bound: %s\n", boundString(info.FaultBound()))
 	switch v := scheme.(type) {
 	case *ftrouting.ConnLabels:
-		g := v.Graph()
-		fmt.Printf("graph: n=%d m=%d\n", g.N(), g.M())
-		fmt.Printf("fault bound: %s\n", boundString(v.FaultBound()))
 		if hasV {
 			fmt.Printf("vertex label: %d bits", v.VertexLabel(sampleV).Bits())
 			if hasE {
@@ -134,9 +134,6 @@ func printSchemeInfo(scheme any, fileBytes int64, sampleV int32, sampleE ftrouti
 			fmt.Println()
 		}
 	case *ftrouting.DistLabels:
-		g := v.Graph()
-		fmt.Printf("graph: n=%d m=%d\n", g.N(), g.M())
-		fmt.Printf("fault bound: %s\n", boundString(v.FaultBound()))
 		if hasV {
 			fmt.Printf("vertex label: %d bits", v.VertexLabelBits(sampleV))
 			if hasE {
@@ -145,9 +142,6 @@ func printSchemeInfo(scheme any, fileBytes int64, sampleV int32, sampleE ftrouti
 			fmt.Println()
 		}
 	case *ftrouting.Router:
-		g := v.Graph()
-		fmt.Printf("graph: n=%d m=%d\n", g.N(), g.M())
-		fmt.Printf("fault bound: %s\n", boundString(v.FaultBound()))
 		if hasV {
 			fmt.Printf("routing label: %d bits, max table: %d bits\n", v.LabelBits(sampleV), v.MaxTableBits())
 		}
@@ -185,22 +179,22 @@ func infoManifest(path string, fileBytes int64) error {
 		}
 		// A partial scheme only labels its own vertices and edges; sample
 		// the first of each that shard 0 holds.
-		sampleV, hasV := int32(-1), false
+		sampleV := int32(-1)
 		for v := int32(0); int(v) < g.N(); v++ {
 			if m.ShardOf(v) == 0 {
-				sampleV, hasV = v, true
+				sampleV = v
 				break
 			}
 		}
-		sampleE, hasE := ftrouting.EdgeID(-1), false
+		sampleE := ftrouting.EdgeID(-1)
 		for e := ftrouting.EdgeID(0); int(e) < g.M(); e++ {
 			if m.ShardOf(g.Edge(e).U) == 0 {
-				sampleE, hasE = e, true
+				sampleE = e
 				break
 			}
 		}
 		fmt.Println("label sizes (from shard 0):")
-		printSchemeInfo(sh.Scheme(), 0, sampleV, sampleE, hasV, hasE)
+		printSchemeInfo(sh.Scheme(), 0, sampleV, sampleE)
 	}
 	return nil
 }

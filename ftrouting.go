@@ -53,6 +53,7 @@ package ftrouting
 import (
 	"fmt"
 	"io"
+	"math/bits"
 
 	"ftrouting/internal/core"
 	"ftrouting/internal/distlabel"
@@ -192,12 +193,13 @@ type ConnOptions struct {
 // per-component (disconnected inputs are handled by tagging labels with a
 // component id, as prescribed in Section 3).
 type ConnLabels struct {
-	g        *Graph
-	opts     ConnOptions
-	comp     []int32
-	subs     []*graph.Subgraph
-	cuts     []*core.CutScheme
-	sketches []*core.SketchScheme
+	g    *Graph
+	opts ConnOptions
+	comp []int32
+	subs []*graph.Subgraph
+	// schemes[ci] labels component ci; nil (like subs[ci]) where a partial
+	// (shard) scheme does not hold the component.
+	schemes []connScheme
 }
 
 // VertexLabel is an opaque connectivity vertex label.
@@ -234,7 +236,8 @@ func BuildConnectivityLabels(g *Graph, opts ConnOptions) (*ConnLabels, error) {
 		return nil, fmt.Errorf("ftrouting: negative fault bound")
 	}
 	comp, count := graph.Components(g, nil)
-	c := &ConnLabels{g: g, opts: opts, comp: comp}
+	c := &ConnLabels{g: g, opts: opts, comp: comp,
+		subs: make([]*graph.Subgraph, count), schemes: make([]connScheme, count)}
 	members := make([][]int32, count)
 	for v := int32(0); v < int32(g.N()); v++ {
 		members[comp[v]] = append(members[comp[v]], v)
@@ -242,16 +245,14 @@ func BuildConnectivityLabels(g *Graph, opts ConnOptions) (*ConnLabels, error) {
 	// Components are independent instances (Section 3 tags labels with a
 	// component id), so their schemes build concurrently; each derives its
 	// randomness from the component index.
-	c.subs = make([]*graph.Subgraph, count)
-	c.cuts = make([]*core.CutScheme, count)
-	c.sketches = make([]*core.SketchScheme, count)
 	err := parallel.ForEach(opts.Parallelism, count, func(ci int) error {
 		sub, err := graph.Induced(g, members[ci], graph.Inf)
 		if err != nil {
 			return err
 		}
 		c.subs[ci] = sub
-		return c.buildComponentScheme(ci, graph.BFSTree(sub.Local, 0, nil))
+		c.schemes[ci], err = c.buildComponentScheme(ci, graph.BFSTree(sub.Local, 0, nil))
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -260,44 +261,23 @@ func BuildConnectivityLabels(g *Graph, opts ConnOptions) (*ConnLabels, error) {
 }
 
 // buildComponentScheme labels component ci on its subgraph with the given
-// spanning tree, deriving the component seed from (Seed, ci). Both the
-// fresh build above and LoadConnLabels go through here, so a loaded
-// labeling is bit-identical to the originally built one.
-func (c *ConnLabels) buildComponentScheme(ci int, tree *graph.Tree) error {
+// spanning tree, deriving the component seed from (Seed, ci); on error the
+// returned scheme is unusable. Both the fresh build above and
+// LoadConnLabels go through here, so a loaded labeling is bit-identical
+// to the originally built one.
+func (c *ConnLabels) buildComponentScheme(ci int, tree *graph.Tree) (connScheme, error) {
 	seed := xrand.DeriveSeed(c.opts.Seed, uint64(ci))
-	switch c.opts.Scheme {
-	case CutBased:
-		s, err := core.BuildCut(c.subs[ci].Local, tree, core.CutOptions{MaxFaults: c.opts.MaxFaults, Seed: seed})
-		if err != nil {
-			return err
-		}
-		c.cuts[ci] = s
-	case SketchBased:
-		s, err := core.BuildSketch(c.subs[ci].Local, tree, core.SketchOptions{Seed: seed})
-		if err != nil {
-			return err
-		}
-		c.sketches[ci] = s
+	local := c.subs[ci].Local
+	if c.opts.Scheme == CutBased {
+		s, err := core.BuildCut(local, tree, core.CutOptions{MaxFaults: c.opts.MaxFaults, Seed: seed})
+		return cutComponent{s}, err
 	}
-	return nil
-}
-
-// componentTree returns the spanning tree component ci was labeled on.
-func (c *ConnLabels) componentTree(ci int) *graph.Tree {
-	if c.cuts[ci] != nil {
-		return c.cuts[ci].Tree()
-	}
-	return c.sketches[ci].Tree()
+	s, err := core.BuildSketch(local, tree, core.SketchOptions{Seed: seed})
+	return sketchComponent{s}, err
 }
 
 // compBits is the component-id tag length added to every label.
-func (c *ConnLabels) compBits() int {
-	b := 0
-	for v := len(c.subs); v > 0; v >>= 1 {
-		b++
-	}
-	return b
-}
+func (c *ConnLabels) compBits() int { return bits.Len(uint(len(c.subs))) }
 
 // VertexLabel returns the label of vertex v. A partial (shard) scheme
 // labels only the vertices it holds; for any other v it panics with the
@@ -306,16 +286,9 @@ func (c *ConnLabels) VertexLabel(v int32) VertexLabel {
 	mustHold(c.checkHeld(v, v))
 	ci := c.comp[v]
 	lv, _ := c.subs[ci].LocalVertex(v)
-	l := VertexLabel{comp: ci}
-	n := c.subs[ci].Local.N()
-	switch c.opts.Scheme {
-	case CutBased:
-		l.cut = c.cuts[ci].VertexLabel(lv)
-		l.bits = l.cut.BitLen(n) + c.compBits()
-	case SketchBased:
-		l.sketch = c.sketches[ci].VertexLabel(lv)
-		l.bits = l.sketch.BitLen(n) + c.compBits()
-	}
+	l := c.schemes[ci].vertexLabel(lv, c.subs[ci].Local.N())
+	l.comp = ci
+	l.bits += c.compBits()
 	return l
 }
 
@@ -327,16 +300,9 @@ func (c *ConnLabels) EdgeLabel(id EdgeID) EdgeLabel {
 	mustHold(c.checkHeld(e.U, e.U))
 	ci := c.comp[e.U]
 	le, _ := c.subs[ci].LocalEdge(id)
-	l := EdgeLabel{comp: ci}
-	n := c.subs[ci].Local.N()
-	switch c.opts.Scheme {
-	case CutBased:
-		l.cut = c.cuts[ci].EdgeLabel(le)
-		l.bits = l.cut.BitLen(n) + c.compBits()
-	case SketchBased:
-		l.sketch = c.sketches[ci].EdgeLabel(le)
-		l.bits = l.sketch.BitLen() + c.compBits()
-	}
+	l := c.schemes[ci].edgeLabel(le, c.subs[ci].Local.N())
+	l.comp = ci
+	l.bits += c.compBits()
 	return l
 }
 
@@ -354,34 +320,26 @@ func (c *ConnLabels) FaultBound() int {
 
 // Query decides from labels alone whether the two vertices are connected
 // after removing the faulty edges. This is the decoder D of Section 2: it
-// uses no information beyond the given labels.
+// uses no information beyond the given labels. A partial (shard) scheme
+// errors on labels of a component it does not hold.
 func (c *ConnLabels) Query(s, t VertexLabel, faults []EdgeLabel) (bool, error) {
 	if s.comp != t.comp {
 		return false, nil
 	}
-	switch c.opts.Scheme {
-	case CutBased:
-		var fl []core.CutEdgeLabel
-		for _, f := range faults {
-			if f.comp == s.comp {
-				fl = append(fl, f.cut)
-			}
-		}
-		return core.DecodeCut(s.cut, t.cut, fl), nil
-	case SketchBased:
-		var fl []core.SketchEdgeLabel
-		for _, f := range faults {
-			if f.comp == s.comp {
-				fl = append(fl, f.sketch)
-			}
-		}
-		v, err := c.sketches[s.comp].Decode(s.sketch, t.sketch, fl, 0, false)
-		if err != nil {
-			return false, err
-		}
-		return v.Connected, nil
+	if c.schemes[s.comp] == nil {
+		return false, fmt.Errorf("ftrouting: labels of component %d, which the partial scheme does not hold", s.comp)
 	}
-	return false, fmt.Errorf("ftrouting: unknown scheme")
+	var fl []EdgeLabel
+	for _, f := range faults {
+		if f.comp == s.comp {
+			fl = append(fl, f)
+		}
+	}
+	ctx, err := c.schemes[s.comp].prepare(fl)
+	if err != nil {
+		return false, err
+	}
+	return ctx.connected(s, t)
 }
 
 // Connected is the convenience form of Query over vertex/edge ids. A

@@ -94,6 +94,28 @@ func TestConnLabelBitsReasonable(t *testing.T) {
 	if sk.EdgeLabel(0).Bits() <= 0 {
 		t.Fatal("sketch edge label bits")
 	}
+	// Exact totals on a graph with several components pin the accounting:
+	// each label is its scheme's BitLen plus the component tag.
+	d := connTopologies()["disconn"]
+	for _, tc := range []struct {
+		scheme       ConnSchemeKind
+		vbits, ebits int
+	}{{CutBased, 126, 945}, {SketchBased, 163, 513578}} {
+		c, err := BuildConnectivityLabels(d, ConnOptions{Scheme: tc.scheme, MaxFaults: 4, Seed: 42})
+		if err != nil {
+			t.Fatal(err)
+		}
+		vbits, ebits := 0, 0
+		for v := int32(0); v < int32(d.N()); v++ {
+			vbits += c.VertexLabel(v).Bits()
+		}
+		for e := EdgeID(0); int(e) < d.M(); e++ {
+			ebits += c.EdgeLabel(e).Bits()
+		}
+		if vbits != tc.vbits || ebits != tc.ebits {
+			t.Errorf("scheme %d: vertex labels total %d bits, edge labels %d; want %d and %d", tc.scheme, vbits, ebits, tc.vbits, tc.ebits)
+		}
+	}
 }
 
 func TestQueryWithExplicitLabels(t *testing.T) {

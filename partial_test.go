@@ -126,6 +126,14 @@ func TestPartialSchemeForeignInputs(t *testing.T) {
 			}
 			faults := []EdgeID{heldFaults[3], foreignFaults[5], heldFaults[11], foreignFaults[20], foreignFaults[5]}
 
+			// The label-only decoder gets a foreign component's labels from
+			// the whole scheme, as the partial one cannot make them.
+			if w, ok := whole.(*ConnLabels); ok {
+				_, err := sh.Scheme().(*ConnLabels).Query(w.VertexLabel(f0), w.VertexLabel(f1), nil)
+				if err == nil || !strings.Contains(err.Error(), "the partial scheme does not hold") {
+					t.Fatalf("Query on foreign labels: error %v, want a foreign-component error", err)
+				}
+			}
 			wantQ, gotQ := queryEntryPoints(whole), queryEntryPoints(sh.Scheme())
 			for name, q := range gotQ {
 				for _, p := range [][2]int32{{held[0], f0}, {f0, held[0]}, {f0, f1}, {f1, f1}} {

@@ -28,7 +28,6 @@ import (
 	"os"
 
 	"ftrouting/internal/codec"
-	"ftrouting/internal/core"
 	"ftrouting/internal/distlabel"
 	"ftrouting/internal/graph"
 	"ftrouting/internal/parallel"
@@ -186,7 +185,7 @@ func (m *Manifest) readHead(cr *codec.Reader) error {
 // the spanning tree it was labeled on.
 func (c *ConnLabels) encodeSection(w *codec.Writer, ci int) {
 	codec.EncodeSubgraph(w, c.subs[ci])
-	codec.EncodeTree(w, c.componentTree(ci))
+	codec.EncodeTree(w, c.schemes[ci].Tree())
 }
 
 // decodeConnSections reads the sections of components comps, in order,
@@ -196,12 +195,11 @@ func (c *ConnLabels) encodeSection(w *codec.Writer, ci int) {
 // when comps is every component, a shard's partial scheme otherwise.
 func (m *Manifest) decodeConnSections(cr *codec.Reader, comps []int32) (*ConnLabels, error) {
 	c := &ConnLabels{
-		g:        m.g,
-		opts:     ConnOptions{Scheme: m.connScheme, MaxFaults: m.maxFaults, Seed: m.seed},
-		comp:     m.comp,
-		subs:     make([]*graph.Subgraph, m.ncomp),
-		cuts:     make([]*core.CutScheme, m.ncomp),
-		sketches: make([]*core.SketchScheme, m.ncomp),
+		g:       m.g,
+		opts:    ConnOptions{Scheme: m.connScheme, MaxFaults: m.maxFaults, Seed: m.seed},
+		comp:    m.comp,
+		subs:    make([]*graph.Subgraph, m.ncomp),
+		schemes: make([]connScheme, m.ncomp),
 	}
 	trees := make([]*graph.Tree, len(comps))
 	for i, ci := range comps {
@@ -217,8 +215,9 @@ func (m *Manifest) decodeConnSections(cr *codec.Reader, comps []int32) (*ConnLab
 		}
 		c.subs[ci] = sub
 	}
-	err := parallel.ForEach(0, len(comps), func(i int) error {
-		return c.buildComponentScheme(int(comps[i]), trees[i])
+	err := parallel.ForEach(0, len(comps), func(i int) (err error) {
+		c.schemes[comps[i]], err = c.buildComponentScheme(int(comps[i]), trees[i])
+		return err
 	})
 	if err != nil {
 		return nil, fmt.Errorf("%w: rebuilding component labeling: %v", codec.ErrCorrupt, err)

@@ -38,6 +38,7 @@ func connTopologies() map[string]*Graph {
 		"torus":    Torus(4, 4),
 		"weighted": WithRandomWeights(RandomConnected(24, 36, 5), 9, 11),
 		"disconn":  two,
+		"islands":  Islands(5, 12, 8, 3),
 	}
 }
 
@@ -402,7 +403,7 @@ func TestLoadRejectsPermutedSections(t *testing.T) {
 		cw.Count(len(order))
 		for _, ci := range order {
 			codec.EncodeSubgraph(cw, built.subs[ci])
-			codec.EncodeTree(cw, built.componentTree(ci))
+			codec.EncodeTree(cw, built.schemes[ci].Tree())
 		}
 		if err := cw.Finish(); err != nil {
 			t.Fatal(err)
