@@ -15,7 +15,8 @@ BENCHTHRESHOLD ?= 25
 # Every decoder has a FuzzUnmarshal*/FuzzDecode*/FuzzLoad* target,
 # FuzzSPDistance checks the pooled Opt search against graph.Distance, and
 # FuzzSketchDecode checks the sketch decoder's Borůvka step against its
-# plain reference; `make fuzz` runs each for FUZZTIME (package:target
+# plain reference, FuzzQueryRequestDecode checks the served request
+# decoder against encoding/json; `make fuzz` runs each for FUZZTIME (package:target
 # pairs, one -fuzz pattern per `go test` invocation as the fuzzer
 # requires).
 FUZZ_TARGETS = \
@@ -33,6 +34,7 @@ FUZZ_TARGETS = \
 	./internal/distlabel:FuzzUnmarshalDistEdgeLabel \
 	./internal/route:FuzzUnmarshalRouteLabel \
 	./serve:FuzzServeRequest \
+	./serve:FuzzQueryRequestDecode \
 	.:FuzzLoadConnLabels \
 	.:FuzzLoadDistLabels \
 	.:FuzzLoadRouter \

@@ -14,7 +14,7 @@ package ftrouting
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"ftrouting/internal/codec"
 	"ftrouting/internal/distlabel"
@@ -38,8 +38,11 @@ type QueryBatch struct {
 // BatchOptions configures batch evaluation.
 type BatchOptions struct {
 	// Parallelism bounds the worker goroutines evaluating pairs: 0 uses
-	// GOMAXPROCS, 1 evaluates sequentially. Results are bit-identical at
-	// any parallelism.
+	// GOMAXPROCS, 1 evaluates sequentially. A batch that finishes within
+	// a fixed dispatch budget (about 50 µs) runs on the calling goroutine
+	// whatever the setting; only the pairs left once that budget has
+	// passed spread over the workers. Results are bit-identical at any
+	// parallelism.
 	Parallelism int
 }
 
@@ -155,7 +158,7 @@ func CanonicalFaults(faults []EdgeID) []EdgeID {
 	}
 	out := make([]EdgeID, len(faults))
 	copy(out, faults)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	w := 1
 	for _, id := range out[1:] {
 		if id != out[w-1] {
@@ -178,11 +181,11 @@ func forEachPair[T any](pairs []Pair, parallelism int, eval func(Pair) (T, error
 // forEachPairIndexed is forEachPair with the pair's input index passed to
 // the evaluator (the shard planner dispatches per index). Error wrapping
 // and ordering are identical, so a planned batch reports the exact error
-// a monolithic batch reports. Pairs are handed to the workers in
-// contiguous chunks (parallel.ForEachChunked): per-pair evaluation against
-// a prepared context is cheap enough that per-item claim traffic and
-// per-item state would dominate, and chunked loops keep each worker's
-// pooled decoder scratch hot across its whole run.
+// a monolithic batch reports. The fan-out is parallel.ForEachChunked:
+// per-pair evaluation against a prepared context is cheap, so the caller
+// runs pairs in order and brings in the pool only once the batch outlasts
+// one dispatch, and then hands pairs out in contiguous chunks, which keep
+// each worker's pooled decoder scratch hot across its whole run.
 func forEachPairIndexed[T any](pairs []Pair, parallelism int, eval func(int, Pair) (T, error)) ([]T, error) {
 	out := make([]T, len(pairs))
 	err := parallel.ForEachChunked(parallelism, len(pairs), func(i int) error {
@@ -267,15 +270,15 @@ func (x *ConnFaultContext) Connected(s, t int32) (bool, error) {
 	if err := c.checkHeld(s, t); err != nil {
 		return false, err
 	}
-	sv, tv := c.VertexLabel(s), c.VertexLabel(t)
-	if sv.comp != tv.comp {
+	ci := c.comp[s]
+	if ci != c.comp[t] {
 		return false, nil
 	}
-	ctx, ok := x.comps[sv.comp]
+	ctx, ok := x.comps[ci]
 	if !ok {
 		return true, nil // no faults in this component: tree intact
 	}
-	return ctx.connected(sv, tv)
+	return ctx.connected(c.schemeLabel(ci, s), c.schemeLabel(ci, t))
 }
 
 // ConnectedBatch evaluates a pair list against the prepared fault set,

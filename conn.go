@@ -8,13 +8,16 @@ import (
 // connScheme is one connected component's f-FT connectivity labeling,
 // the cut scheme of Theorem 3.6 or the sketch scheme of Theorem 3.7 (one
 // per-component contract, Section 3). Tree is the spanning tree it was
-// labeled on; vertexLabel and edgeLabel label a local vertex or edge of
-// the n-vertex component, leaving the component tag to the caller;
-// prepare runs the decoder's fault-set half once, and connected on the
-// returned context the per-pair half (safe for concurrent use).
+// labeled on; vertexLabel labels a local vertex with only the scheme
+// label the decoder reads, and vertexBits sizes such a label in the
+// n-vertex component; edgeLabel labels a local edge with its size. The
+// component tag is left to the caller. prepare runs the decoder's
+// fault-set half once, and connected on the returned context the
+// per-pair half (safe for concurrent use).
 type connScheme interface {
 	Tree() *graph.Tree
-	vertexLabel(v int32, n int) VertexLabel
+	vertexLabel(v int32) VertexLabel
+	vertexBits(l VertexLabel, n int) int
 	edgeLabel(id graph.EdgeID, n int) EdgeLabel
 	prepare(faults []EdgeLabel) (connContext, error)
 }
@@ -26,10 +29,11 @@ type connContext interface {
 // cutComponent is a component under the cut scheme (Theorem 3.6).
 type cutComponent struct{ *core.CutScheme }
 
-func (s cutComponent) vertexLabel(v int32, n int) VertexLabel {
-	l := s.VertexLabel(v)
-	return VertexLabel{cut: l, bits: l.BitLen(n)}
+func (s cutComponent) vertexLabel(v int32) VertexLabel {
+	return VertexLabel{cut: s.VertexLabel(v)}
 }
+
+func (cutComponent) vertexBits(l VertexLabel, n int) int { return l.cut.BitLen(n) }
 
 func (s cutComponent) edgeLabel(id graph.EdgeID, n int) EdgeLabel {
 	l := s.EdgeLabel(id)
@@ -53,10 +57,11 @@ func (x cutContext) connected(s, t VertexLabel) (bool, error) {
 // sketchComponent is a component under the sketch scheme (Theorem 3.7).
 type sketchComponent struct{ *core.SketchScheme }
 
-func (s sketchComponent) vertexLabel(v int32, n int) VertexLabel {
-	l := s.VertexLabel(v)
-	return VertexLabel{sketch: l, bits: l.BitLen(n)}
+func (s sketchComponent) vertexLabel(v int32) VertexLabel {
+	return VertexLabel{sketch: s.VertexLabel(v)}
 }
+
+func (sketchComponent) vertexBits(l VertexLabel, n int) int { return l.sketch.BitLen(n) }
 
 func (s sketchComponent) edgeLabel(id graph.EdgeID, _ int) EdgeLabel {
 	l := s.EdgeLabel(id)

@@ -285,10 +285,17 @@ func (c *ConnLabels) compBits() int { return bits.Len(uint(len(c.subs))) }
 func (c *ConnLabels) VertexLabel(v int32) VertexLabel {
 	mustHold(c.checkHeld(v, v))
 	ci := c.comp[v]
+	l := c.schemeLabel(ci, v)
+	l.bits = c.schemes[ci].vertexBits(l, c.subs[ci].Local.N()) + c.compBits()
+	return l
+}
+
+// schemeLabel is v's label in its held component ci as the decoder reads
+// it: the component tag and the scheme label, without the bit count.
+func (c *ConnLabels) schemeLabel(ci, v int32) VertexLabel {
 	lv, _ := c.subs[ci].LocalVertex(v)
-	l := c.schemes[ci].vertexLabel(lv, c.subs[ci].Local.N())
+	l := c.schemes[ci].vertexLabel(lv)
 	l.comp = ci
-	l.bits += c.compBits()
 	return l
 }
 

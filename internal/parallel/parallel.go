@@ -18,6 +18,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Workers normalizes a Parallelism option value to a worker count:
@@ -76,20 +77,29 @@ func ForEach(parallelism, n int, fn func(i int) error) error {
 	return nil
 }
 
-// ForEachChunked runs fn(i) for every i in [0, n) under the same pool and
-// error discipline as ForEach, but hands items to workers in contiguous
-// chunks: one atomic claim amortizes over many items (ForEach pays one per
-// item). This is the fan-out under the per-pair batch evaluators, whose
-// items are far cheaper than a build step.
+// inlineBudget is how long ForEachChunked runs a batch on the calling
+// goroutine before it brings in the pool. It sits above the cost of
+// waking idle workers and joining them (tens of µs), so a batch that
+// finishes within it never pays a dispatch, and a longer one pays at
+// most one budget of serial work before its remaining items spread. It
+// is a constant, not an option: it stands for the pool's own overhead,
+// which does not depend on the caller.
+const inlineBudget = 50 * time.Microsecond
+
+// ForEachChunked runs fn(i) for every i in [0, n) and returns the
+// lowest-indexed error, like ForEach, for per-item work far cheaper than
+// a build step (the per-pair batch evaluators). The calling goroutine
+// runs items in index order; at the first error it returns that error.
+// Once the batch has run longer than inlineBudget, the remaining items
+// are handed in contiguous chunks (one atomic claim amortizes over many
+// items) to up to Workers(parallelism) goroutines, the caller among
+// them, and every remaining item runs even if some fail.
 func ForEachChunked(parallelism, n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
 	}
-	workers := Workers(parallelism)
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
+	workers := min(Workers(parallelism), n)
+	if workers == 1 { // no pool to bring in, so no clock to read
 		for i := 0; i < n; i++ {
 			if err := fn(i); err != nil {
 				return err
@@ -97,38 +107,55 @@ func ForEachChunked(parallelism, n int, fn func(i int) error) error {
 		}
 		return nil
 	}
+	start := time.Now()
+	for i := 0; i < n; i++ {
+		if err := fn(i); err != nil {
+			return err
+		}
+		if i+1 < n && time.Since(start) > inlineBudget {
+			return forEachChunkedPool(workers, i+1, n, fn)
+		}
+	}
+	return nil
+}
+
+// forEachChunkedPool runs items [lo, n) on the caller plus up to
+// workers-1 goroutines and returns the lowest-indexed error.
+func forEachChunkedPool(workers, lo, n int, fn func(i int) error) error {
+	workers = min(workers, n-lo)
 	// Chunks are small enough that a straggling chunk rebalances across the
 	// pool, large enough that claim traffic stays negligible.
-	chunk := (n + workers*8 - 1) / (workers * 8)
+	chunk := (n - lo + workers*8 - 1) / (workers * 8)
 	var next atomic.Int64
+	next.Store(int64(lo))
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	errIdx, errVal := n, error(nil)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				lo := int(next.Add(int64(chunk))) - chunk
-				if lo >= n {
-					return
-				}
-				hi := lo + chunk
-				if hi > n {
-					hi = n
-				}
-				for i := lo; i < hi; i++ {
-					if err := fn(i); err != nil {
-						mu.Lock()
-						if i < errIdx {
-							errIdx, errVal = i, err
-						}
-						mu.Unlock()
+	work := func() {
+		for {
+			c := int(next.Add(int64(chunk))) - chunk
+			if c >= n {
+				return
+			}
+			for i := c; i < min(c+chunk, n); i++ {
+				if err := fn(i); err != nil {
+					mu.Lock()
+					if i < errIdx {
+						errIdx, errVal = i, err
 					}
+					mu.Unlock()
 				}
 			}
+		}
+	}
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			work()
 		}()
 	}
+	work()
 	wg.Wait()
 	return errVal
 }

@@ -4,8 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestWorkers(t *testing.T) {
@@ -128,6 +131,98 @@ func TestForEachChunkedLowestIndexError(t *testing.T) {
 		err := ForEachChunked(p, 200, func(i int) error { return errs[i] })
 		if err != errs[5] {
 			t.Errorf("p=%d: got %v, want %v", p, err, errs[5])
+		}
+	}
+}
+
+// goid returns the calling goroutine's id, parsed from its stack header
+// ("goroutine 17 [running]:").
+func goid() string {
+	var buf [64]byte
+	s := string(buf[:runtime.Stack(buf[:], false)])
+	s = strings.TrimPrefix(s, "goroutine ")
+	return s[:strings.IndexByte(s, ' ')]
+}
+
+// TestForEachChunkedCheapBatchRunsInline pins that a batch finishing
+// within the inline budget runs in order and starts no
+// goroutine, at any parallelism. The items are nearly free, so only a
+// host stall longer than the budget could send one to the pool; of a
+// few attempts, at least one must run wholly inline.
+func TestForEachChunkedCheapBatchRunsInline(t *testing.T) {
+	for _, p := range []int{0, 2, 8} {
+		inline := false
+		for attempt := 0; attempt < 5 && !inline; attempt++ {
+			before := runtime.NumGoroutine()
+			var ran atomic.Int32
+			var strayed atomic.Bool
+			if err := ForEachChunked(p, 16, func(i int) error {
+				if runtime.NumGoroutine() != before || int(ran.Add(1))-1 != i {
+					strayed.Store(true)
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			inline = !strayed.Load() && ran.Load() == 16
+		}
+		if !inline {
+			t.Errorf("p=%d: a 16-item batch of empty items started a goroutine or ran out of order in each of 5 attempts", p)
+		}
+	}
+}
+
+// TestForEachChunkedSlowItemsOverlap pins that items slower than the
+// inline budget spread over the pool: at least two goroutines, the
+// caller among them, run items at the same time.
+func TestForEachChunkedSlowItemsOverlap(t *testing.T) {
+	const n = 32
+	var mu sync.Mutex
+	ids := map[string]bool{}
+	var running, peak atomic.Int32
+	if err := ForEachChunked(4, n, func(int) error {
+		cur := running.Add(1)
+		for {
+			old := peak.Load()
+			if cur <= old || peak.CompareAndSwap(old, cur) {
+				break
+			}
+		}
+		time.Sleep(2 * inlineBudget)
+		running.Add(-1)
+		mu.Lock()
+		ids[goid()] = true
+		mu.Unlock()
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(ids) < 2 || peak.Load() < 2 {
+		t.Fatalf("slow items ran on %d goroutines, at most %d at once; want >= 2 of each", len(ids), peak.Load())
+	}
+	if !ids[goid()] {
+		t.Fatal("the caller ran no item once the pool started")
+	}
+}
+
+// TestForEachChunkedErrorAcrossInlineBoundary pins the lowest-index
+// error when the failing items straddle the switch from the caller to
+// the pool: item 0 runs past the budget inline, so later items run
+// pooled.
+func TestForEachChunkedErrorAcrossInlineBoundary(t *testing.T) {
+	for _, failing := range [][]int{{0, 9}, {1, 2, 30}, {7, 31}, {31}} {
+		errs := map[int]error{}
+		for _, i := range failing {
+			errs[i] = fmt.Errorf("item %d", i)
+		}
+		err := ForEachChunked(4, 32, func(i int) error {
+			if i == 0 {
+				time.Sleep(2 * inlineBudget)
+			}
+			return errs[i]
+		})
+		if want := errs[failing[0]]; err != want {
+			t.Errorf("failing %v: got %v, want %v", failing, err, want)
 		}
 	}
 }

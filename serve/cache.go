@@ -13,7 +13,6 @@ package serve
 import (
 	"container/list"
 	"strconv"
-	"strings"
 	"sync"
 
 	"ftrouting"
@@ -22,15 +21,17 @@ import (
 
 // faultKey renders a canonical fault list (distinct ids, ascending) as a
 // unique map key.
-func faultKey(canon []ftrouting.EdgeID) string {
-	var b strings.Builder
+func faultKey(canon []ftrouting.EdgeID) string { return string(appendFaultKey(nil, canon)) }
+
+// appendFaultKey appends faultKey(canon) to dst.
+func appendFaultKey(dst []byte, canon []ftrouting.EdgeID) []byte {
 	for i, id := range canon {
 		if i > 0 {
-			b.WriteByte(',')
+			dst = append(dst, ',')
 		}
-		b.WriteString(strconv.FormatInt(int64(id), 10))
+		dst = strconv.AppendInt(dst, int64(id), 10)
 	}
-	return b.String()
+	return dst
 }
 
 // cacheEntry is one prepared (or in-flight) fault context. The entry

@@ -27,19 +27,21 @@ type endpoint struct {
 	// merge scatters sub-batch columns back into pair order and answers
 	// the plan's trivial (cross-component) pairs from the directory.
 	merge func(*ftrouting.BatchPlan, []ftrouting.SubBatch, []subAnswer) (any, *apiError)
-	// render builds the response body from a column (nil for the
+	// render appends the response body for a column (nil for the
 	// zero-pair response) and an optional timing echo.
-	render func(results any, t *api.Timing) any
+	render func(dst []byte, results any, t *api.Timing) ([]byte, error)
 }
 
 // newEndpoint builds a row whose wire result element is T and response
-// body R. trivial is the answer every tier gives a cross-component pair
-// without touching a shard: exactly what the plan executors compute.
+// body R, which encode appends as JSON. trivial is the answer every tier
+// gives a cross-component pair without touching a shard: exactly what the
+// plan executors compute.
 func newEndpoint[T, R any](name, kind string,
 	eval func(*ftrouting.BatchPlan, map[int]any, ftrouting.BatchOptions) ([]T, error),
 	trivial func(ftrouting.Pair) T,
 	wrap func([]T, *api.Timing) R,
-	unwrap func(*R) ([]T, *api.Timing)) *endpoint {
+	unwrap func(*R) ([]T, *api.Timing),
+	encode func([]byte, R) ([]byte, error)) *endpoint {
 	return &endpoint{
 		name: name,
 		kind: kind,
@@ -71,12 +73,12 @@ func newEndpoint[T, R any](name, kind string,
 			}
 			return out, nil
 		},
-		render: func(results any, t *api.Timing) any {
+		render: func(dst []byte, results any, t *api.Timing) ([]byte, error) {
 			col, _ := results.([]T)
 			if col == nil {
 				col = []T{} // an empty batch answers [], never null
 			}
-			return wrap(col, t)
+			return encode(dst, wrap(col, t))
 		},
 	}
 }
@@ -113,15 +115,17 @@ var endpoints = []*endpoint{
 		func(r []bool, t *api.Timing) api.ConnectedResponse {
 			return api.ConnectedResponse{Results: r, Timing: t}
 		},
-		func(r *api.ConnectedResponse) ([]bool, *api.Timing) { return r.Results, r.Timing }),
+		func(r *api.ConnectedResponse) ([]bool, *api.Timing) { return r.Results, r.Timing },
+		appendConnectedResponse),
 	newEndpoint("estimate", "dist", (*ftrouting.BatchPlan).EstimateBatch,
 		func(ftrouting.Pair) int64 { return ftrouting.Unreachable },
 		func(r []int64, t *api.Timing) api.EstimateResponse {
 			return api.EstimateResponse{Estimates: r, Timing: t}
 		},
-		func(r *api.EstimateResponse) ([]int64, *api.Timing) { return r.Estimates, r.Timing }),
+		func(r *api.EstimateResponse) ([]int64, *api.Timing) { return r.Estimates, r.Timing },
+		appendEstimateResponse),
 	newEndpoint("route", "router", routeWire((*ftrouting.BatchPlan).RouteBatch),
-		trivialRoute, routeResponse, routeResults),
+		trivialRoute, routeResponse, routeResults, appendRouteResponse),
 	newEndpoint("route-forbidden", "router", routeWire((*ftrouting.BatchPlan).RouteForbiddenBatch),
-		trivialRoute, routeResponse, routeResults),
+		trivialRoute, routeResponse, routeResults, appendRouteResponse),
 }

@@ -134,7 +134,10 @@ func (t *tier) answerQuery(w http.ResponseWriter, r *http.Request, ep *endpoint,
 		}
 		t.pairsServed.Add(uint64(len(batch.Pairs)))
 	}
-	writeJSON(w, ep.render(results, ro.timing()))
+	timing := ro.timing()
+	writeBody(w, http.StatusOK, func(dst []byte) ([]byte, error) {
+		return ep.render(dst, results, timing)
+	})
 	return nil
 }
 

@@ -176,8 +176,10 @@ func (s *Server) answer(_ context.Context, ep *endpoint, plan *ftrouting.BatchPl
 		// The context key is the shard-restricted canonical fault set plus
 		// the global distinct count (distance estimates scale with the
 		// whole batch's |F|, which the restriction alone cannot see).
-		key := faultKey(plan.ShardFaults(entry.id)) + "#" + strconv.Itoa(plan.DistinctFaults())
-		ctx, hit, err := entry.contexts.get(key, func() (any, error) { return plan.PrepareShard(entry.shard) })
+		var buf [64]byte
+		key := append(appendFaultKey(buf[:0], plan.ShardFaults(entry.id)), '#')
+		key = strconv.AppendInt(key, int64(plan.DistinctFaults()), 10)
+		ctx, hit, err := entry.contexts.get(string(key), func() (any, error) { return plan.PrepareShard(entry.shard) })
 		if err != nil {
 			return nil, fromBatchError(err)
 		}
