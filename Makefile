@@ -13,10 +13,12 @@ BENCHFILTER ?= Query|Decode|Routing|Serve|Obs|Sketch|Hierarchy|Load
 BENCHTHRESHOLD ?= 25
 
 # Every decoder has a FuzzUnmarshal*/FuzzDecode*/FuzzLoad* target,
-# FuzzSPDistance checks the pooled Opt search against graph.Distance, and
+# FuzzSPDistance checks the pooled Opt search against graph.Distance,
 # FuzzSketchDecode checks the sketch decoder's Borůvka step against its
-# plain reference, FuzzQueryRequestDecode checks the served request
-# decoder against encoding/json; `make fuzz` runs each for FUZZTIME (package:target
+# plain reference, FuzzSubtreeSketch checks the boundary-edge subtree
+# sketch against the sum of its vertex sketches, and
+# FuzzQueryRequestDecode checks the served request decoder against
+# encoding/json; `make fuzz` runs each for FUZZTIME (package:target
 # pairs, one -fuzz pattern per `go test` invocation as the fuzzer
 # requires).
 FUZZ_TARGETS = \
@@ -30,6 +32,7 @@ FUZZ_TARGETS = \
 	./internal/core:FuzzUnmarshalSketchVertexLabel \
 	./internal/core:FuzzUnmarshalSketchEdgeLabel \
 	./internal/core:FuzzSketchDecode \
+	./internal/sketch:FuzzSubtreeSketch \
 	./internal/distlabel:FuzzUnmarshalDistVertexLabel \
 	./internal/distlabel:FuzzUnmarshalDistEdgeLabel \
 	./internal/route:FuzzUnmarshalRouteLabel \

@@ -716,13 +716,12 @@ func BenchmarkQueryBatchConn(b *testing.B) {
 			reportQPS(b)
 		})
 	}
-	// ringofcliques-warm is the shape of a warm served connectivity
-	// request: sketch labels on RingOfCliques(64,16), f=4, 16 prepared
-	// contexts of two ring links plus two random edges taken round-robin,
-	// 16 pairs a batch, one worker. Two ring cuts split the ring into two
-	// arcs, so a share of the pairs is disconnected and runs every
-	// Borůvka phase.
-	b.Run("ringofcliques-warm", func(b *testing.B) {
+	// ringOfCliques is the conn-warm scheme: sketch labels on
+	// RingOfCliques(64,16), f=4. Its fault sets are two ring links plus
+	// two random edges, drawn by the returned func. Two ring cuts split
+	// the ring into two arcs, so a share of the pairs is disconnected and
+	// runs every Borůvka phase. pairs draws a 16-pair batch.
+	ringOfCliques := func(b *testing.B) (c *ConnLabels, draw func(*xrand.SplitMix64) []EdgeID, pairs func(*xrand.SplitMix64) []Pair) {
 		g := graph.RingOfCliques(64, 16)
 		c, err := BuildConnectivityLabels(g, ConnOptions{Scheme: SketchBased, MaxFaults: 4, Seed: 1})
 		if err != nil {
@@ -734,9 +733,7 @@ func BenchmarkQueryBatchConn(b *testing.B) {
 				ring = append(ring, EdgeID(id))
 			}
 		}
-		rng := xrand.NewSplitMix64(7)
-		ctxs := make([]*ConnFaultContext, 16)
-		for i := range ctxs {
+		draw = func(rng *xrand.SplitMix64) []EdgeID {
 			var faults []EdgeID
 			for len(faults) < 4 {
 				id := EdgeID(rng.Intn(g.M()))
@@ -747,14 +744,31 @@ func BenchmarkQueryBatchConn(b *testing.B) {
 					faults = append(faults, id)
 				}
 			}
-			if ctxs[i], err = c.PrepareFaults(faults); err != nil {
+			return faults
+		}
+		pairs = func(rng *xrand.SplitMix64) []Pair {
+			ps := make([]Pair, 16)
+			for i := range ps {
+				ps[i] = Pair{S: int32(rng.Intn(g.N())), T: int32(rng.Intn(g.N()))}
+			}
+			return ps
+		}
+		return c, draw, pairs
+	}
+	// ringofcliques-warm is the shape of a warm served connectivity
+	// request: 16 prepared contexts of the ring-of-cliques scheme taken
+	// round-robin, 16 pairs a batch, one worker.
+	b.Run("ringofcliques-warm", func(b *testing.B) {
+		c, draw, drawPairs := ringOfCliques(b)
+		rng := xrand.NewSplitMix64(7)
+		ctxs := make([]*ConnFaultContext, 16)
+		for i := range ctxs {
+			var err error
+			if ctxs[i], err = c.PrepareFaults(draw(rng)); err != nil {
 				b.Fatal(err)
 			}
 		}
-		pairs := make([]Pair, 16)
-		for i := range pairs {
-			pairs[i] = Pair{S: int32(rng.Intn(g.N())), T: int32(rng.Intn(g.N()))}
-		}
+		pairs := drawPairs(rng)
 		opts := BatchOptions{Parallelism: 1}
 		for _, x := range ctxs {
 			if _, err := x.ConnectedBatch(pairs, opts); err != nil {
@@ -764,6 +778,27 @@ func BenchmarkQueryBatchConn(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := ctxs[i%len(ctxs)].ConnectedBatch(pairs, opts); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(len(pairs))*float64(b.N)/b.Elapsed().Seconds(), "queries/s")
+	})
+	// ringofcliques-fresh is the same request on a context cache miss:
+	// every op prepares a fresh fault set and answers one 16-pair batch,
+	// so the sketch prepare (Steps 1-3) is gated with the decode.
+	b.Run("ringofcliques-fresh", func(b *testing.B) {
+		c, draw, drawPairs := ringOfCliques(b)
+		rng := xrand.NewSplitMix64(7)
+		pairs := drawPairs(rng)
+		opts := BatchOptions{Parallelism: 1}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ctx, err := c.PrepareFaults(draw(rng))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := ctx.ConnectedBatch(pairs, opts); err != nil {
 				b.Fatal(err)
 			}
 		}

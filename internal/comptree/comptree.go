@@ -13,8 +13,10 @@
 package comptree
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"ftrouting/internal/ancestry"
@@ -63,7 +65,7 @@ func Build(childLabels []ancestry.Label) (*Tree, error) {
 			tuple{time: l.Out, comp: i, exit: true},
 		)
 	}
-	sort.Slice(t.tuples, func(a, b int) bool { return t.tuples[a].time < t.tuples[b].time })
+	slices.SortFunc(t.tuples, func(a, b tuple) int { return cmp.Compare(a.time, b.time) })
 	for i := 1; i < len(t.tuples); i++ {
 		if t.tuples[i].time == t.tuples[i-1].time {
 			return nil, fmt.Errorf("comptree: duplicate DFS timestamp %d", t.tuples[i].time)

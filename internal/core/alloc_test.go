@@ -133,6 +133,56 @@ func TestCutFaultContextFreshZeroAlloc(t *testing.T) {
 	}
 }
 
+// prepareAllocs is what a warm sketch PrepareFaults may allocate: the
+// context, its component tree and the tree's three arrays, its component
+// slice and its slab. Steps 1-3 run in the pooled prepScratch, so the
+// count grows neither with |F| nor with the instance.
+const prepareAllocs = 7
+
+// TestSketchPrepareFaultsAllocs gates warm PrepareFaults calls on a small
+// and a larger instance, with and without routing payloads, for one to six
+// faults that are mostly tree edges.
+func TestSketchPrepareFaultsAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation gate: race instrumentation allocates")
+	}
+	cases := []struct {
+		name string
+		g    *graph.Graph
+		opts SketchOptions
+	}{
+		{"random", graph.RandomConnected(120, 220, 31), SketchOptions{Copies: 2, Seed: 8}},
+		{"ring-cliques", graph.RingOfCliques(32, 12), SketchOptions{Seed: 9}},
+		{"route-payload", graph.RandomConnected(60, 90, 5), SketchOptions{Seed: 10, ExtraWords: 2,
+			PortOf:  func(e graph.EdgeID, at int32) int32 { return int32(e) % 7 },
+			ExtraOf: func(v int32) []uint64 { return []uint64{uint64(v), ^uint64(v)} }}},
+	}
+	for _, tc := range cases {
+		s, err := BuildSketch(tc.g, graph.BFSTree(tc.g, 0, nil), tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 1; k <= 6; k++ {
+			labels := make([]SketchEdgeLabel, k)
+			for i := range labels {
+				id := s.Tree().ParentEdge[1+(i*37+k)%(tc.g.N()-1)]
+				if i%3 == 2 {
+					id = graph.EdgeID((i*53 + k) % tc.g.M())
+				}
+				labels[i] = s.EdgeLabel(id)
+			}
+			allocs := testing.AllocsPerRun(50, func() {
+				if _, err := s.PrepareFaults(labels, 0); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > prepareAllocs {
+				t.Errorf("%s |F|=%d: warm PrepareFaults allocates %.1f/op, want <= %d", tc.name, k, allocs, prepareAllocs)
+			}
+		}
+	}
+}
+
 // BenchmarkSketchWarmDecode is the bench-compare form of the gate above:
 // allocs/op must read 0 and ns/op guards the prepared decode itself.
 func BenchmarkSketchWarmDecode(b *testing.B) {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"ftrouting/internal/graph"
+	"ftrouting/internal/sketch"
 	"ftrouting/internal/xrand"
 )
 
@@ -223,6 +224,62 @@ func TestSketchFaultContextSlabReadOnly(t *testing.T) {
 		}
 		wg.Wait()
 		checkSlab("by concurrent decodes")
+	}
+}
+
+// TestSketchFaultContextSlabExact checks that a prepared context keeps its
+// nonzero component sketches, and nothing else, in one slab of exactly
+// nonzero × Words() words: the k-th non-nil sketch starts k·Words() words
+// into the slab and the slab ends right after the last one. A context
+// whose components are all zero keeps no slab.
+func TestSketchFaultContextSlabExact(t *testing.T) {
+	rng := xrand.NewSplitMix64(43)
+	var checked, noSlab int
+	for _, in := range diffInstances(t) {
+		s := in.scheme
+		sets := [][]graph.EdgeID{diffFaults(s, 2, rng), diffFaults(s, 4, rng)}
+		if in.name == "ring-cliques/0" {
+			sets = append(sets, ringCuts(s, 4, rng)...)
+		}
+		for _, ids := range sets {
+			labels := make([]SketchEdgeLabel, len(ids))
+			for i, id := range ids {
+				labels[i] = s.EdgeLabel(id)
+			}
+			for copy := 0; copy < s.Copies(); copy++ {
+				ctx, err := s.PrepareFaults(labels, copy)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ctx.trivial {
+					continue
+				}
+				words := s.engines[copy].Words()
+				var nonzero []sketch.Sketch
+				for _, c := range ctx.comps {
+					if c != nil {
+						nonzero = append(nonzero, c)
+					}
+				}
+				checked++
+				if len(nonzero) == 0 {
+					noSlab++
+					continue
+				}
+				slab := nonzero[0][:cap(nonzero[0])]
+				if len(slab) != len(nonzero)*words {
+					t.Fatalf("%s faults %v copy %d: slab holds %d words, want %d nonzero × %d", in.name, ids, copy, len(slab), len(nonzero), words)
+				}
+				for k, c := range nonzero {
+					if len(c) != words || &c[0] != &slab[k*words] {
+						t.Fatalf("%s faults %v copy %d: nonzero sketch %d is not slot %d of the slab", in.name, ids, copy, k, k)
+					}
+				}
+			}
+		}
+	}
+	if checked == 0 || noSlab == 0 {
+		t.Fatalf("checked %d contexts, %d without a slab; want both > 0", checked, noSlab)
 	}
 }
 

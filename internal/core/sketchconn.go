@@ -241,7 +241,10 @@ func (l SketchEdgeLabel) ChildSubtreeSketch(copy int) sketch.Sketch {
 	if !l.IsTree {
 		panic("core: ChildSubtreeSketch on non-tree edge label")
 	}
-	return l.scheme.engines[copy].SubtreeSketch(l.scheme.tree, l.child)
+	eng := l.scheme.engines[copy]
+	out := eng.NewSketch()
+	eng.SubtreeSketch(out, l.scheme.tree, l.scheme.anc, l.child, nil)
+	return out
 }
 
 // BitLen returns the label size in bits under the paper's accounting:
@@ -405,15 +408,16 @@ func (s *SketchScheme) PrepareFaults(faults []SketchEdgeLabel, copy int) (*Sketc
 
 	// Step 1: component tree of T \ F_T from the child-side ancestry
 	// labels (Claim 3.14).
-	childLabels := make([]ancestry.Label, len(treeFaults))
+	childLabels := sc.childLabels[:0]
 	for i, l := range treeFaults {
-		f := l.Fields()
-		child, _, ok := ancestry.ChildOf(f.AncU, f.AncV)
+		s.layout.DecodeInto(l.EID, &sc.f)
+		child, _, ok := ancestry.ChildOf(sc.f.AncU, sc.f.AncV)
 		if !ok {
 			return nil, fmt.Errorf("core: tree-fault label %d has non-nested endpoint intervals", i)
 		}
-		childLabels[i] = child
+		childLabels = append(childLabels, child)
 	}
+	sc.childLabels = childLabels
 	ct, err := comptree.Build(childLabels)
 	if err != nil {
 		return nil, err
@@ -421,47 +425,56 @@ func (s *SketchScheme) PrepareFaults(faults []SketchEdgeLabel, copy int) (*Sketc
 	nc := int32(ct.NumComps())
 
 	// Step 2: component sketches (Claim 3.15). Sketch'(C_j) is the child
-	// subtree sketch from the fault label; the root's temporary sketch is
-	// Sketch(V), which is identically zero (every edge of the instance is
-	// internal to V and cancels).
-	temp := make([]sketch.Sketch, nc)
-	temp[comptree.RootComp] = eng.NewSketch()
+	// subtree sketch from the fault label; the root's is Sketch(V), which
+	// is identically zero (every edge of the instance is internal to V and
+	// cancels). Both the subtree sketches and the component sketches are
+	// built in the pooled scratch (DESIGN.md §10).
+	words := eng.Words()
+	sc.raw.Resize(words, len(treeFaults))
 	for i, l := range treeFaults {
-		temp[i+1] = l.ChildSubtreeSketch(copy)
+		sc.stack = eng.SubtreeSketch(sc.raw.At(i), s.tree, s.anc, l.child, sc.stack)
 	}
-	// Component sketches live in one contiguous slab, which decodes scan
-	// in place; every slot is written below.
-	var slab sketch.Slab
-	slab.Resize(eng.Words(), int(nc))
-	comps := make([]sketch.Sketch, nc)
-	for c := int32(0); c < nc; c++ {
-		// CloneInto aliases the slab slot (capacities match exactly); note
-		// the builtin copy is shadowed by the parameter here.
-		comps[c] = temp[c].CloneInto(slab.At(int(c)))
+	sc.comps.Resize(words, int(nc))
+	sc.comps.At(int(comptree.RootComp)).Reset()
+	// CloneInto writes into the slot, which has room; the builtin copy is
+	// shadowed by the parameter here.
+	for c := 1; c < int(nc); c++ {
+		sc.raw.At(c - 1).CloneInto(sc.comps.At(c))
 	}
 	for c := int32(1); c < nc; c++ {
-		comps[ct.Parent(c)].Xor(temp[c])
+		sc.comps.At(int(ct.Parent(c))).Xor(sc.raw.At(int(c - 1)))
 	}
 
 	// Step 3: cancel every faulty edge whose endpoints lie in different
 	// components (same-component faults already cancelled inside the XOR).
 	for _, l := range faults {
-		f := l.Fields()
-		cu := ct.Locate(f.AncU)
-		cv := ct.Locate(f.AncV)
+		s.layout.DecodeInto(l.EID, &sc.f)
+		cu := ct.Locate(sc.f.AncU)
+		cv := ct.Locate(sc.f.AncV)
 		if cu == cv {
 			continue
 		}
-		eng.CancelEdge(comps[cu], f.UID, l.EID)
-		eng.CancelEdge(comps[cv], f.UID, l.EID)
+		eng.CancelEdge(sc.comps.At(int(cu)), sc.f.UID, l.EID)
+		eng.CancelEdge(sc.comps.At(int(cv)), sc.f.UID, l.EID)
 	}
 	// A zero component sketch has no cell that can validate, so it is
-	// stored as nil and decodes never scan it. When every component is
-	// zero nothing references the slab any more, and the context keeps
-	// none.
-	for c := range comps {
-		if comps[c].IsZero() {
-			comps[c] = nil
+	// stored as nil and decodes never scan it. The context keeps the
+	// nonzero ones in one slab of exactly their size, and no slab at all
+	// when every component is zero.
+	nonzero := 0
+	for c := 0; c < int(nc); c++ {
+		if !sc.comps.At(c).IsZero() {
+			nonzero++
+		}
+	}
+	comps := make([]sketch.Sketch, nc)
+	if nonzero > 0 {
+		slab := make(sketch.Sketch, nonzero*words)
+		for c := range comps {
+			if src := sc.comps.At(c); !src.IsZero() {
+				comps[c] = src.CloneInto(slab)
+				slab = slab[words:]
+			}
 		}
 	}
 	ctx.ct = ct
@@ -638,15 +651,22 @@ func (ctx *SketchFaultContext) decode(sv, tv SketchVertexLabel, wantPath bool, p
 }
 
 // prepScratch holds the PrepareFaults scratch (index sort, deduplicated
-// label slice, tree-fault slice), pooled package-wide so the hot prepare
-// path performs a sort-and-compact instead of allocating a map per call.
-// The faults/byUID fields parameterize the sort.Interface implementation.
+// label slice, tree-fault slice, child labels, the subtree-walk stack and
+// the raw subtree and component sketch slabs), pooled package-wide so the
+// hot prepare path performs a sort-and-compact instead of allocating a map
+// per call and allocates no sketch it throws away. The faults/byUID fields
+// parameterize the sort.Interface implementation.
 type prepScratch struct {
-	idx    []int32
-	labels []SketchEdgeLabel
-	tree   []SketchEdgeLabel
-	faults []SketchEdgeLabel
-	byUID  bool
+	idx         []int32
+	labels      []SketchEdgeLabel
+	tree        []SketchEdgeLabel
+	faults      []SketchEdgeLabel
+	byUID       bool
+	childLabels []ancestry.Label
+	f           eid.Fields
+	stack       []int32
+	raw         sketch.Slab // raw[i]: Sketch(V(T_child)) of tree fault i
+	comps       sketch.Slab // comps[c]: component c's sketch, Steps 2+3
 }
 
 var prepPool = sync.Pool{New: func() any { return new(prepScratch) }}

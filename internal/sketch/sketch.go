@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"ftrouting/internal/ancestry"
 	"ftrouting/internal/eid"
 	"ftrouting/internal/graph"
 	"ftrouting/internal/xrand"
@@ -140,12 +141,21 @@ func (e *Engine) MaxLevel(unit int, uid uint64) int {
 }
 
 // xorEdge XORs the identifier `w` of an edge with the given UID into every
-// cell that samples it.
+// cell that samples it. A unit's cells are stored level after level, and
+// the sampling sets are nested, so the cells of levels 0..MaxLevel are one
+// contiguous run.
 func (e *Engine) xorEdge(s Sketch, uid uint64, w []uint64) {
+	cw := e.layout.Words()
+	w = w[:cw]
 	for unit := 0; unit < e.params.Units; unit++ {
-		ml := e.MaxLevel(unit, uid)
-		for level := 0; level <= ml; level++ {
-			eid.Xor(e.cell(s, unit, level), w)
+		off := unit * e.params.Levels * cw
+		run := s[off : off+(e.MaxLevel(unit, uid)+1)*cw]
+		for len(run) >= cw {
+			cell := run[:cw]
+			for i, x := range w {
+				cell[i] ^= x
+			}
+			run = run[cw:]
 		}
 	}
 }
@@ -165,33 +175,39 @@ func (e *Engine) edgeWords(id graph.EdgeID) []uint64 {
 }
 
 // AddVertex XORs the sketch of vertex v (the XOR of its incident sampled
-// identifiers, Eq. 2) into s.
+// identifiers, Eq. 2) into s. Summing it over a vertex set is the plain
+// definition of the set's sketch: the oracle SubtreeSketch and the
+// prepared component sketches are tested against.
 func (e *Engine) AddVertex(s Sketch, v int32) {
 	for _, a := range e.g.Adj(v) {
 		e.xorEdge(s, e.uids[a.E], e.edgeWords(a.E))
 	}
 }
 
-// VertexSketch returns Sketch_G(v).
-func (e *Engine) VertexSketch(v int32) Sketch {
-	s := e.NewSketch()
-	e.AddVertex(s, v)
-	return s
-}
-
-// SubtreeSketch returns Sketch_G(V(T_v)): the XOR of the vertex sketches
-// over the subtree of v in t. This is the content a tree-edge label stores
-// (Section 3.2.1, "Sketch(V(T_u)), Sketch(V(T_v))").
-func (e *Engine) SubtreeSketch(t *graph.Tree, v int32) Sketch {
-	s := e.NewSketch()
-	stack := []int32{v}
+// SubtreeSketch writes Sketch_G(V(T_v)) into dst, the content a tree-edge
+// label stores (Section 3.2.1, "Sketch(V(T_u)), Sketch(V(T_v))"), and
+// returns stack for reuse. It is the XOR of the vertex sketches over the
+// subtree of v in t, but an edge with both endpoints in T_v enters that
+// XOR twice and cancels (Lemma 3.13), so the walk XORs only the boundary
+// edges: those whose other endpoint w lies outside T_v, which the DFS
+// intervals of t decide as !anc[v].IsAncestorOf(anc[w]). anc must be
+// ancestry.Build(t), and t must span every endpoint of an edge of T_v. The
+// walk runs on the caller's stack, so a warm caller allocates nothing.
+func (e *Engine) SubtreeSketch(dst Sketch, t *graph.Tree, anc []ancestry.Label, v int32, stack []int32) []int32 {
+	dst.Reset()
+	in := anc[v]
+	stack = append(stack[:0], v)
 	for len(stack) > 0 {
 		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		e.AddVertex(s, u)
+		for _, a := range e.g.Adj(u) {
+			if !in.IsAncestorOf(anc[a.To]) {
+				e.xorEdge(dst, e.uids[a.E], e.edgeWords(a.E))
+			}
+		}
 		stack = append(stack, t.Children[u]...)
 	}
-	return s
+	return stack
 }
 
 // Xor XORs other into s (sketch linearity; used to merge components).

@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"slices"
 	"testing"
 
 	"ftrouting/internal/ancestry"
@@ -32,6 +33,13 @@ func testEngine(t testing.TB, g *graph.Graph, unitSeed uint64) (*Engine, *graph.
 		t.Fatal(err)
 	}
 	return eng, tree, anc
+}
+
+// VertexSketch returns Sketch_G(v).
+func (e *Engine) VertexSketch(v int32) Sketch {
+	s := e.NewSketch()
+	e.AddVertex(s, v)
+	return s
 }
 
 func TestVertexSketchSelfInverse(t *testing.T) {
@@ -143,26 +151,99 @@ func TestFindOutgoingFromVertexSets(t *testing.T) {
 	}
 }
 
+// subtreeSketchByVertices is the oracle of SubtreeSketch: the XOR of the
+// vertex sketches over the subtree of v, internal edges included.
+func subtreeSketchByVertices(eng *Engine, tree *graph.Tree, v int32) Sketch {
+	want := eng.NewSketch()
+	stack := []int32{v}
+	for len(stack) > 0 {
+		u := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		eng.AddVertex(want, u)
+		stack = append(stack, tree.Children[u]...)
+	}
+	return want
+}
+
+// TestSubtreeSketchEqualsManualXor checks the boundary-edge walk against
+// the sum of vertex sketches for every vertex of several generator graphs
+// under three engine copies (unit seeds), reusing one stack and one
+// destination that starts dirty.
 func TestSubtreeSketchEqualsManualXor(t *testing.T) {
-	g := graph.RandomConnected(40, 55, 6)
-	eng, tree, _ := testEngine(t, g, 13)
-	for _, v := range []int32{0, 3, 17, 39} {
-		got := eng.SubtreeSketch(tree, v)
-		want := eng.NewSketch()
-		var rec func(u int32)
-		rec = func(u int32) {
-			eng.AddVertex(want, u)
-			for _, c := range tree.Children[u] {
-				rec(c)
-			}
-		}
-		rec(v)
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("subtree sketch of %d differs at word %d", v, i)
+	graphs := []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"random", graph.RandomConnected(40, 55, 6)},
+		{"ring-cliques", graph.RingOfCliques(6, 5)},
+		{"weighted", graph.WithRandomWeights(graph.RandomConnected(35, 50, 8), 9, 3)},
+		{"tree", graph.RandomTree(25, 2)},
+	}
+	for _, tc := range graphs {
+		for copy := uint64(0); copy < 3; copy++ {
+			eng, tree, anc := testEngine(t, tc.g, 13+copy)
+			got := eng.NewSketch()
+			var stack []int32
+			for v := int32(0); v < int32(tc.g.N()); v++ {
+				got[0] ^= 1 // SubtreeSketch overwrites dst
+				stack = eng.SubtreeSketch(got, tree, anc, v, stack)
+				if want := subtreeSketchByVertices(eng, tree, v); !slices.Equal(got, want) {
+					t.Fatalf("%s copy %d: subtree sketch of %d differs from its vertex sketches", tc.name, copy, v)
+				}
 			}
 		}
 	}
+}
+
+// FuzzSubtreeSketch compares the boundary-edge walk with the sum of
+// vertex sketches on fuzzed graphs: the bytes give each vertex i > 0 a
+// parent below i (so the graph is connected) and then extra edges and
+// weights, the spanning tree is the shortest-path tree from root, and v
+// picks the subtree.
+func FuzzSubtreeSketch(f *testing.F) {
+	f.Add(uint8(8), []byte{0, 1, 1, 2, 3, 3, 4, 7, 2, 5, 9, 1, 6, 0}, uint8(0), uint8(3), uint64(1))
+	f.Add(uint8(2), []byte{0}, uint8(1), uint8(0), uint64(2))
+	f.Add(uint8(12), []byte{0, 0, 0, 1, 1, 2, 2, 5, 5, 9, 3, 4, 11, 8, 7, 2, 10, 6, 1, 3}, uint8(5), uint8(9), uint64(3))
+	f.Fuzz(func(t *testing.T, n uint8, data []byte, root, v uint8, unitSeed uint64) {
+		nv := 2 + int(n)%30
+		g := graph.New(nv)
+		for i := 1; i < nv; i++ {
+			p := 0
+			if i-1 < len(data) {
+				p = int(data[i-1]) % i
+			}
+			if _, err := g.AddEdge(int32(p), int32(i), 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rest := data[min(len(data), nv-1):]
+		for i := 0; i+2 < len(rest) && g.M() < 4*nv; i += 3 {
+			u, w := int32(int(rest[i])%nv), int32(int(rest[i+1])%nv)
+			if u != w {
+				_, _ = g.AddEdge(u, w, 1+int64(rest[i+2])%5)
+			}
+		}
+		tree := graph.ShortestPathTree(g, int32(int(root)%nv), nil)
+		anc := ancestry.Build(tree)
+		layout, err := eid.NewLayout(nv, false, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc := func(id graph.EdgeID) []uint64 {
+			e := g.Edge(id)
+			return layout.Encode(0x51D, eid.Fields{U: e.U, V: e.V, AncU: anc[e.U], AncV: anc[e.V]})
+		}
+		eng, err := NewEngine(g, layout, DefaultParams(g.N(), g.M()), 0x51D, unitSeed, enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sv := int32(int(v) % nv)
+		got := eng.NewSketch()
+		eng.SubtreeSketch(got, tree, anc, sv, nil)
+		if want := subtreeSketchByVertices(eng, tree, sv); !slices.Equal(got, want) {
+			t.Fatalf("subtree sketch of %d differs from its vertex sketches", sv)
+		}
+	})
 }
 
 func TestCancelEdgeRemovesContribution(t *testing.T) {

@@ -145,12 +145,14 @@ func (p Pairwise) Eval(x uint64) uint64 {
 // sets E_{i,j} of Section 3.2.1. The result is capped at maxLevels-1. Level
 // 0 always samples.
 func (p Pairwise) MaxLevel(x uint64, maxLevels int) int {
-	v := p.Eval(x)
-	j := 1
-	for j < maxLevels && v < (mersenne61>>uint(j)) {
-		j++
-	}
-	return j - 1
+	return levelOf(p.Eval(x), maxLevels)
+}
+
+// levelOf is MaxLevel on a hash value v in O(1). floor(p / 2^j) is
+// 2^(61-j) - 1, so v is below it exactly when v+1 has at most 61-j bits:
+// the deepest such j is 61 - bits.Len64(v+1), then capped and floored.
+func levelOf(v uint64, maxLevels int) int {
+	return max(0, min(maxLevels-1, 61-bits.Len64(v+1)))
 }
 
 // mod61 reduces the 128-bit value hi*2^64 + lo modulo 2^61 - 1.

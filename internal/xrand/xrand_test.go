@@ -163,6 +163,42 @@ func TestPairwiseLevelGeometric(t *testing.T) {
 	}
 }
 
+// levelByLoop is the level scan MaxLevel used before levelOf: the oracle
+// of TestLevelOfMatchesLoop.
+func levelByLoop(v uint64, maxLevels int) int {
+	j := 1
+	for j < maxLevels && v < (mersenne61>>uint(j)) {
+		j++
+	}
+	return j - 1
+}
+
+// TestLevelOfMatchesLoop checks the O(1) level against the level scan at
+// every 2^k-2..2^k+2 (the boundaries of the sampling sets) and on random
+// hash values, for every cap from 0 to 70.
+func TestLevelOfMatchesLoop(t *testing.T) {
+	var vs []uint64
+	for k := 0; k < 64; k++ {
+		for d := uint64(0); d <= 4; d++ {
+			if p := uint64(1)<<k + d; p >= 2 { // 2^k+d-2 without wrapping
+				vs = append(vs, p-2)
+			}
+		}
+	}
+	rng := NewSplitMix64(19)
+	h := NewPairwise(23)
+	for i := 0; i < 2000; i++ {
+		vs = append(vs, rng.Next()%mersenne61, h.Eval(rng.Next()), rng.Next())
+	}
+	for _, v := range vs {
+		for maxLevels := 0; maxLevels <= 70; maxLevels++ {
+			if got, want := levelOf(v, maxLevels), levelByLoop(v, maxLevels); got != want {
+				t.Fatalf("levelOf(%#x, %d) = %d, level scan %d", v, maxLevels, got, want)
+			}
+		}
+	}
+}
+
 // TestPairwisePairwiseIndependence empirically checks the defining property
 // on a coarse two-bucket projection: for fixed x != y the joint distribution
 // of (bucket(h(x)), bucket(h(y))) over random h is close to uniform on the
