@@ -574,16 +574,17 @@ func (m *Manifest) PlanBatch(b QueryBatch) (*BatchPlan, error) {
 }
 
 // ShardIDs returns the shards the plan needs prepared contexts for, in
-// ascending order.
-func (p *BatchPlan) ShardIDs() []int { return append([]int(nil), p.shardIDs...) }
+// ascending order. The slice is the plan's own: callers must not modify it.
+func (p *BatchPlan) ShardIDs() []int { return slices.Clip(p.shardIDs) }
 
 // ShardFaults returns the batch's fault list restricted to one shard's
-// components, in input order with duplicates preserved.
+// components, in input order with duplicates preserved. The slice is the
+// plan's own: callers must not modify it.
 func (p *BatchPlan) ShardFaults(id int) []EdgeID {
 	if id < 0 || id >= len(p.faults) {
 		return nil
 	}
-	return append([]EdgeID(nil), p.faults[id]...)
+	return slices.Clip(p.faults[id])
 }
 
 // DistinctFaults returns the global distinct-fault count of the batch

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"ftrouting/internal/graph"
@@ -134,18 +135,23 @@ func TestCutFaultContextFreshZeroAlloc(t *testing.T) {
 }
 
 // prepareAllocs is what a warm sketch PrepareFaults may allocate: the
-// context, its component tree and the tree's three arrays, its component
-// slice and its slab. Steps 1-3 run in the pooled prepScratch, so the
-// count grows neither with |F| nor with the instance.
-const prepareAllocs = 7
+// context, its component tree and the tree's three arrays, and the owned
+// inputs of Steps 2-3. Step 1 runs in the pooled prepScratch and Steps 2-3
+// wait for the first separated decode, so the count grows neither with |F|
+// nor with the instance.
+const prepareAllocs = 6
 
-// TestSketchPrepareFaultsAllocs gates warm PrepareFaults calls on a small
-// and a larger instance, with and without routing payloads, for one to six
-// faults that are mostly tree edges.
-func TestSketchPrepareFaultsAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation gate: race instrumentation allocates")
-	}
+// firstSeparatedAllocs is what the first decode of a pair the faults
+// separate may allocate on a fresh context: Steps 2-3 keep the component
+// slice and the slab of nonzero sketches and run in the pooled
+// prepScratch, so the count does not grow with |F| either.
+const firstSeparatedAllocs = 2
+
+// allocFaultSets calls visit with fault label sets of one to six faults,
+// mostly tree edges, on a small and a larger instance, with and without
+// routing payloads.
+func allocFaultSets(t *testing.T, visit func(name string, s *SketchScheme, labels []SketchEdgeLabel)) {
+	t.Helper()
 	cases := []struct {
 		name string
 		g    *graph.Graph
@@ -171,16 +177,128 @@ func TestSketchPrepareFaultsAllocs(t *testing.T) {
 				}
 				labels[i] = s.EdgeLabel(id)
 			}
-			allocs := testing.AllocsPerRun(50, func() {
-				if _, err := s.PrepareFaults(labels, 0); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if allocs > prepareAllocs {
-				t.Errorf("%s |F|=%d: warm PrepareFaults allocates %.1f/op, want <= %d", tc.name, k, allocs, prepareAllocs)
-			}
+			visit(fmt.Sprintf("%s |F|=%d", tc.name, k), s, labels)
 		}
 	}
+}
+
+// TestSketchPrepareFaultsAllocs gates warm PrepareFaults calls.
+func TestSketchPrepareFaultsAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation gate: race instrumentation allocates")
+	}
+	allocFaultSets(t, func(name string, s *SketchScheme, labels []SketchEdgeLabel) {
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, err := s.PrepareFaults(labels, 0); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > prepareAllocs {
+			t.Errorf("%s: warm PrepareFaults allocates %.1f/op, want <= %d", name, allocs, prepareAllocs)
+		}
+	})
+}
+
+// freshPairDecodeAllocs prepares runs+1 fresh contexts of labels and
+// measures the first Decode of (sv, tv) on each: AllocsPerRun's unmeasured
+// first call fills the pools. It returns the allocations per decode and
+// the contexts.
+func freshPairDecodeAllocs(t *testing.T, s *SketchScheme, labels []SketchEdgeLabel, sv, tv SketchVertexLabel) (float64, []*SketchFaultContext) {
+	t.Helper()
+	const runs = 20
+	fresh := make([]*SketchFaultContext, runs+1)
+	for i := range fresh {
+		ctx, err := s.PrepareFaults(labels, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh[i] = ctx
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		if _, err := fresh[i].Decode(sv, tv, false); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	return allocs, fresh
+}
+
+// splitPairs returns a pair of vertices the prepared context separates in
+// T\F and a pair of distinct vertices it does not; ok is false when the
+// instance has no such pair of either kind.
+func splitPairs(s *SketchScheme, ctx *SketchFaultContext) (sep, same [2]int32, ok bool) {
+	var haveSep, haveSame bool
+	n := int32(s.Graph().N())
+	for v := int32(1); v < n && !(haveSep && haveSame); v++ {
+		if ctx.trivial || ctx.ct.Locate(s.anc[0]) == ctx.ct.Locate(s.anc[v]) {
+			same, haveSame = [2]int32{0, v}, true
+		} else {
+			sep, haveSep = [2]int32{0, v}, true
+		}
+	}
+	return sep, same, haveSep && haveSame
+}
+
+// TestSketchFirstSeparatedDecodeAllocs gates the first decode of a pair
+// the faults separate on fresh contexts: it runs Steps 2-3 and may keep
+// only the component slice and the slab.
+func TestSketchFirstSeparatedDecodeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation gate: race instrumentation allocates")
+	}
+	checked := 0
+	allocFaultSets(t, func(name string, s *SketchScheme, labels []SketchEdgeLabel) {
+		ctx, err := s.PrepareFaults(labels, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sep, _, ok := splitPairs(s, ctx)
+		if !ok {
+			return
+		}
+		checked++
+		allocs, fresh := freshPairDecodeAllocs(t, s, labels, s.VertexLabel(sep[0]), s.VertexLabel(sep[1]))
+		if allocs > firstSeparatedAllocs {
+			t.Errorf("%s: first separated decode allocates %.1f/op, want <= %d", name, allocs, firstSeparatedAllocs)
+		}
+		for i, ctx := range fresh {
+			if n := ctx.builds.Load(); n != 1 {
+				t.Fatalf("%s: context %d built its sketches %d times, want 1", name, i, n)
+			}
+		}
+	})
+	if checked < 10 {
+		t.Fatalf("only %d fault sets separate a pair", checked)
+	}
+}
+
+// TestSketchSameComponentDecodeZeroAlloc gates the first decode of a pair
+// that shares a component of T\F on fresh contexts: it needs no sketch, so
+// it allocates nothing and builds none.
+func TestSketchSameComponentDecodeZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation gate: race instrumentation allocates")
+	}
+	allocFaultSets(t, func(name string, s *SketchScheme, labels []SketchEdgeLabel) {
+		ctx, err := s.PrepareFaults(labels, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, same, _ := splitPairs(s, ctx)
+		if same[1] == 0 {
+			t.Fatalf("%s: no two vertices share a component of T\\F", name)
+		}
+		allocs, fresh := freshPairDecodeAllocs(t, s, labels, s.VertexLabel(same[0]), s.VertexLabel(same[1]))
+		if allocs != 0 {
+			t.Errorf("%s: same-component decode of a fresh context allocates %.1f/op, want 0", name, allocs)
+		}
+		for i, ctx := range fresh {
+			if n := ctx.builds.Load(); n != 0 {
+				t.Fatalf("%s: context %d built its sketches for a same-component pair", name, i)
+			}
+		}
+	})
 }
 
 // BenchmarkSketchWarmDecode is the bench-compare form of the gate above:

@@ -107,6 +107,167 @@ func TestSketchFaultContextConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
+// sameVerdict reports whether two verdicts agree in connectivity, phase
+// count and succinct path.
+func sameVerdict(got, want Verdict) bool {
+	if got.Connected != want.Connected || got.Phases != want.Phases || (got.Path == nil) != (want.Path == nil) {
+		return false
+	}
+	return got.Path == nil || reflect.DeepEqual(got.Path.Steps, want.Path.Steps)
+}
+
+// lazyFixture is a scheme with two sketch copies and fault sets of three
+// tree faults and one non-tree fault each, so every set splits T into four
+// components.
+func lazyFixture(t *testing.T) (*SketchScheme, [][]SketchEdgeLabel) {
+	t.Helper()
+	g := graph.RandomConnected(80, 140, 3)
+	tree := graph.BFSTree(g, 0, nil)
+	s, err := BuildSketch(g, tree, SketchOptions{Copies: 2, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sets [][]SketchEdgeLabel
+	for rep := int32(0); rep < 6; rep++ {
+		var labels []SketchEdgeLabel
+		for _, v := range []int32{5 + rep, 30 + 2*rep, 61 + rep} {
+			labels = append(labels, s.EdgeLabel(tree.ParentEdge[v]))
+		}
+		for id := graph.EdgeID(rep * 7); ; id++ {
+			if !tree.InTree[id] {
+				labels = append(labels, s.EdgeLabel(id))
+				break
+			}
+		}
+		sets = append(sets, labels)
+	}
+	return s, sets
+}
+
+// TestSketchFaultContextLazySketches checks that Steps 2-3 run only for
+// pairs the faults separate: a context decoded only on pairs that share a
+// component of T\F never builds its component sketches, with or without
+// paths, and the first separated pair builds them exactly once. Every
+// verdict equals the one-shot decoder's.
+func TestSketchFaultContextLazySketches(t *testing.T) {
+	s, sets := lazyFixture(t)
+	n := int32(s.Graph().N())
+	for si, labels := range sets {
+		for copy := 0; copy < s.Copies(); copy++ {
+			ctx, err := s.PrepareFaults(labels, copy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var same, sep [][2]int32
+			for sv := int32(0); sv < n; sv += 3 {
+				for tv := int32(1); tv < n; tv += 5 {
+					if sv == tv {
+						continue
+					}
+					if ctx.ct.Locate(s.anc[sv]) == ctx.ct.Locate(s.anc[tv]) {
+						same = append(same, [2]int32{sv, tv})
+					} else {
+						sep = append(sep, [2]int32{sv, tv})
+					}
+				}
+			}
+			if len(same) < 10 || len(sep) < 10 {
+				t.Fatalf("set %d: %d same-component and %d separated pairs, want 10 of each", si, len(same), len(sep))
+			}
+			check := func(pairs [][2]int32, builds int32) {
+				t.Helper()
+				var path SuccinctPath
+				for _, p := range pairs {
+					sv, tv := s.VertexLabel(p[0]), s.VertexLabel(p[1])
+					for _, wantPath := range []bool{false, true} {
+						want, err := s.Decode(sv, tv, labels, copy, wantPath)
+						if err != nil {
+							t.Fatal(err)
+						}
+						got, err := ctx.Decode(sv, tv, wantPath)
+						if err != nil {
+							t.Fatal(err)
+						}
+						into, err := ctx.DecodeInto(sv, tv, &path)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !sameVerdict(got, want) || (wantPath && !sameVerdict(into, want)) {
+							t.Fatalf("set %d copy %d pair %v: prepared %+v, one-shot %+v", si, copy, p, got, want)
+						}
+					}
+					if got := ctx.builds.Load(); got != builds {
+						t.Fatalf("set %d copy %d pair %v: sketches built %d times, want %d", si, copy, p, got, builds)
+					}
+				}
+			}
+			check(same, 0)
+			check(sep[:1], 1)
+			check(sep, 1)
+			check(same, 1)
+		}
+	}
+}
+
+// TestSketchFaultContextConcurrentFirstBuild makes the first separated
+// decode of one fresh context from many goroutines at once (run with
+// -race): Steps 2-3 run exactly once, and every verdict equals the
+// one-shot decoder's.
+func TestSketchFaultContextConcurrentFirstBuild(t *testing.T) {
+	s, sets := lazyFixture(t)
+	const workers = 8
+	for si, labels := range sets {
+		for copy := 0; copy < s.Copies(); copy++ {
+			ctx, err := s.PrepareFaults(labels, copy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var pairs [][2]int32
+			var want []Verdict
+			for tv := int32(1); tv < int32(s.Graph().N()) && len(pairs) < workers; tv++ {
+				if ctx.ct.Locate(s.anc[0]) == ctx.ct.Locate(s.anc[tv]) {
+					continue
+				}
+				v, err := s.Decode(s.VertexLabel(0), s.VertexLabel(tv), labels, copy, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pairs = append(pairs, [2]int32{0, tv})
+				want = append(want, v)
+			}
+			if len(pairs) == 0 {
+				t.Fatalf("set %d: no vertex is separated from 0", si)
+			}
+			start := make(chan struct{})
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					<-start
+					for i := range pairs {
+						j := (i + w) % len(pairs)
+						v, err := ctx.Decode(s.VertexLabel(pairs[j][0]), s.VertexLabel(pairs[j][1]), true)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						if !sameVerdict(v, want[j]) {
+							t.Errorf("set %d copy %d pair %v: concurrent %+v, one-shot %+v", si, copy, pairs[j], v, want[j])
+							return
+						}
+					}
+				}(w)
+			}
+			close(start)
+			wg.Wait()
+			if got := ctx.builds.Load(); got != 1 {
+				t.Fatalf("set %d copy %d: sketches built %d times, want 1", si, copy, got)
+			}
+		}
+	}
+}
+
 // TestSketchFaultContextSlabReadOnly pins the copy-on-write merges: on
 // pairs whose endpoints start in different T\F components (so decodes
 // merge group sketches), sequential and concurrent DecodeInto calls leave
@@ -143,13 +304,13 @@ func TestSketchFaultContextSlabReadOnly(t *testing.T) {
 			t.Fatalf("copy %d: want at least 3 components of T\\F", copy)
 		}
 		var snapshot []uint64
-		for _, c := range ctx.comps {
+		for _, c := range ctx.componentSketches() {
 			snapshot = append(snapshot, c...)
 		}
 		checkSlab := func(when string) {
 			t.Helper()
 			var now []uint64
-			for _, c := range ctx.comps {
+			for _, c := range ctx.componentSketches() {
 				now = append(now, c...)
 			}
 			if !slices.Equal(now, snapshot) {
@@ -256,7 +417,7 @@ func TestSketchFaultContextSlabExact(t *testing.T) {
 				}
 				words := s.engines[copy].Words()
 				var nonzero []sketch.Sketch
-				for _, c := range ctx.comps {
+				for _, c := range ctx.componentSketches() {
 					if c != nil {
 						nonzero = append(nonzero, c)
 					}

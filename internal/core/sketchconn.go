@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"ftrouting/internal/ancestry"
 	"ftrouting/internal/comptree"
@@ -281,10 +282,13 @@ type recoveryEdge struct {
 // (component tree of T\F, component sketches, fault cancellation) depend
 // only on F, never on the queried pair, so a batch of pair queries under a
 // fixed fault set prepares them once and each Decode runs only Step 4
-// (the Boruvka simulation). The context is immutable once PrepareFaults
-// returns and safe for concurrent Decode calls; decodes draw their working
-// memory from a package-wide scratch pool, so a cached context holds only
-// its own component sketches.
+// (the Boruvka simulation). Step 1 runs in PrepareFaults, since it alone
+// can fail. A pair whose endpoints share a component of T\F is connected
+// through T and needs no sketch (Claim 3.14), so Steps 2-3 run only on
+// the first decode of a pair the faults separate, once per context
+// (DESIGN.md §11). The context is safe for concurrent Decode calls;
+// decodes draw their working memory from a package-wide scratch pool, so
+// a cached context holds only its own component sketches.
 type SketchFaultContext struct {
 	scheme *SketchScheme
 	copy   int
@@ -292,11 +296,19 @@ type SketchFaultContext struct {
 	// same-instance pair is connected through it.
 	trivial bool
 	ct      *comptree.Tree
+	// inputs is what Steps 2-3 read, owned by the context and dropped once
+	// they run: the child vertex of each tree fault (component i+1 is the
+	// child side of tree fault i), then one record per fault whose
+	// endpoints lie in different components, the components packed as
+	// cu<<32|cv followed by the fault's identifier words.
+	inputs []uint64
+	once   sync.Once
+	builds atomic.Int32 // times Steps 2-3 ran; tests read it
 	// comps[c] is the cancelled sketch of component c (Steps 2+3 applied),
 	// one slot of a contiguous slab, or nil when that sketch is all zero
-	// (c has no edge to another component of G\F). Decodes only read it:
-	// a Borůvka merge writes its union into the decoding goroutine's
-	// scratch.
+	// (c has no edge to another component of G\F). It is written once,
+	// under once; decodes only read it: a Borůvka merge writes its union
+	// into the decoding goroutine's scratch.
 	comps []sketch.Sketch
 }
 
@@ -376,17 +388,18 @@ func setFieldsPreserving(dst *eid.Fields, src eid.Fields) {
 	dst.ExtraV = append(ev, src.ExtraV...)
 }
 
-// PrepareFaults runs the per-fault-set Steps 1-3 of the decoder once:
-// (1) identify the components of T\F via the component tree; (2) compute
-// each component's sketch from the subtree sketches; (3) cancel the faulty
-// edges' contributions. copy selects which of the f' independent sketch
-// copies the context is bound to (Section 5.2 uses a fresh copy per
-// routing iteration).
+// PrepareFaults prepares a fault set for repeated decodes. It runs Step 1
+// of the decoder, identifying the components of T\F via the component
+// tree, and keeps what Steps 2-3 need: (2) each component's sketch from
+// the subtree sketches and (3) the cancellation of the faulty edges'
+// contributions. Those run on the first decode of a pair the faults
+// separate. copy selects which of the f' independent sketch copies the
+// context is bound to (Section 5.2 uses a fresh copy per routing
+// iteration).
 func (s *SketchScheme) PrepareFaults(faults []SketchEdgeLabel, copy int) (*SketchFaultContext, error) {
 	if copy < 0 || copy >= len(s.engines) {
 		return nil, fmt.Errorf("core: copy %d out of range [0,%d)", copy, len(s.engines))
 	}
-	eng := s.engines[copy]
 	ctx := &SketchFaultContext{scheme: s, copy: copy}
 
 	sc := prepPool.Get().(*prepScratch)
@@ -422,47 +435,83 @@ func (s *SketchScheme) PrepareFaults(faults []SketchEdgeLabel, copy int) (*Sketc
 	if err != nil {
 		return nil, err
 	}
-	nc := int32(ct.NumComps())
+
+	// The inputs of Steps 2-3, in one owned allocation (the labels are the
+	// caller's). Only a fault whose endpoints lie in different components
+	// is cancelled; a same-component fault already cancels inside the
+	// component XOR.
+	cw := s.layout.Words()
+	cuts := sc.cuts[:0]
+	for _, l := range faults {
+		s.layout.DecodeInto(l.EID, &sc.f)
+		cu, cv := ct.Locate(sc.f.AncU), ct.Locate(sc.f.AncV)
+		if cu == cv {
+			continue
+		}
+		cuts = append(cuts, uint64(cu)<<32|uint64(cv))
+		cuts = append(cuts, l.EID[:cw]...)
+	}
+	sc.cuts = cuts
+	inputs := make([]uint64, len(treeFaults), len(treeFaults)+len(cuts))
+	for i, l := range treeFaults {
+		inputs[i] = uint64(l.child)
+	}
+	ctx.ct = ct
+	ctx.inputs = append(inputs, cuts...)
+	return ctx, nil
+}
+
+// componentSketches returns the context's cancelled component sketches,
+// running Steps 2-3 first if no decode has yet.
+func (ctx *SketchFaultContext) componentSketches() []sketch.Sketch {
+	ctx.once.Do(ctx.buildSketches)
+	return ctx.comps
+}
+
+// buildSketches runs Steps 2-3 of the decoder from ctx.inputs, in the
+// pooled scratch (DESIGN.md §10), and keeps the nonzero component
+// sketches in one slab of exactly their size.
+func (ctx *SketchFaultContext) buildSketches() {
+	s := ctx.scheme
+	eng := s.engines[ctx.copy]
+	sc := prepPool.Get().(*prepScratch)
+	defer prepPool.Put(sc)
+	ct := ctx.ct
+	nc := ct.NumComps()
+	words := eng.Words()
+	children, cuts := ctx.inputs[:nc-1], ctx.inputs[nc-1:]
 
 	// Step 2: component sketches (Claim 3.15). Sketch'(C_j) is the child
 	// subtree sketch from the fault label; the root's is Sketch(V), which
 	// is identically zero (every edge of the instance is internal to V and
-	// cancels). Both the subtree sketches and the component sketches are
-	// built in the pooled scratch (DESIGN.md §10).
-	words := eng.Words()
-	sc.raw.Resize(words, len(treeFaults))
-	for i, l := range treeFaults {
-		sc.stack = eng.SubtreeSketch(sc.raw.At(i), s.tree, s.anc, l.child, sc.stack)
+	// cancels).
+	sc.raw.Resize(words, nc-1)
+	for i, child := range children {
+		sc.stack = eng.SubtreeSketch(sc.raw.At(i), s.tree, s.anc, int32(child), sc.stack)
 	}
-	sc.comps.Resize(words, int(nc))
+	sc.comps.Resize(words, nc)
 	sc.comps.At(int(comptree.RootComp)).Reset()
-	// CloneInto writes into the slot, which has room; the builtin copy is
-	// shadowed by the parameter here.
-	for c := 1; c < int(nc); c++ {
-		sc.raw.At(c - 1).CloneInto(sc.comps.At(c))
+	for c := 1; c < nc; c++ {
+		copy(sc.comps.At(c), sc.raw.At(c-1))
 	}
-	for c := int32(1); c < nc; c++ {
+	for c := int32(1); c < int32(nc); c++ {
 		sc.comps.At(int(ct.Parent(c))).Xor(sc.raw.At(int(c - 1)))
 	}
 
 	// Step 3: cancel every faulty edge whose endpoints lie in different
-	// components (same-component faults already cancelled inside the XOR).
-	for _, l := range faults {
-		s.layout.DecodeInto(l.EID, &sc.f)
-		cu := ct.Locate(sc.f.AncU)
-		cv := ct.Locate(sc.f.AncV)
-		if cu == cv {
-			continue
-		}
-		eng.CancelEdge(sc.comps.At(int(cu)), sc.f.UID, l.EID)
-		eng.CancelEdge(sc.comps.At(int(cv)), sc.f.UID, l.EID)
+	// components. The UID is the identifier's first word.
+	cw := s.layout.Words()
+	for ; len(cuts) > 0; cuts = cuts[1+cw:] {
+		w := cuts[1 : 1+cw]
+		eng.CancelEdge(sc.comps.At(int(cuts[0]>>32)), w[0], w)
+		eng.CancelEdge(sc.comps.At(int(uint32(cuts[0]))), w[0], w)
 	}
 	// A zero component sketch has no cell that can validate, so it is
 	// stored as nil and decodes never scan it. The context keeps the
 	// nonzero ones in one slab of exactly their size, and no slab at all
 	// when every component is zero.
 	nonzero := 0
-	for c := 0; c < int(nc); c++ {
+	for c := 0; c < nc; c++ {
 		if !sc.comps.At(c).IsZero() {
 			nonzero++
 		}
@@ -477,9 +526,9 @@ func (s *SketchScheme) PrepareFaults(faults []SketchEdgeLabel, copy int) (*Sketc
 			}
 		}
 	}
-	ctx.ct = ct
 	ctx.comps = comps
-	return ctx, nil
+	ctx.inputs = nil
+	ctx.builds.Add(1)
 }
 
 // Decode decides whether s and t are connected in G\F from labels alone
@@ -538,23 +587,34 @@ func (ctx *SketchFaultContext) DecodeInto(sv, tv SketchVertexLabel, p *SuccinctP
 	return ctx.decode(sv, tv, true, p)
 }
 
-// decode runs the Boruvka simulation (Step 4) for one pair over the
-// prepared component sketches, which it never writes. A non-nil p receives
-// the path (reusing its storage); with p == nil and wantPath a fresh path
-// is allocated.
+// decode answers one pair with sv.ID != tv.ID. A non-nil p receives the
+// path (reusing its storage); with p == nil and wantPath a fresh path is
+// allocated.
 func (ctx *SketchFaultContext) decode(sv, tv SketchVertexLabel, wantPath bool, p *SuccinctPath) (Verdict, error) {
-	if ctx.trivial {
-		v := Verdict{Connected: true}
-		if wantPath {
-			if p == nil {
-				p = &SuccinctPath{}
-			}
-			p.reset()
-			p.appendTreeStep(sv, tv)
-			v.Path = p
+	if !ctx.trivial {
+		if cs, ctc := ctx.ct.Locate(sv.Anc), ctx.ct.Locate(tv.Anc); cs != ctc {
+			return ctx.separated(sv, tv, cs, ctc, wantPath, p)
 		}
-		return v, nil
 	}
+	// s and t share a component of T\F: connected through T, by one tree
+	// step (Claim 3.14).
+	v := Verdict{Connected: true}
+	if wantPath {
+		if p == nil {
+			p = &SuccinctPath{}
+		}
+		p.reset()
+		p.appendTreeStep(sv, tv)
+		v.Path = p
+	}
+	return v, nil
+}
+
+// separated runs the Boruvka simulation (Step 4) for a pair in different
+// components cs and ctc of T\F over the component sketches, which it
+// never writes.
+func (ctx *SketchFaultContext) separated(sv, tv SketchVertexLabel, cs, ctc int32, wantPath bool, p *SuccinctPath) (Verdict, error) {
+	prepared := ctx.componentSketches()
 	eng := ctx.scheme.engines[ctx.copy]
 	ct := ctx.ct
 	nc := int32(ct.NumComps())
@@ -566,7 +626,7 @@ func (ctx *SketchFaultContext) decode(sv, tv SketchVertexLabel, wantPath bool, p
 	// every merge of a decode.
 	sc.merged.Resize(eng.Words(), int(nc)-1)
 	merges := 0
-	comps := append(sc.comps[:0], ctx.comps...)
+	comps := append(sc.comps[:0], prepared...)
 	sc.comps = comps
 
 	// Step 4: Boruvka over the components with a fresh basic unit per
@@ -576,8 +636,6 @@ func (ctx *SketchFaultContext) decode(sv, tv SketchVertexLabel, wantPath bool, p
 	// joined in the last phase run writes none.
 	sc.uf.Reset(int(nc))
 	uf := &sc.uf
-	cs := ct.Locate(sv.Anc)
-	ctc := ct.Locate(tv.Anc)
 	sc.recoveries = sc.recoveries[:0]
 	sc.unions = sc.unions[:0]
 	phases := 0
@@ -650,11 +708,12 @@ func (ctx *SketchFaultContext) decode(sv, tv SketchVertexLabel, wantPath bool, p
 	return v, nil
 }
 
-// prepScratch holds the PrepareFaults scratch (index sort, deduplicated
-// label slice, tree-fault slice, child labels, the subtree-walk stack and
-// the raw subtree and component sketch slabs), pooled package-wide so the
-// hot prepare path performs a sort-and-compact instead of allocating a map
-// per call and allocates no sketch it throws away. The faults/byUID fields
+// prepScratch holds the scratch of PrepareFaults (index sort, deduplicated
+// label slice, tree-fault slice, child labels, cancellation records) and
+// of buildSketches (the subtree-walk stack and the raw subtree and
+// component sketch slabs), pooled package-wide so the hot prepare path
+// performs a sort-and-compact instead of allocating a map per call and
+// allocates no sketch it throws away. The faults/byUID fields
 // parameterize the sort.Interface implementation.
 type prepScratch struct {
 	idx         []int32
@@ -663,6 +722,7 @@ type prepScratch struct {
 	faults      []SketchEdgeLabel
 	byUID       bool
 	childLabels []ancestry.Label
+	cuts        []uint64 // the cancellation records of PrepareFaults
 	f           eid.Fields
 	stack       []int32
 	raw         sketch.Slab // raw[i]: Sketch(V(T_child)) of tree fault i

@@ -37,12 +37,13 @@ func refDecode(ctx *SketchFaultContext, sv, tv SketchVertexLabel, st *refStats) 
 	eng := ctx.scheme.engines[ctx.copy]
 	ct := ctx.ct
 	nc := int32(ct.NumComps())
+	prepared := ctx.componentSketches()
 	comps := make([]sketch.Sketch, nc)
 	for c := range comps {
-		if ctx.comps[c] == nil {
+		if prepared[c] == nil {
 			comps[c] = eng.NewSketch()
 		} else {
-			comps[c] = ctx.comps[c].Clone()
+			comps[c] = prepared[c].Clone()
 		}
 	}
 	uf := unionfind.New(int(nc))
@@ -315,9 +316,10 @@ func TestSketchDecodeMatchesReference(t *testing.T) {
 				}
 				if !ctx.trivial {
 					nils := 0
+					prepared := ctx.componentSketches()
 					for c := int32(0); c < int32(ctx.ct.NumComps()); c++ {
 						want := componentSketch(ctx, labels, c)
-						switch got := ctx.comps[c]; {
+						switch got := prepared[c]; {
 						case got == nil && !want.IsZero():
 							t.Fatalf("%s faults %v copy %d: component %d stored nil but its sketch is nonzero", in.name, ids, copy, c)
 						case got != nil && !reflect.DeepEqual(got, want):

@@ -212,7 +212,7 @@ func TestServeWarmConnAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation gate: race instrumentation allocates")
 	}
-	const maxAllocs = 24
+	const maxAllocs = 22
 	g := ftrouting.RingOfCliques(16, 8)
 	labels, err := ftrouting.BuildConnectivityLabels(g, ftrouting.ConnOptions{Seed: 1})
 	if err != nil {
