@@ -15,8 +15,10 @@ BENCHTHRESHOLD ?= 25
 # Every decoder has a FuzzUnmarshal*/FuzzDecode*/FuzzLoad* target,
 # FuzzSPDistance checks the pooled Opt search against graph.Distance,
 # FuzzSketchDecode checks the sketch decoder's Borůvka step against its
-# plain reference, FuzzSubtreeSketch checks the boundary-edge subtree
-# sketch against the sum of its vertex sketches, and
+# plain reference, FuzzInstanceFaultsDecode checks the fault contexts
+# prepared from edge ids at first reach against the label decoder,
+# FuzzSubtreeSketch checks the boundary-edge subtree sketch against the
+# sum of its vertex sketches, and
 # FuzzQueryRequestDecode checks the served request decoder against
 # encoding/json; `make fuzz` runs each for FUZZTIME (package:target
 # pairs, one -fuzz pattern per `go test` invocation as the fuzzer
@@ -32,6 +34,7 @@ FUZZ_TARGETS = \
 	./internal/core:FuzzUnmarshalSketchVertexLabel \
 	./internal/core:FuzzUnmarshalSketchEdgeLabel \
 	./internal/core:FuzzSketchDecode \
+	./internal/core:FuzzInstanceFaultsDecode \
 	./internal/sketch:FuzzSubtreeSketch \
 	./internal/distlabel:FuzzUnmarshalDistVertexLabel \
 	./internal/distlabel:FuzzUnmarshalDistEdgeLabel \

@@ -13,7 +13,10 @@ package ftrouting
 
 import (
 	"bytes"
+	"math"
+	"math/rand/v2"
 	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -921,6 +924,112 @@ func BenchmarkQueryBatchDistFreshFaults(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(pairs))*float64(b.N)/b.Elapsed().Seconds(), "queries/s")
+}
+
+// distFreshFixture is the scheme and fault sets of the fault-churn
+// benchmarks: distance labels on RandomConnected(2000,4000), f=2, k=2,
+// and a ring of 256 fresh 2-fault sets, drawn as
+// BenchmarkQueryBatchDistFreshFaults draws them.
+func distFreshFixture(tb testing.TB) (*DistLabels, *Graph, [][]EdgeID) {
+	tb.Helper()
+	g := graph.RandomConnected(2000, 4000, 1)
+	d, err := BuildDistanceLabels(g, 2, 2, 3)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	faultRing := make([][]EdgeID, 256)
+	for i := range faultRing {
+		faultRing[i] = graph.RandomFaults(g, 2, uint64(i+2))
+	}
+	return d, g, faultRing
+}
+
+// zipfPairs draws count pairs by perfbench's law: each endpoint follows a
+// Zipf law with exponent 0.8 over a seeded permutation of the n vertices,
+// so a few hot vertices take most pairs, as served traffic does.
+func zipfPairs(n, count int, seed uint64) []Pair {
+	r := rand.New(rand.NewPCG(seed, 0x7a697066))
+	perm := r.Perm(n)
+	cdf := make([]float64, n)
+	sum := 0.0
+	for k := range cdf {
+		sum += math.Pow(float64(k+1), -0.8)
+		cdf[k] = sum
+	}
+	vertex := func() int32 {
+		k := min(sort.SearchFloat64s(cdf, r.Float64()*sum), n-1)
+		return int32(perm[k])
+	}
+	pairs := make([]Pair, count)
+	for i := range pairs {
+		pairs[i] = Pair{S: vertex(), T: vertex()}
+	}
+	return pairs
+}
+
+// BenchmarkQueryBatchDistFreshFaultsZipf is BenchmarkQueryBatchDistFreshFaults
+// with the pairs of served traffic: each op is a fresh 2-fault set and 16
+// pairs drawn by perfbench's Zipf law, taken in turn from rings drawn
+// before the timer. A CPU profile with the arithmetic pairs of
+// batchBenchPairs ranked the component sketch build first, where one of a
+// daemon under perfbench's dist-fault-churn ranked it fourth.
+func BenchmarkQueryBatchDistFreshFaultsZipf(b *testing.B) {
+	d, g, faultRing := distFreshFixture(b)
+	pairRing := make([][]Pair, 64)
+	for i := range pairRing {
+		pairRing[i] = zipfPairs(g.N(), 16, uint64(i+1))
+	}
+	opts := BatchOptions{Parallelism: 1}
+	// Untimed: one warm-up batch.
+	if _, err := d.EstimateBatch(QueryBatch{Pairs: pairRing[0], Faults: graph.RandomFaults(g, 2, 1)}, opts); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		batch := QueryBatch{Pairs: pairRing[i%len(pairRing)], Faults: faultRing[i%len(faultRing)]}
+		if _, err := d.EstimateBatch(batch, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(16*float64(b.N)/b.Elapsed().Seconds(), "queries/s")
+}
+
+// distFreshAllocCeiling bounds the allocations of a 16-pair EstimateBatch
+// on a fresh fault set, in the shape of BenchmarkQueryBatchDistFreshFaults:
+// 34 measured, plus headroom. A reached instance allocates its sync.Map
+// entry and, when it holds a tree fault, one context; edge labels, a
+// component tree and an input copy per reached instance coming back (75
+// in all when they were built at first reach) break the ceiling.
+const distFreshAllocCeiling = 40
+
+func TestDistFreshFaultsAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 2000-vertex distance labeling; skipped in -short")
+	}
+	if raceEnabled {
+		t.Skip("allocation gate: race instrumentation allocates")
+	}
+	d, g, faultRing := distFreshFixture(t)
+	pairs := batchBenchPairs(g.N(), 16)
+	opts := BatchOptions{Parallelism: 1}
+	i := 0
+	batch := func() {
+		if _, err := d.EstimateBatch(QueryBatch{Pairs: pairs, Faults: faultRing[i%len(faultRing)]}, opts); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}
+	// A filling pass over the ring: the scheme encodes an edge's
+	// identifier on first use and keeps it, as a serving daemon has.
+	for range faultRing {
+		batch()
+	}
+	allocs := testing.AllocsPerRun(len(faultRing), batch)
+	if allocs > distFreshAllocCeiling {
+		t.Fatalf("a fresh 16-pair EstimateBatch allocates %.0f/op, ceiling %d", allocs, distFreshAllocCeiling)
+	}
+	t.Logf("fresh 16-pair EstimateBatch: %.0f allocs/op", allocs)
 }
 
 func BenchmarkQueryBatchRouteForbidden(b *testing.B) {

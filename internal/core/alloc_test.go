@@ -135,16 +135,18 @@ func TestCutFaultContextFreshZeroAlloc(t *testing.T) {
 }
 
 // prepareAllocs is what a warm sketch PrepareFaults may allocate: the
-// context, its component tree and the tree's three arrays, and the owned
-// inputs of Steps 2-3. Step 1 runs in the pooled prepScratch and Steps 2-3
-// wait for the first separated decode, so the count grows neither with |F|
-// nor with the instance.
+// context, its component tree and the tree's three arrays, and the
+// faults' local ids when more than four do not fit in the context. Step 1
+// runs in the pooled prepScratch and Steps 2-3 wait for the first
+// separated decode, so the count grows neither with |F| nor with the
+// instance.
 const prepareAllocs = 6
 
 // firstSeparatedAllocs is what the first decode of a pair the faults
 // separate may allocate on a fresh context: Steps 2-3 keep the component
-// slice and the slab of nonzero sketches and run in the pooled
-// prepScratch, so the count does not grow with |F| either.
+// slice and one allocation for the edges between components and the slab
+// of nonzero sketches, and run in the pooled prepScratch, so the count
+// does not grow with |F| either.
 const firstSeparatedAllocs = 2
 
 // allocFaultSets calls visit with fault label sets of one to six faults,
@@ -231,7 +233,7 @@ func splitPairs(s *SketchScheme, ctx *SketchFaultContext) (sep, same [2]int32, o
 	var haveSep, haveSame bool
 	n := int32(s.Graph().N())
 	for v := int32(1); v < n && !(haveSep && haveSame); v++ {
-		if ctx.trivial || ctx.ct.Locate(s.anc[0]) == ctx.ct.Locate(s.anc[v]) {
+		if ctx.trivial() || ctx.ct.Locate(s.anc[0]) == ctx.ct.Locate(s.anc[v]) {
 			same, haveSame = [2]int32{0, v}, true
 		} else {
 			sep, haveSep = [2]int32{0, v}, true

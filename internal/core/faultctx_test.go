@@ -210,12 +210,16 @@ func TestSketchFaultContextLazySketches(t *testing.T) {
 }
 
 // TestSketchFaultContextConcurrentFirstBuild makes the first separated
-// decode of one fresh context from many goroutines at once (run with
-// -race): Steps 2-3 run exactly once, and every verdict equals the
-// one-shot decoder's.
+// decodes of one fresh context from many goroutines at once (run with
+// -race), pairs that need two or more Borůvka phases first, so that
+// units past the first are filled while other decodes read the first:
+// Steps 2-3 run exactly once, every verdict equals the one-shot
+// decoder's, and every unit filled equals that of a context whose
+// sketches were built whole.
 func TestSketchFaultContextConcurrentFirstBuild(t *testing.T) {
 	s, sets := lazyFixture(t)
 	const workers = 8
+	multiPhase := 0
 	for si, labels := range sets {
 		for copy := 0; copy < s.Copies(); copy++ {
 			ctx, err := s.PrepareFaults(labels, copy)
@@ -224,16 +228,24 @@ func TestSketchFaultContextConcurrentFirstBuild(t *testing.T) {
 			}
 			var pairs [][2]int32
 			var want []Verdict
-			for tv := int32(1); tv < int32(s.Graph().N()) && len(pairs) < workers; tv++ {
-				if ctx.ct.Locate(s.anc[0]) == ctx.ct.Locate(s.anc[tv]) {
-					continue
+			for _, multi := range []bool{true, false} {
+				for tv := int32(1); tv < int32(s.Graph().N()) && len(pairs) < workers; tv++ {
+					if ctx.ct.Locate(s.anc[0]) == ctx.ct.Locate(s.anc[tv]) {
+						continue
+					}
+					v, err := s.Decode(s.VertexLabel(0), s.VertexLabel(tv), labels, copy, true)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if (v.Connected && v.Phases >= 2) != multi {
+						continue
+					}
+					pairs = append(pairs, [2]int32{0, tv})
+					want = append(want, v)
 				}
-				v, err := s.Decode(s.VertexLabel(0), s.VertexLabel(tv), labels, copy, true)
-				if err != nil {
-					t.Fatal(err)
+				if multi && len(pairs) > 0 {
+					multiPhase++
 				}
-				pairs = append(pairs, [2]int32{0, tv})
-				want = append(want, v)
 			}
 			if len(pairs) == 0 {
 				t.Fatalf("set %d: no vertex is separated from 0", si)
@@ -264,7 +276,23 @@ func TestSketchFaultContextConcurrentFirstBuild(t *testing.T) {
 			if got := ctx.builds.Load(); got != 1 {
 				t.Fatalf("set %d copy %d: sketches built %d times, want 1", si, copy, got)
 			}
+			whole, err := s.PrepareFaults(labels, copy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng := s.engines[copy]
+			for c, full := range whole.componentSketches() {
+				for u := 0; u < int(ctx.filled.Load()); u++ {
+					if full != nil && !slices.Equal(eng.Unit(ctx.comps[c], u), eng.Unit(full, u)) {
+						t.Fatalf("set %d copy %d: component %d unit %d differs from the whole build", si, copy, c, u)
+					}
+				}
+			}
 		}
+	}
+	t.Logf("%d of %d contexts decoded pairs that need two or more phases first", multiPhase, len(sets)*s.Copies())
+	if multiPhase == 0 {
+		t.Fatal("no fault set has a pair that needs two phases")
 	}
 }
 
@@ -300,7 +328,7 @@ func TestSketchFaultContextSlabReadOnly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ctx.trivial || ctx.ct.NumComps() < 3 {
+		if ctx.trivial() || ctx.ct.NumComps() < 3 {
 			t.Fatalf("copy %d: want at least 3 components of T\\F", copy)
 		}
 		var snapshot []uint64
@@ -412,7 +440,7 @@ func TestSketchFaultContextSlabExact(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if ctx.trivial {
+				if ctx.trivial() {
 					continue
 				}
 				words := s.engines[copy].Words()

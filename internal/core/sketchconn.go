@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -54,9 +55,9 @@ type SketchScheme struct {
 	engines []*sketch.Engine
 	seedID  uint64
 	opts    SketchOptions
-	// empty is the shared copy-0 context of the empty fault set, so hot
-	// paths that decode an instance containing no fault skip PrepareFaults
-	// (and its allocations) entirely.
+	// empty is the shared context of every fault set without a tree
+	// fault, whose decodes read only that T is intact, so preparing one
+	// allocates nothing.
 	empty SketchFaultContext
 }
 
@@ -135,7 +136,7 @@ func BuildSketch(g *graph.Graph, tree *graph.Tree, opts SketchOptions) (*SketchS
 	if err != nil {
 		return nil, err
 	}
-	s.empty = SketchFaultContext{scheme: s, trivial: true}
+	s.empty = SketchFaultContext{scheme: s}
 	return s, nil
 }
 
@@ -282,40 +283,80 @@ type recoveryEdge struct {
 // (component tree of T\F, component sketches, fault cancellation) depend
 // only on F, never on the queried pair, so a batch of pair queries under a
 // fixed fault set prepares them once and each Decode runs only Step 4
-// (the Boruvka simulation). Step 1 runs in PrepareFaults, since it alone
-// can fail. A pair whose endpoints share a component of T\F is connected
-// through T and needs no sketch (Claim 3.14), so Steps 2-3 run only on
-// the first decode of a pair the faults separate, once per context
-// (DESIGN.md §11). The context is safe for concurrent Decode calls;
-// decodes draw their working memory from a package-wide scratch pool, so
-// a cached context holds only its own component sketches.
+// (the Boruvka simulation). A pair is separated by the faults iff some
+// tree fault has exactly one of its endpoints on its child side; every
+// other pair is connected through T and needs no sketch (Claim 3.14). So
+// preparation keeps the tree faults' child-side ancestry labels, and the
+// component sketches are built on the first decode of a pair the faults
+// separate, once per context, one basic unit at a time as Borůvka phases
+// first read them (DESIGN.md §11, §12). The context is safe for
+// concurrent Decode calls; decodes draw their working memory from a
+// package-wide scratch pool, so a cached context holds only its own
+// component sketches.
 type SketchFaultContext struct {
 	scheme *SketchScheme
 	copy   int
-	// trivial marks a fault set with no tree faults: T is intact and every
-	// same-instance pair is connected through it.
-	trivial bool
-	ct      *comptree.Tree
-	// inputs is what Steps 2-3 read, owned by the context and dropped once
-	// they run: the child vertex of each tree fault (component i+1 is the
-	// child side of tree fault i), then one record per fault whose
-	// endpoints lie in different components, the components packed as
-	// cu<<32|cv followed by the fault's identifier words.
-	inputs []uint64
+	// tree holds the distinct tree faults in first-occurrence order:
+	// component i+1 of T\F is the child side of tree[i]. others holds the
+	// non-tree faults of a context PrepareFaults made from labels. Both are
+	// fixed at preparation and carved from faultBuf when they fit.
+	tree, others []ctxFault
+	faultBuf     [4]ctxFault
+	// sub and ids are the instance and the global fault ids of a context
+	// InstanceFaults prepared; build restricts the ids again for the
+	// non-tree faults.
+	sub *graph.Subgraph
+	ids []graph.EdgeID
+
+	// The rest is written on the first separated decode (build) and as
+	// Borůvka phases first read the sketches' units (fill).
 	once   sync.Once
-	builds atomic.Int32 // times Steps 2-3 ran; tests read it
+	err    error
+	builds atomic.Int32 // times build ran; tests read it
+	// ct is the component tree (Step 1): built by PrepareFaults from
+	// labels, since it can fail there, and by build otherwise.
+	ct *comptree.Tree
 	// comps[c] is the cancelled sketch of component c (Steps 2+3 applied),
-	// one slot of a contiguous slab, or nil when that sketch is all zero
-	// (c has no edge to another component of G\F). It is written once,
-	// under once; decodes only read it: a Borůvka merge writes its union
-	// into the decoding goroutine's scratch.
+	// one slot of a contiguous slab, or nil when c has no edge to another
+	// component of G\F. Decodes only read it: a Borůvka merge writes its
+	// union into the decoding goroutine's scratch.
 	comps []sketch.Sketch
+	// cuts lists the edges between components that are not faults, each
+	// as cu<<32|cv and its identifier words, to fill the sketches' units
+	// from.
+	cuts []uint64
+	// filled counts the units 0..filled-1 written in every component
+	// sketch; fillMu serializes the fills.
+	filled atomic.Int32
+	fillMu sync.Mutex
 }
 
-// foundCand is one candidate outgoing edge found in a Borůvka phase.
-type foundCand struct {
-	f    eid.Fields
-	from int32
+// ctxFault is one fault of a context, by local edge id, and for a tree
+// fault the ancestry label of its child-side endpoint.
+type ctxFault struct {
+	e     graph.EdgeID
+	child ancestry.Label
+}
+
+// inAny reports whether some label of ls is an ancestor of l.
+func inAny(ls []ancestry.Label, l ancestry.Label) bool {
+	for _, k := range ls {
+		if k.IsAncestorOf(l) {
+			return true
+		}
+	}
+	return false
+}
+
+// newFaultContext returns a context with room for n faults.
+func (s *SketchScheme) newFaultContext(copy, n int) *SketchFaultContext {
+	ctx := &SketchFaultContext{scheme: s, copy: copy}
+	if n <= len(ctx.faultBuf) {
+		ctx.tree = ctx.faultBuf[:0]
+	} else {
+		ctx.tree = make([]ctxFault, 0, n)
+	}
+	return ctx
 }
 
 // pathAdj is one recovery-edge incidence in the path-assembly BFS.
@@ -325,7 +366,7 @@ type pathAdj struct {
 }
 
 // decodeScratch is the per-goroutine scratch of SketchFaultContext.decode:
-// the slab of merged group sketches, the Borůvka work queues, the
+// the group sketches of a phase and the slab of merged ones, the
 // candidate/recovery slices and the path-assembly buffers, all retained
 // across queries so warm decodes perform zero heap allocations. Every
 // buffer is resized to the context at hand, so one pool serves every
@@ -333,10 +374,11 @@ type pathAdj struct {
 // and sketch size it has seen and is then reused allocation-free.
 type decodeScratch struct {
 	merged     sketch.Slab
-	comps      []sketch.Sketch
-	unions     []pendingUnion
+	groups     []sketch.Sketch
+	owned      []bool
+	bnd        []int32
 	uf         unionfind.UF
-	cands      []foundCand
+	cands      []eid.Fields
 	recoveries []recoveryEdge
 	// Path-assembly scratch (wantPath decodes).
 	adj     [][]pathAdj
@@ -346,11 +388,6 @@ type decodeScratch struct {
 	chain   []recoveryEdge
 }
 
-// pendingUnion is a Borůvka union whose group sketch is not written yet:
-// root's group sketch becomes the XOR of the sketches of a and b (root is
-// one of them).
-type pendingUnion struct{ root, a, b int32 }
-
 // decodePool is the package-wide decodeScratch pool. Pooling per package
 // (as prepPool does for PrepareFaults) rather than per context keeps the
 // scratch count at the number of decoding goroutines, not the number of
@@ -359,11 +396,11 @@ var decodePool = sync.Pool{New: func() any { return new(decodeScratch) }}
 
 // nextCand extends cands by one slot, reusing the slot's extra-payload
 // capacity when the backing array already holds one.
-func nextCand(cands []foundCand) ([]foundCand, *foundCand) {
+func nextCand(cands []eid.Fields) ([]eid.Fields, *eid.Fields) {
 	if len(cands) < cap(cands) {
 		cands = cands[:len(cands)+1]
 	} else {
-		cands = append(cands, foundCand{})
+		cands = append(cands, eid.Fields{})
 	}
 	return cands, &cands[len(cands)-1]
 }
@@ -388,147 +425,219 @@ func setFieldsPreserving(dst *eid.Fields, src eid.Fields) {
 	dst.ExtraV = append(ev, src.ExtraV...)
 }
 
-// PrepareFaults prepares a fault set for repeated decodes. It runs Step 1
-// of the decoder, identifying the components of T\F via the component
-// tree, and keeps what Steps 2-3 need: (2) each component's sketch from
-// the subtree sketches and (3) the cancellation of the faulty edges'
-// contributions. Those run on the first decode of a pair the faults
-// separate. copy selects which of the f' independent sketch copies the
-// context is bound to (Section 5.2 uses a fresh copy per routing
-// iteration).
+// PrepareFaults prepares a fault set, given by its labels, for repeated
+// decodes. It runs what can fail: the child-side ancestry labels of the
+// tree faults and Step 1 of the decoder, the component tree of T\F. It
+// keeps the faults' local ids; Steps 2-3, (2) each component's sketch and
+// (3) the cancellation of the faulty edges, run on the first decode of a
+// pair the faults separate. copy selects which of the f' independent
+// sketch copies the context is bound to (Section 5.2 uses a fresh copy per
+// routing iteration).
 func (s *SketchScheme) PrepareFaults(faults []SketchEdgeLabel, copy int) (*SketchFaultContext, error) {
 	if copy < 0 || copy >= len(s.engines) {
 		return nil, fmt.Errorf("core: copy %d out of range [0,%d)", copy, len(s.engines))
 	}
-	ctx := &SketchFaultContext{scheme: s, copy: copy}
-
 	sc := prepPool.Get().(*prepScratch)
 	defer prepPool.Put(sc)
 	faults = dedupSketchLabels(faults, sc)
-	treeFaults := sc.tree[:0]
-	for _, l := range faults {
-		if l.IsTree {
-			treeFaults = append(treeFaults, l)
-		}
+	if !slices.ContainsFunc(faults, func(l SketchEdgeLabel) bool { return l.IsTree }) {
+		return &s.empty, nil // T is intact
 	}
-	sc.tree = treeFaults
-
-	// No tree faults: T is intact, every pair is connected through it.
-	if len(treeFaults) == 0 {
-		ctx.trivial = true
-		return ctx, nil
-	}
-
-	// Step 1: component tree of T \ F_T from the child-side ancestry
-	// labels (Claim 3.14).
+	ctx := s.newFaultContext(copy, len(faults))
 	childLabels := sc.childLabels[:0]
-	for i, l := range treeFaults {
+	for _, l := range faults {
+		if !l.IsTree {
+			continue
+		}
 		s.layout.DecodeInto(l.EID, &sc.f)
 		child, _, ok := ancestry.ChildOf(sc.f.AncU, sc.f.AncV)
 		if !ok {
-			return nil, fmt.Errorf("core: tree-fault label %d has non-nested endpoint intervals", i)
+			return nil, fmt.Errorf("core: tree-fault label %d has non-nested endpoint intervals", len(childLabels))
 		}
 		childLabels = append(childLabels, child)
+		ctx.tree = append(ctx.tree, ctxFault{e: l.E, child: child})
 	}
 	sc.childLabels = childLabels
+	// Step 1: component tree of T \ F_T from the child-side ancestry
+	// labels (Claim 3.14).
 	ct, err := comptree.Build(childLabels)
 	if err != nil {
 		return nil, err
 	}
-
-	// The inputs of Steps 2-3, in one owned allocation (the labels are the
-	// caller's). Only a fault whose endpoints lie in different components
-	// is cancelled; a same-component fault already cancels inside the
-	// component XOR.
-	cw := s.layout.Words()
-	cuts := sc.cuts[:0]
-	for _, l := range faults {
-		s.layout.DecodeInto(l.EID, &sc.f)
-		cu, cv := ct.Locate(sc.f.AncU), ct.Locate(sc.f.AncV)
-		if cu == cv {
-			continue
-		}
-		cuts = append(cuts, uint64(cu)<<32|uint64(cv))
-		cuts = append(cuts, l.EID[:cw]...)
-	}
-	sc.cuts = cuts
-	inputs := make([]uint64, len(treeFaults), len(treeFaults)+len(cuts))
-	for i, l := range treeFaults {
-		inputs[i] = uint64(l.child)
-	}
 	ctx.ct = ct
-	ctx.inputs = append(inputs, cuts...)
+	all := ctx.tree
+	for _, l := range faults {
+		if !l.IsTree {
+			all = append(all, ctxFault{e: l.E})
+		}
+	}
+	ctx.others = all[len(ctx.tree):]
 	return ctx, nil
 }
 
-// componentSketches returns the context's cancelled component sketches,
-// running Steps 2-3 first if no decode has yet.
-func (ctx *SketchFaultContext) componentSketches() []sketch.Sketch {
-	ctx.once.Do(ctx.buildSketches)
-	return ctx.comps
+// build runs, once per context, the work only a separated pair needs: the
+// component tree where preparation deferred it, then Steps 2-3 up to the
+// point where the sketches' units can be filled (fill). A component's
+// sketch is the XOR over the edges that leave it, minus the faults
+// (Claim 3.15 after Step 3's cancellation, by linearity), so build lists
+// those edges once: it walks every component but the root's, whose edges
+// to other components all have an endpoint in one of them, and keeps each
+// non-fault edge between two components. It runs in the pooled scratch and
+// keeps the component slice and one allocation for the edge list and a
+// slab of exactly the nonzero sketches (DESIGN.md §12).
+func (ctx *SketchFaultContext) build() error {
+	ctx.once.Do(func() {
+		sc := prepPool.Get().(*prepScratch)
+		defer prepPool.Put(sc)
+		ctx.err = ctx.buildIn(sc)
+		ctx.builds.Add(1)
+	})
+	return ctx.err
 }
 
-// buildSketches runs Steps 2-3 of the decoder from ctx.inputs, in the
-// pooled scratch (DESIGN.md §10), and keeps the nonzero component
-// sketches in one slab of exactly their size.
-func (ctx *SketchFaultContext) buildSketches() {
+func (ctx *SketchFaultContext) buildIn(sc *prepScratch) error {
 	s := ctx.scheme
-	eng := s.engines[ctx.copy]
-	sc := prepPool.Get().(*prepScratch)
-	defer prepPool.Put(sc)
+	// F by sorted local id: an edge between components that is a fault
+	// is in no sketch.
+	fs := sc.fs[:0]
+	childLabels := sc.childLabels[:0]
+	for _, f := range ctx.tree {
+		fs = append(fs, f.e)
+		childLabels = append(childLabels, f.child)
+	}
+	for _, f := range ctx.others {
+		fs = append(fs, f.e)
+	}
+	for _, id := range ctx.ids {
+		if le, ok := ctx.sub.LocalEdge(id); ok && !s.tree.InTree[le] {
+			fs = append(fs, le)
+		}
+	}
+	slices.Sort(fs)
+	sc.fs, sc.childLabels = fs, childLabels
+	if ctx.ct == nil {
+		// Step 1 with the numbering of the first reach, whose check
+		// (step1Err) leaves Build nothing to reject.
+		ct, err := comptree.Build(childLabels)
+		if err != nil {
+			return err
+		}
+		ctx.ct = ct
+	}
 	ct := ctx.ct
 	nc := ct.NumComps()
-	words := eng.Words()
-	children, cuts := ctx.inputs[:nc-1], ctx.inputs[nc-1:]
-
-	// Step 2: component sketches (Claim 3.15). Sketch'(C_j) is the child
-	// subtree sketch from the fault label; the root's is Sketch(V), which
-	// is identically zero (every edge of the instance is internal to V and
-	// cancels).
-	sc.raw.Resize(words, nc-1)
-	for i, child := range children {
-		sc.stack = eng.SubtreeSketch(sc.raw.At(i), s.tree, s.anc, int32(child), sc.stack)
-	}
-	sc.comps.Resize(words, nc)
-	sc.comps.At(int(comptree.RootComp)).Reset()
+	// kids[start[c]:start[c+1]] are the child labels of the components
+	// directly below c, where c's walk stops.
+	start := slices.Grow(sc.start[:0], nc+1)[:nc+1]
+	kids := slices.Grow(sc.kids[:0], nc-1)[:nc-1]
+	deg := slices.Grow(sc.deg[:0], nc)[:nc]
+	clear(start)
+	clear(deg)
+	sc.start, sc.kids, sc.deg = start, kids, deg
 	for c := 1; c < nc; c++ {
-		copy(sc.comps.At(c), sc.raw.At(c-1))
+		start[ct.Parent(int32(c))]++
 	}
-	for c := int32(1); c < int32(nc); c++ {
-		sc.comps.At(int(ct.Parent(c))).Xor(sc.raw.At(int(c - 1)))
+	for c := 1; c <= nc; c++ {
+		start[c] += start[c-1]
 	}
-
-	// Step 3: cancel every faulty edge whose endpoints lie in different
-	// components. The UID is the identifier's first word.
+	for c := nc - 1; c >= 1; c-- {
+		p := ct.Parent(int32(c))
+		start[p]--
+		kids[start[p]] = ctx.tree[c-1].child
+	}
+	// Walk component c from the child side x of its tree fault, and stop
+	// at the components below it. An edge to component d != c is kept,
+	// with its identifier words, from the walk of the smaller of c and d,
+	// or of c when d is the root, which is not walked.
+	eng := s.engines[ctx.copy]
 	cw := s.layout.Words()
-	for ; len(cuts) > 0; cuts = cuts[1+cw:] {
-		w := cuts[1 : 1+cw]
-		eng.CancelEdge(sc.comps.At(int(cuts[0]>>32)), w[0], w)
-		eng.CancelEdge(sc.comps.At(int(uint32(cuts[0]))), w[0], w)
+	cuts := sc.cuts[:0]
+	for i, f := range ctx.tree {
+		c := int32(i + 1)
+		e := s.g.Edge(f.e)
+		x := e.V
+		if s.tree.Parent[x] != e.U {
+			x = e.U
+		}
+		sc.out, sc.stack = s.leaving(x, f.child, kids[start[c]:start[c+1]], sc.out[:0], sc.stack)
+		for _, a := range sc.out {
+			d := ct.Locate(s.anc[a.To])
+			if d != comptree.RootComp && d < c {
+				continue
+			}
+			if _, fault := slices.BinarySearch(fs, a.E); fault {
+				continue
+			}
+			cuts = append(cuts, uint64(c)<<32|uint64(d))
+			cuts = append(cuts, eng.EdgeWords(a.E)[:cw]...)
+			deg[c]++
+			deg[d]++
+		}
 	}
-	// A zero component sketch has no cell that can validate, so it is
-	// stored as nil and decodes never scan it. The context keeps the
-	// nonzero ones in one slab of exactly their size, and no slab at all
-	// when every component is zero.
+	sc.cuts = cuts
+
 	nonzero := 0
-	for c := 0; c < nc; c++ {
-		if !sc.comps.At(c).IsZero() {
+	for _, d := range deg {
+		if d > 0 {
 			nonzero++
 		}
 	}
+	words := eng.Words()
+	buf := make([]uint64, len(cuts)+nonzero*words)
+	ctx.cuts = buf[:copy(buf, cuts):len(cuts)]
+	slab := buf[len(cuts):]
 	comps := make([]sketch.Sketch, nc)
-	if nonzero > 0 {
-		slab := make(sketch.Sketch, nonzero*words)
-		for c := range comps {
-			if src := sc.comps.At(c); !src.IsZero() {
-				comps[c] = src.CloneInto(slab)
-				slab = slab[words:]
-			}
+	for c, d := range deg {
+		if d > 0 {
+			comps[c], slab = slab[:words], slab[words:]
 		}
 	}
 	ctx.comps = comps
-	ctx.inputs = nil
-	ctx.builds.Add(1)
+	return nil
+}
+
+// leaving appends to out the arcs that leave the component whose
+// vertices are the subtree of x, with label top, minus the subtrees of
+// the labels below, and returns out and stack for reuse. It walks only
+// that component, on the caller's stack.
+func (s *SketchScheme) leaving(x int32, top ancestry.Label, below []ancestry.Label, out []graph.Arc, stack []int32) ([]graph.Arc, []int32) {
+	g, anc, children := s.g, s.anc, s.tree.Children
+	stack = append(stack[:0], x)
+	for len(stack) > 0 {
+		u := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, a := range g.Adj(u) {
+			if l := anc[a.To]; !top.IsAncestorOf(l) || len(below) > 0 && inAny(below, l) {
+				out = append(out, a)
+			}
+		}
+		for _, y := range children[u] {
+			if !inAny(below, anc[y]) {
+				stack = append(stack, y)
+			}
+		}
+	}
+	return out, stack
+}
+
+// fill writes units 0..unit of every component sketch that no decode has
+// written yet. A decode reads unit i only after fill(i) returns, and a
+// fill writes only units at or past the filled count that decodes load, so
+// units already read are never written again.
+func (ctx *SketchFaultContext) fill(unit int) {
+	if int(ctx.filled.Load()) > unit {
+		return
+	}
+	ctx.fillMu.Lock()
+	defer ctx.fillMu.Unlock()
+	eng := ctx.scheme.engines[ctx.copy]
+	cw := ctx.scheme.layout.Words()
+	for u := int(ctx.filled.Load()); u <= unit; u++ {
+		for c := ctx.cuts; len(c) > 0; c = c[1+cw:] {
+			eng.XorCrossingUnit(ctx.comps[c[0]>>32], ctx.comps[uint32(c[0])], u, c[1:1+cw])
+		}
+		ctx.filled.Store(int32(u + 1))
+	}
 }
 
 // Decode decides whether s and t are connected in G\F from labels alone
@@ -591,10 +700,8 @@ func (ctx *SketchFaultContext) DecodeInto(sv, tv SketchVertexLabel, p *SuccinctP
 // path (reusing its storage); with p == nil and wantPath a fresh path is
 // allocated.
 func (ctx *SketchFaultContext) decode(sv, tv SketchVertexLabel, wantPath bool, p *SuccinctPath) (Verdict, error) {
-	if !ctx.trivial {
-		if cs, ctc := ctx.ct.Locate(sv.Anc), ctx.ct.Locate(tv.Anc); cs != ctc {
-			return ctx.separated(sv, tv, cs, ctc, wantPath, p)
-		}
+	if ctx.separates(sv.Anc, tv.Anc) {
+		return ctx.separated(sv, tv, wantPath, p)
 	}
 	// s and t share a component of T\F: connected through T, by one tree
 	// step (Claim 3.14).
@@ -610,87 +717,125 @@ func (ctx *SketchFaultContext) decode(sv, tv SketchVertexLabel, wantPath bool, p
 	return v, nil
 }
 
-// separated runs the Boruvka simulation (Step 4) for a pair in different
-// components cs and ctc of T\F over the component sketches, which it
-// never writes.
-func (ctx *SketchFaultContext) separated(sv, tv SketchVertexLabel, cs, ctc int32, wantPath bool, p *SuccinctPath) (Verdict, error) {
-	prepared := ctx.componentSketches()
+// separates reports whether a and b lie in different components of T\F:
+// whether some tree fault has exactly one of them in its child's subtree.
+func (ctx *SketchFaultContext) separates(a, b ancestry.Label) bool {
+	for _, f := range ctx.tree {
+		if f.child.IsAncestorOf(a) != f.child.IsAncestorOf(b) {
+			return true
+		}
+	}
+	return false
+}
+
+// separated runs the Boruvka simulation (Step 4) for a pair the faults
+// separate over the component sketches, which it never writes.
+func (ctx *SketchFaultContext) separated(sv, tv SketchVertexLabel, wantPath bool, p *SuccinctPath) (Verdict, error) {
+	if err := ctx.build(); err != nil {
+		return Verdict{}, err
+	}
 	eng := ctx.scheme.engines[ctx.copy]
-	ct := ctx.ct
+	ct, comps := ctx.ct, ctx.comps
+	cs, ctc := ct.Locate(sv.Anc), ct.Locate(tv.Anc)
 	nc := int32(ct.NumComps())
 	sc := decodePool.Get().(*decodeScratch)
 	defer decodePool.Put(sc)
-	// Copy on write: comps starts as views of the prepared sketches (nil
-	// for a zero one), and each merge that must be written goes into the
-	// next scratch slot. A union joins two groups, so nc-1 slots hold
-	// every merge of a decode.
-	sc.merged.Resize(eng.Words(), int(nc)-1)
-	merges := 0
-	comps := append(sc.comps[:0], prepared...)
-	sc.comps = comps
+	// A group's sketch is the XOR of its components' sketches, and phase i
+	// reads only unit i of it. So each phase takes the unit of a group of
+	// one nonzero component straight from the context, and XORs the units
+	// of a larger group into the next scratch slot; no merge writes a unit
+	// that no phase reads.
+	sc.merged.Resize(eng.UnitWords(), int(nc))
+	groups := slices.Grow(sc.groups[:0], int(nc))[:nc]
+	owned := slices.Grow(sc.owned[:0], int(nc))[:nc]
+	sc.groups, sc.owned = groups, owned
+
+	// A group that no edge between components leaves has a zero sketch in
+	// every unit: it finds no edge, and no group finds an edge into it. So
+	// bnd counts those edges per group whenever the groups change, and a
+	// group with none is skipped. Once the group of s or t has none, no
+	// phase left can join them, and the verdict is the one all Units
+	// phases reach.
+	bnd := slices.Grow(sc.bnd[:0], int(nc))[:nc]
+	sc.bnd = bnd
+	cw := ctx.scheme.layout.Words()
 
 	// Step 4: Boruvka over the components with a fresh basic unit per
-	// phase. Group sketches live at the union-find roots. A phase reads
-	// only the cells of its own unit and never the unions it makes, so a
-	// phase's unions are written at the top of the next phase, and a pair
-	// joined in the last phase run writes none.
+	// phase. Group sketches live at the union-find roots.
 	sc.uf.Reset(int(nc))
 	uf := &sc.uf
 	sc.recoveries = sc.recoveries[:0]
-	sc.unions = sc.unions[:0]
+	units := eng.Params().Units
 	phases := 0
-	for phase := 0; phase < eng.Params().Units && !uf.Same(cs, ctc); phase++ {
-		phases++
-		for _, u := range sc.unions {
-			a, b := comps[u.a], comps[u.b]
-			switch {
-			case a == nil:
-				comps[u.root] = b
-			case b == nil:
-				comps[u.root] = a
-			default:
-				merged := sc.merged.At(merges)
-				if merged.SetXor(a, b) {
-					comps[u.root] = merged
-					merges++
-				} else {
-					comps[u.root] = nil
+	joined := true
+	for phase := 0; phase < units && !uf.Same(cs, ctc); phase++ {
+		if joined {
+			clear(bnd)
+			for c := ctx.cuts; len(c) > 0; c = c[1+cw:] {
+				if ru, rv := uf.Find(int32(c[0]>>32)), uf.Find(int32(uint32(c[0]))); ru != rv {
+					bnd[ru]++
+					bnd[rv]++
 				}
 			}
+			if bnd[uf.Find(cs)] == 0 || bnd[uf.Find(ctc)] == 0 {
+				phases = units
+				break
+			}
+			joined = false
 		}
-		sc.unions = sc.unions[:0]
-		sc.cands = sc.cands[:0]
+		phases++
+		ctx.fill(phase)
+		clear(groups)
+		clear(owned)
+		slots := 0
 		for c := int32(0); c < nc; c++ {
-			// A zero group sketch has no outgoing edge to find.
-			if comps[c] == nil || uf.Find(c) != c {
+			r := uf.Find(c)
+			if comps[c] == nil || bnd[r] == 0 {
 				continue
 			}
-			var cand *foundCand
+			u := eng.Unit(comps[c], phase)
+			switch {
+			case groups[r] == nil:
+				groups[r] = u
+			case !owned[r]:
+				m := sc.merged.At(slots)
+				slots++
+				m.SetXor(groups[r], u)
+				groups[r], owned[r] = m, true
+			default:
+				groups[r].Xor(u)
+			}
+		}
+		sc.cands = sc.cands[:0]
+		for _, g := range groups {
+			// A group with no nonzero component has no outgoing edge.
+			if g == nil {
+				continue
+			}
+			var cand *eid.Fields
 			sc.cands, cand = nextCand(sc.cands)
-			if eng.FindOutgoingInto(comps[c], phase, &cand.f) {
-				cand.from = c
-			} else {
+			if !eng.FindOutgoingInUnit(g, cand) {
 				sc.cands = sc.cands[:len(sc.cands)-1]
 			}
 		}
 		for i := range sc.cands {
 			cand := &sc.cands[i]
-			cu := ct.Locate(cand.f.AncU)
-			cv := ct.Locate(cand.f.AncV)
+			cu := ct.Locate(cand.AncU)
+			cv := ct.Locate(cand.AncV)
 			ru, rv := uf.Find(cu), uf.Find(cv)
 			if ru == rv {
 				continue
 			}
-			root, _ := uf.Union(ru, rv)
-			sc.unions = append(sc.unions, pendingUnion{root: root, a: ru, b: rv})
+			uf.Union(ru, rv)
+			joined = true
 			var rec *recoveryEdge
 			sc.recoveries, rec = nextRecovery(sc.recoveries)
 			rec.cu, rec.cv = cu, cv
-			setFieldsPreserving(&rec.fields, cand.f)
+			setFieldsPreserving(&rec.fields, *cand)
 		}
 	}
 
-	clear(comps) // the pooled scratch must not pin this context's slab
+	clear(groups) // the pooled scratch must not pin this context's slab
 
 	if !uf.Same(cs, ctc) {
 		return Verdict{Connected: false, Phases: phases}, nil
@@ -709,24 +854,25 @@ func (ctx *SketchFaultContext) separated(sv, tv SketchVertexLabel, cs, ctc int32
 }
 
 // prepScratch holds the scratch of PrepareFaults (index sort, deduplicated
-// label slice, tree-fault slice, child labels, cancellation records) and
-// of buildSketches (the subtree-walk stack and the raw subtree and
-// component sketch slabs), pooled package-wide so the hot prepare path
-// performs a sort-and-compact instead of allocating a map per call and
-// allocates no sketch it throws away. The faults/byUID fields
-// parameterize the sort.Interface implementation.
+// label slice, child labels, decoded fault fields) and of build (sorted
+// fault ids, component flags and degrees, the walk's stack and the edges
+// between components), pooled package-wide so the hot prepare path
+// performs a sort-and-compact instead of allocating a map per call. The
+// faults/byUID fields parameterize the sort.Interface implementation.
 type prepScratch struct {
 	idx         []int32
 	labels      []SketchEdgeLabel
-	tree        []SketchEdgeLabel
 	faults      []SketchEdgeLabel
 	byUID       bool
 	childLabels []ancestry.Label
-	cuts        []uint64 // the cancellation records of PrepareFaults
 	f           eid.Fields
+	fs          []graph.EdgeID
+	start       []int32
+	kids        []ancestry.Label
+	deg         []int32
 	stack       []int32
-	raw         sketch.Slab // raw[i]: Sketch(V(T_child)) of tree fault i
-	comps       sketch.Slab // comps[c]: component c's sketch, Steps 2+3
+	out         []graph.Arc
+	cuts        []uint64
 }
 
 var prepPool = sync.Pool{New: func() any { return new(prepScratch) }}

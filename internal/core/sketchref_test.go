@@ -19,6 +19,20 @@ type refStats struct {
 	zeroMerges int // unions whose XOR is the zero sketch
 }
 
+// trivial reports whether the context holds no tree fault: T is intact
+// and every pair of the instance is connected through it.
+func (ctx *SketchFaultContext) trivial() bool { return len(ctx.tree) == 0 }
+
+// componentSketches returns the context's component sketches with every
+// unit filled, building them first if no decode has.
+func (ctx *SketchFaultContext) componentSketches() []sketch.Sketch {
+	if err := ctx.build(); err != nil {
+		panic(err)
+	}
+	ctx.fill(ctx.scheme.engines[ctx.copy].Params().Units - 1)
+	return ctx.comps
+}
+
 // refDecode is Step 4 of the sketch decoder in its plain form, the
 // reference the fast decoder must match bit for bit: every component
 // starts from a full-width sketch (the zero sketch where the context
@@ -30,7 +44,7 @@ func refDecode(ctx *SketchFaultContext, sv, tv SketchVertexLabel, st *refStats) 
 	if sv.ID == tv.ID {
 		return Verdict{Connected: true, Path: p}, nil
 	}
-	if ctx.trivial {
+	if ctx.trivial() {
 		p.appendTreeStep(sv, tv)
 		return Verdict{Connected: true, Path: p}, nil
 	}
@@ -106,11 +120,13 @@ func refFindOutgoing(eng *sketch.Engine, s sketch.Sketch, unit int) (eid.Fields,
 	return eid.Fields{}, false
 }
 
-// diffInstance is one sketch instance of a generator graph: the scheme
-// over the subgraph induced by one connected component.
+// diffInstance is one sketch instance of a generator graph g: the scheme
+// over sub, the subgraph induced by one connected component.
 type diffInstance struct {
 	name   string
 	scheme *SketchScheme
+	g      *graph.Graph
+	sub    *graph.Subgraph
 }
 
 // diffInstances builds the generator matrix of the differential tests:
@@ -174,7 +190,7 @@ func diffInstances(t testing.TB) []diffInstance {
 			if err != nil {
 				t.Fatal(err)
 			}
-			out = append(out, diffInstance{name: fmt.Sprintf("%s/%d", tc.name, ci), scheme: s})
+			out = append(out, diffInstance{name: fmt.Sprintf("%s/%d", tc.name, ci), scheme: s, g: tc.g, sub: sub})
 		}
 	}
 	return out
@@ -314,7 +330,7 @@ func TestSketchDecodeMatchesReference(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !ctx.trivial {
+				if !ctx.trivial() {
 					nils := 0
 					prepared := ctx.componentSketches()
 					for c := int32(0); c < int32(ctx.ct.NumComps()); c++ {

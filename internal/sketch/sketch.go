@@ -125,11 +125,14 @@ func (e *Engine) Bits() int { return 64 * e.Words() }
 // NewSketch returns an all-zero sketch.
 func (e *Engine) NewSketch() Sketch { return make(Sketch, e.Words()) }
 
-// cell returns the word slice of cell (unit, level).
-func (e *Engine) cell(s Sketch, unit, level int) []uint64 {
-	w := e.layout.Words()
-	off := (unit*e.params.Levels + level) * w
-	return s[off : off+w]
+// UnitWords returns the word count of one basic unit: Levels cells.
+func (e *Engine) UnitWords() int { return e.params.Levels * e.layout.Words() }
+
+// Unit returns the cells of the given basic unit of s, level after level:
+// all that Borůvka phase unit reads of s. It aliases s.
+func (e *Engine) Unit(s Sketch, unit int) Sketch {
+	n := e.UnitWords()
+	return s[unit*n : (unit+1)*n]
 }
 
 // MaxLevel returns the deepest sampling level of the edge with the given
@@ -141,23 +144,37 @@ func (e *Engine) MaxLevel(unit int, uid uint64) int {
 }
 
 // xorEdge XORs the identifier `w` of an edge with the given UID into every
-// cell that samples it. A unit's cells are stored level after level, and
-// the sampling sets are nested, so the cells of levels 0..MaxLevel are one
-// contiguous run.
+// cell that samples it.
 func (e *Engine) xorEdge(s Sketch, uid uint64, w []uint64) {
-	cw := e.layout.Words()
-	w = w[:cw]
+	w = w[:e.layout.Words()]
 	for unit := 0; unit < e.params.Units; unit++ {
-		off := unit * e.params.Levels * cw
-		run := s[off : off+(e.MaxLevel(unit, uid)+1)*cw]
-		for len(run) >= cw {
-			cell := run[:cw]
-			for i, x := range w {
-				cell[i] ^= x
-			}
-			run = run[cw:]
+		xorSampled(e.Unit(s, unit), w, e.MaxLevel(unit, uid))
+	}
+}
+
+// xorSampled XORs the identifier w into the cells of levels 0..top of one
+// unit's cells u. A unit's cells are stored level after level, and the
+// sampling sets are nested, so those cells are one contiguous run.
+func xorSampled(u, w []uint64, top int) {
+	for run := u[:(top+1)*len(w)]; len(run) > 0; run = run[len(w):] {
+		cell := run[:len(w)]
+		for i, x := range w {
+			cell[i] ^= x
 		}
 	}
+}
+
+// XorCrossingUnit XORs the identifier w of an edge (its UID is w[0])
+// into the cells of one unit that sample it, in both a and b: the
+// sketches of the two vertex sets the edge joins. A sketch filled one unit
+// at a time this way, over the edges that leave its set, equals that
+// set's sketch in every unit filled, so a decoder pays only for the units
+// its Borůvka phases read.
+func (e *Engine) XorCrossingUnit(a, b Sketch, unit int, w []uint64) {
+	w = w[:e.layout.Words()]
+	top := e.MaxLevel(unit, w[0])
+	xorSampled(e.Unit(a, unit), w, top)
+	xorSampled(e.Unit(b, unit), w, top)
 }
 
 // CancelEdge removes (or equivalently, re-adds — XOR is an involution) the
@@ -167,10 +184,10 @@ func (e *Engine) CancelEdge(s Sketch, uid uint64, w []uint64) {
 	e.xorEdge(s, uid, w)
 }
 
-// edgeWords returns the encoded identifier of local edge id. Memoization
+// EdgeWords returns the encoded identifier of local edge id. Memoization
 // lives in the Encoder supplied by the labeling scheme (which shares it
 // across the f' copies and guards it for concurrent queries).
-func (e *Engine) edgeWords(id graph.EdgeID) []uint64 {
+func (e *Engine) EdgeWords(id graph.EdgeID) []uint64 {
 	return e.enc(id)
 }
 
@@ -180,7 +197,7 @@ func (e *Engine) edgeWords(id graph.EdgeID) []uint64 {
 // prepared component sketches are tested against.
 func (e *Engine) AddVertex(s Sketch, v int32) {
 	for _, a := range e.g.Adj(v) {
-		e.xorEdge(s, e.uids[a.E], e.edgeWords(a.E))
+		e.xorEdge(s, e.uids[a.E], e.EdgeWords(a.E))
 	}
 }
 
@@ -202,7 +219,7 @@ func (e *Engine) SubtreeSketch(dst Sketch, t *graph.Tree, anc []ancestry.Label, 
 		stack = stack[:len(stack)-1]
 		for _, a := range e.g.Adj(u) {
 			if !in.IsAncestorOf(anc[a.To]) {
-				e.xorEdge(dst, e.uids[a.E], e.edgeWords(a.E))
+				e.xorEdge(dst, e.uids[a.E], e.EdgeWords(a.E))
 			}
 		}
 		stack = append(stack, t.Children[u]...)
@@ -236,19 +253,6 @@ func (s Sketch) Clone() Sketch {
 	out := make(Sketch, len(s))
 	copy(out, s)
 	return out
-}
-
-// CloneInto copies s into dst, reusing dst's capacity when it suffices, and
-// returns the copy. Hot decode paths call this with pooled scratch so warm
-// queries never allocate; the returned slice aliases dst unless it had to
-// grow.
-func (s Sketch) CloneInto(dst Sketch) Sketch {
-	if cap(dst) < len(s) {
-		dst = make(Sketch, len(s))
-	}
-	dst = dst[:len(s)]
-	copy(dst, s)
-	return dst
 }
 
 // Reset zeroes the sketch in place so its storage can be reused.
@@ -291,16 +295,17 @@ func (sl *Slab) Resize(words, count int) {
 	sl.buf = sl.buf[:words*count]
 }
 
-// FindOutgoingInto scans the cells of the given basic unit for one that
-// holds a single valid identifier and decodes it into f, reusing f's
+// FindOutgoingInUnit scans the cells u of one basic unit (as Unit
+// returns them, or the XOR of several sketches' units) for one that holds
+// a single valid identifier and decodes it into f, reusing f's
 // extra-payload capacity; f is only written on success (Lemma 3.13). With
 // constant probability per unit some level isolates exactly one outgoing
 // edge; levels are scanned from deepest to shallowest so sparse levels are
-// preferred. On an all-zero sketch no cell validates, so decoders skip
-// zero sketches without calling it.
-func (e *Engine) FindOutgoingInto(s Sketch, unit int, f *eid.Fields) bool {
-	for level := e.params.Levels - 1; level >= 0; level-- {
-		if e.layout.ValidateInto(e.cell(s, unit, level), e.seedID, f) {
+// preferred. On an all-zero unit no cell validates.
+func (e *Engine) FindOutgoingInUnit(u Sketch, f *eid.Fields) bool {
+	cw := e.layout.Words()
+	for off := len(u) - cw; off >= 0; off -= cw {
+		if e.layout.ValidateInto(u[off:off+cw], e.seedID, f) {
 			return true
 		}
 	}

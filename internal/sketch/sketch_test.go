@@ -76,7 +76,7 @@ func TestSingletonFindsItsOnlyEdge(t *testing.T) {
 		found := false
 		for unit := 0; unit < eng.Params().Units; unit++ {
 			var f eid.Fields
-			if eng.FindOutgoingInto(s, unit, &f) {
+			if eng.FindOutgoingInUnit(eng.Unit(s, unit), &f) {
 				if (f.U != 0 || f.V != leaf) && (f.U != leaf || f.V != 0) {
 					t.Fatalf("leaf %d: found wrong edge (%d,%d)", leaf, f.U, f.V)
 				}
@@ -133,7 +133,7 @@ func TestFindOutgoingFromVertexSets(t *testing.T) {
 		for unit := 0; unit < eng.Params().Units; unit++ {
 			queries++
 			var f eid.Fields
-			if !eng.FindOutgoingInto(s, unit, &f) {
+			if !eng.FindOutgoingInUnit(eng.Unit(s, unit), &f) {
 				continue
 			}
 			if !outgoing[[2]int32{f.U, f.V}] {
@@ -255,7 +255,7 @@ func TestCancelEdgeRemovesContribution(t *testing.T) {
 	for _, a := range g.Adj(v) {
 		e := g.Edge(a.E)
 		uid := eid.UID(eng.SeedID(), e.U, e.V)
-		eng.CancelEdge(s, uid, eng.edgeWords(a.E))
+		eng.CancelEdge(s, uid, eng.EdgeWords(a.E))
 	}
 	if !s.IsZero() {
 		t.Fatal("cancelling all incident edges should zero the sketch")
@@ -312,7 +312,7 @@ func TestCancellationMatchesFaultFreeSketch(t *testing.T) {
 		// sketch; internal ones already cancelled; external ones never
 		// appeared.
 		if inS[e.U] != inS[e.V] {
-			eng.CancelEdge(withF, eid.UID(eng.SeedID(), e.U, e.V), eng.edgeWords(id))
+			eng.CancelEdge(withF, eid.UID(eng.SeedID(), e.U, e.V), eng.EdgeWords(id))
 		}
 	}
 
@@ -326,7 +326,7 @@ func TestCancellationMatchesFaultFreeSketch(t *testing.T) {
 		}
 		e := g.Edge(id)
 		if inS[e.U] != inS[e.V] {
-			eng.xorEdge(direct, eng.uids[id], eng.edgeWords(id))
+			eng.xorEdge(direct, eng.uids[id], eng.EdgeWords(id))
 		}
 	}
 	for i := range withF {
