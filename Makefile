@@ -219,15 +219,20 @@ shard-smoke:
 # Then kill one replica: the replication-2 proxy must keep answering
 # byte-identically via failover, while the replication-1 proxy reports
 # the typed upstream_failure envelope for the dead replica's shards with
-# healthy shards (and local validation) still answering — the same path
-# the CI proxy-smoke job runs.
+# healthy shards (and local validation) still answering. Last, a sharded
+# router scheme checks that route bodies, which the proxy decodes from
+# its replica and re-encodes, come out of a replication-1 proxy
+# byte-identical to the monolithic daemon's — the same path the CI
+# proxy-smoke job runs.
 proxy-smoke:
 	@set -e; \
 	tmp=$$(mktemp -d); \
-	trap 'kill $$mpid $$r1pid $$r2pid $$p1pid $$p2pid 2>/dev/null || true; rm -rf "$$tmp"' EXIT; \
+	trap 'kill $$mpid $$r1pid $$r2pid $$p1pid $$p2pid $$rmpid $$rrpid $$rppid 2>/dev/null || true; rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o "$$tmp/ftroute" ./cmd/ftroute; \
 	"$$tmp/ftroute" build -type conn -graph islands -n 40 -extra 60 -f 3 -out "$$tmp/scheme.ftlb"; \
 	"$$tmp/ftroute" shard -in "$$tmp/scheme.ftlb" -out-dir "$$tmp/shards"; \
+	"$$tmp/ftroute" build -type route -graph islands -n 40 -extra 60 -f 2 -out "$$tmp/route.ftlb"; \
+	"$$tmp/ftroute" shard -in "$$tmp/route.ftlb" -out-dir "$$tmp/route-shards"; \
 	"$$tmp/ftroute" serve -in "$$tmp/scheme.ftlb" -addr 127.0.0.1:0 > "$$tmp/mono.log" 2>&1 & mpid=$$!; \
 	"$$tmp/ftroute" serve -in "$$tmp/shards" -addr 127.0.0.1:0 > "$$tmp/r1.log" 2>&1 & r1pid=$$!; \
 	"$$tmp/ftroute" serve -in "$$tmp/shards" -addr 127.0.0.1:0 > "$$tmp/r2.log" 2>&1 & r2pid=$$!; \
@@ -279,8 +284,32 @@ proxy-smoke:
 	curl -sS -d "$$body" "http://$$maddr/v1/connected" > "$$tmp/mono.out"; \
 	curl -sS -d "$$body" "http://$$p1addr/v1/connected" > "$$tmp/p1.out"; \
 	cmp "$$tmp/mono.out" "$$tmp/p1.out" || { echo "local validation diverges with a dead replica" >&2; cat "$$tmp/mono.out" "$$tmp/p1.out" >&2; exit 1; }; \
-	kill -TERM $$mpid $$r1pid $$p1pid $$p2pid; \
-	wait $$mpid $$r1pid $$p1pid $$p2pid; \
+	"$$tmp/ftroute" serve -in "$$tmp/route.ftlb" -addr 127.0.0.1:0 > "$$tmp/rmono.log" 2>&1 & rmpid=$$!; \
+	"$$tmp/ftroute" serve -in "$$tmp/route-shards" -addr 127.0.0.1:0 > "$$tmp/rr.log" 2>&1 & rrpid=$$!; \
+	rmaddr=""; rraddr=""; \
+	for i in $$(seq 1 50); do \
+		rmaddr=$$(sed -n 's/^listening on //p' "$$tmp/rmono.log"); \
+		rraddr=$$(sed -n 's/^listening on //p' "$$tmp/rr.log"); \
+		[ -n "$$rmaddr" ] && [ -n "$$rraddr" ] && break; \
+		sleep 0.2; \
+	done; \
+	[ -n "$$rmaddr" ] && [ -n "$$rraddr" ] || { echo "router daemons never announced addresses" >&2; cat "$$tmp"/rmono.log "$$tmp"/rr.log >&2; exit 1; }; \
+	"$$tmp/ftroute" proxy -in "$$tmp/route-shards" -replicas "http://$$rraddr" -addr 127.0.0.1:0 > "$$tmp/rp.log" 2>&1 & rppid=$$!; \
+	rpaddr=""; \
+	for i in $$(seq 1 50); do \
+		rpaddr=$$(sed -n 's/^listening on //p' "$$tmp/rp.log"); \
+		[ -n "$$rpaddr" ] && break; \
+		sleep 0.2; \
+	done; \
+	[ -n "$$rpaddr" ] || { echo "router proxy never announced its address" >&2; cat "$$tmp/rp.log" >&2; exit 1; }; \
+	for body in '{"pairs":[[0,39],[0,41],[41,79],[80,119]],"faults":[1,2]}' '{"pairs":[[5,7],[120,159],[7,5]],"faults":[3,3,9]}' '{"pairs":[[0,1]],"faults":[1,2,3]}'; do \
+		curl -sS -d "$$body" "http://$$rmaddr/v1/route-forbidden" > "$$tmp/mono.out"; \
+		curl -sS -d "$$body" "http://$$rpaddr/v1/route-forbidden" > "$$tmp/rp.out"; \
+		cmp "$$tmp/mono.out" "$$tmp/rp.out" || { echo "router proxy diverges for $$body" >&2; cat "$$tmp/mono.out" "$$tmp/rp.out" >&2; exit 1; }; \
+	done; \
+	curl -sS -d '{"pairs":[[0,39]],"faults":[1,2]}' "http://$$rpaddr/v1/route-forbidden" | grep -q '"trace":\[0,' || { echo "router proxy answered no route trace" >&2; exit 1; }; \
+	kill -TERM $$mpid $$r1pid $$p1pid $$p2pid $$rmpid $$rrpid $$rppid; \
+	wait $$mpid $$r1pid $$p1pid $$p2pid $$rmpid $$rrpid $$rppid; \
 	cat "$$tmp/p1.log"; \
 	echo "proxy-smoke OK"
 

@@ -701,15 +701,21 @@ func (p *BatchPlan) PrepareShard(sh *Shard) (any, error) {
 // invalid pairs re-run the vertex checks (producing the identical
 // monolithic error, tagged with the original index), trivial pairs take
 // the cross-component answer, and in-shard pairs evaluate on their
-// shard's context. A missing shard context fails before any pair runs.
-func execPlan[T any](p *BatchPlan, ctxs map[int]any, opts BatchOptions,
-	trivial func(Pair) T, eval func(ctx any, pr Pair) (T, error)) ([]T, error) {
+// shard's context. A touched shard whose context is missing or not a C
+// fails before any pair runs.
+func execPlan[C, T any](p *BatchPlan, ctxs map[int]any, opts BatchOptions,
+	trivial func(Pair) T, eval func(ctx C, pr Pair) (T, error)) ([]T, error) {
 	if len(p.pairs) == 0 {
 		return nil, nil
 	}
 	for _, id := range p.shardIDs {
-		if _, ok := ctxs[id]; !ok {
+		ctx, ok := ctxs[id]
+		if !ok {
 			return nil, fmt.Errorf("ftrouting: plan needs a prepared context for shard %d", id)
+		}
+		if _, ok := ctx.(C); !ok {
+			var want C
+			return nil, fmt.Errorf("ftrouting: plan needs a %T context for shard %d, got %T", want, id, ctx)
 		}
 	}
 	n := p.m.g.N()
@@ -727,7 +733,7 @@ func execPlan[T any](p *BatchPlan, ctxs map[int]any, opts BatchOptions,
 		case pairTrivial:
 			return trivial(pr), nil
 		default:
-			return eval(ctxs[int(p.pairShard[i])], pr)
+			return eval(ctxs[int(p.pairShard[i])].(C), pr)
 		}
 	})
 }
@@ -739,13 +745,7 @@ func execPlan[T any](p *BatchPlan, ctxs map[int]any, opts BatchOptions,
 func (p *BatchPlan) ConnectedBatch(ctxs map[int]any, opts BatchOptions) ([]bool, error) {
 	return execPlan(p, ctxs, opts,
 		func(Pair) bool { return false }, // different components: never connected
-		func(ctx any, pr Pair) (bool, error) {
-			c, ok := ctx.(*ConnFaultContext)
-			if !ok {
-				return false, fmt.Errorf("ftrouting: connectivity plan got %T context", ctx)
-			}
-			return c.Connected(pr.S, pr.T)
-		})
+		func(c *ConnFaultContext, pr Pair) (bool, error) { return c.Connected(pr.S, pr.T) })
 }
 
 // EstimateBatch evaluates the planned batch on prepared per-shard
@@ -753,13 +753,7 @@ func (p *BatchPlan) ConnectedBatch(ctxs map[int]any, opts BatchOptions) ([]bool,
 func (p *BatchPlan) EstimateBatch(ctxs map[int]any, opts BatchOptions) ([]int64, error) {
 	return execPlan(p, ctxs, opts,
 		func(Pair) int64 { return Unreachable }, // different components: no scale connects
-		func(ctx any, pr Pair) (int64, error) {
-			d, ok := ctx.(*DistFaultContext)
-			if !ok {
-				return 0, fmt.Errorf("ftrouting: distance plan got %T context", ctx)
-			}
-			return d.Estimate(pr.S, pr.T)
-		})
+		func(d *DistFaultContext, pr Pair) (int64, error) { return d.Estimate(pr.S, pr.T) })
 }
 
 // TrivialRouteResult returns the routing answer of a cross-component
@@ -777,13 +771,7 @@ func TrivialRouteResult(pr Pair) RouteResult {
 // prepared per-shard contexts, bit-identically to Router.RouteBatch.
 func (p *BatchPlan) RouteBatch(ctxs map[int]any, opts BatchOptions) ([]RouteResult, error) {
 	return execPlan(p, ctxs, opts, TrivialRouteResult,
-		func(ctx any, pr Pair) (RouteResult, error) {
-			r, ok := ctx.(*RouteFaultContext)
-			if !ok {
-				return RouteResult{}, fmt.Errorf("ftrouting: route plan got %T context", ctx)
-			}
-			return r.Route(pr.S, pr.T)
-		})
+		func(r *RouteFaultContext, pr Pair) (RouteResult, error) { return r.Route(pr.S, pr.T) })
 }
 
 // RouteForbiddenBatch routes the planned batch under the known-fault
@@ -791,11 +779,5 @@ func (p *BatchPlan) RouteBatch(ctxs map[int]any, opts BatchOptions) ([]RouteResu
 // Router.RouteForbiddenBatch.
 func (p *BatchPlan) RouteForbiddenBatch(ctxs map[int]any, opts BatchOptions) ([]RouteResult, error) {
 	return execPlan(p, ctxs, opts, TrivialRouteResult,
-		func(ctx any, pr Pair) (RouteResult, error) {
-			r, ok := ctx.(*RouteFaultContext)
-			if !ok {
-				return RouteResult{}, fmt.Errorf("ftrouting: route plan got %T context", ctx)
-			}
-			return r.RouteForbidden(pr.S, pr.T)
-		})
+		func(r *RouteFaultContext, pr Pair) (RouteResult, error) { return r.RouteForbidden(pr.S, pr.T) })
 }

@@ -997,11 +997,12 @@ func BenchmarkQueryBatchDistFreshFaultsZipf(b *testing.B) {
 
 // distFreshAllocCeiling bounds the allocations of a 16-pair EstimateBatch
 // on a fresh fault set, in the shape of BenchmarkQueryBatchDistFreshFaults:
-// 34 measured, plus headroom. A reached instance allocates its sync.Map
-// entry and, when it holds a tree fault, one context; edge labels, a
-// component tree and an input copy per reached instance coming back (75
-// in all when they were built at first reach) break the ceiling.
-const distFreshAllocCeiling = 40
+// 27 measured, plus headroom. A reached instance allocates its boxed key
+// and sync.Map nodes and, when it holds a tree fault, one context; a
+// per-instance entry and closure around the context (34 in all), or edge
+// labels, a component tree and an input copy per reached instance (75
+// when they were built at first reach) break the ceiling.
+const distFreshAllocCeiling = 31
 
 func TestDistFreshFaultsAllocs(t *testing.T) {
 	if testing.Short() {

@@ -31,14 +31,7 @@ type InstanceKey struct {
 // §12). Safe for concurrent use.
 type InstanceFaults struct {
 	ids []graph.EdgeID
-	m   sync.Map // InstanceKey -> *instanceFaults
-}
-
-// instanceFaults is one reached instance's context, prepared at most once.
-type instanceFaults struct {
-	once sync.Once
-	ctx  *SketchFaultContext
-	err  error
+	m   sync.Map // InstanceKey -> *SketchFaultContext, or the error of its first reach
 }
 
 // NewInstanceFaults returns the fault set ids, restricted to no instance
@@ -55,15 +48,22 @@ func NewInstanceFaults(ids []graph.EdgeID) *InstanceFaults {
 // shared empty-fault context: the instance tree is intact and every pair
 // in it is connected. An error of that first call (a tree fault whose
 // endpoint intervals do not nest, or labels the component tree rejects)
-// is returned by every call that reaches k.
+// is returned by every call that reaches k. The first reach is a pure
+// function of (ids, sub, s), so concurrent first calls may each compute
+// it; all of them return the one value the map keeps.
 func (x *InstanceFaults) Context(k InstanceKey, sub *graph.Subgraph, s *SketchScheme) (*SketchFaultContext, error) {
 	v, found := x.m.Load(k)
 	if !found {
-		v, _ = x.m.LoadOrStore(k, new(instanceFaults))
+		ctx, err := s.reach(sub, x.ids)
+		if v = ctx; err != nil {
+			v = err
+		}
+		v, _ = x.m.LoadOrStore(k, v)
 	}
-	e := v.(*instanceFaults)
-	e.once.Do(func() { e.ctx, e.err = s.reach(sub, x.ids) })
-	return e.ctx, e.err
+	if err, ok := v.(error); ok {
+		return nil, err
+	}
+	return v.(*SketchFaultContext), nil
 }
 
 // Reached reports whether a Context call has reached instance k.

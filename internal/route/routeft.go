@@ -9,34 +9,37 @@ import (
 	"ftrouting/internal/treeroute"
 )
 
-// Result reports a routing simulation.
+// Result reports a routing simulation. Its JSON tags are the wire form
+// of a route answer in the serving API (serve/api.RouteResult is this
+// type), in key order.
 type Result struct {
-	Reached bool
+	Reached bool `json:"reached"`
 	// Cost is the total traversed weight: forward walks, reverse walks
 	// after detections, and Γ probe round trips.
-	Cost int64
+	Cost int64 `json:"cost"`
 	// Opt is dist_{G\F}(s,t) (offline optimum; Inf if disconnected).
-	Opt int64
+	Opt int64 `json:"opt"`
 	// Stretch = Cost/Opt (0 when Opt is 0 or unreachable).
-	Stretch float64
+	Stretch float64 `json:"stretch"`
 	// Hops counts traversed edges (including reversals).
-	Hops int
+	Hops int `json:"hops"`
 	// Probes counts Γ label-fetch round trips (balanced tables only).
-	Probes int
+	Probes int `json:"probes"`
 	// Detections counts faulty-edge discoveries.
-	Detections int
+	Detections int `json:"detections"`
 	// Phases and Iterations count distance scales tried and per-phase
 	// trial-and-error rounds (Section 5.2).
-	Phases, Iterations int
+	Phases     int `json:"phases"`
+	Iterations int `json:"iterations"`
 	// MaxHeaderBits is the largest message header observed (Theorem 5.8's
 	// Õ(f^3)).
-	MaxHeaderBits int
+	MaxHeaderBits int `json:"max_header_bits"`
 	// ProbeCost is the weight charged for Γ label fetches (included in
 	// Cost; the probe round trips are side messages, not part of Trace).
-	ProbeCost int64
+	ProbeCost int64 `json:"probe_cost"`
 	// Trace is the sequence of vertices the message visits, including
 	// reversals. Its walk weight equals Cost - ProbeCost.
-	Trace []int32
+	Trace []int32 `json:"trace,omitempty"`
 }
 
 // finish computes the stretch field.

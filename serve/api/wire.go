@@ -10,7 +10,9 @@
 // exactly: a request is one QueryBatch (pairs + fault set), a response
 // carries the batch results in pair order, and errors round-trip the
 // batch API's machine-readable codes and pair indices in a structured
-// envelope instead of formatted text.
+// envelope instead of formatted text. A route answer is the root
+// package's RouteResult itself, so its JSON keys live in the tags of
+// internal/route.Result, not here.
 package api
 
 import (
@@ -98,39 +100,12 @@ type EstimateResponse struct {
 	Timing    *Timing `json:"timing,omitempty"`
 }
 
-// RouteResult is the wire form of ftrouting.RouteResult, field for field.
-type RouteResult struct {
-	Reached       bool    `json:"reached"`
-	Cost          int64   `json:"cost"`
-	Opt           int64   `json:"opt"`
-	Stretch       float64 `json:"stretch"`
-	Hops          int     `json:"hops"`
-	Probes        int     `json:"probes"`
-	Detections    int     `json:"detections"`
-	Phases        int     `json:"phases"`
-	Iterations    int     `json:"iterations"`
-	MaxHeaderBits int     `json:"max_header_bits"`
-	ProbeCost     int64   `json:"probe_cost"`
-	Trace         []int32 `json:"trace,omitempty"`
-}
+// RouteResult is one route answer: ftrouting.RouteResult itself, whose
+// JSON tags (on route.Result) are the wire keys.
+type RouteResult = ftrouting.RouteResult
 
-// FromRouteResult converts a simulation result to its wire form.
-func FromRouteResult(r ftrouting.RouteResult) RouteResult {
-	return RouteResult{
-		Reached:       r.Reached,
-		Cost:          r.Cost,
-		Opt:           r.Opt,
-		Stretch:       r.Stretch,
-		Hops:          r.Hops,
-		Probes:        r.Probes,
-		Detections:    r.Detections,
-		Phases:        r.Phases,
-		Iterations:    r.Iterations,
-		MaxHeaderBits: r.MaxHeaderBits,
-		ProbeCost:     r.ProbeCost,
-		Trace:         r.Trace,
-	}
-}
+// FromRouteResult returns r: a simulation result is already its wire form.
+func FromRouteResult(r ftrouting.RouteResult) RouteResult { return r }
 
 // RouteResponse answers /v1/route and /v1/route-forbidden.
 type RouteResponse struct {

@@ -14,8 +14,9 @@ import (
 )
 
 // endpoint is one row of the query-endpoint table. Result columns pass
-// between the stages as `any` holding the row's wire element slice:
-// []bool, []int64 or []api.RouteResult.
+// between the stages as `any` holding the plan executor's own result
+// slice, which is also the wire element slice: []bool, []int64 or
+// []ftrouting.RouteResult.
 type endpoint struct {
 	name string
 	kind string // the scheme kind that answers it
@@ -83,25 +84,6 @@ func newEndpoint[T, R any](name, kind string,
 	}
 }
 
-// routeWire adapts a routing plan executor to the wire result form.
-func routeWire(exec func(*ftrouting.BatchPlan, map[int]any, ftrouting.BatchOptions) ([]ftrouting.RouteResult, error)) func(*ftrouting.BatchPlan, map[int]any, ftrouting.BatchOptions) ([]api.RouteResult, error) {
-	return func(p *ftrouting.BatchPlan, ctxs map[int]any, opts ftrouting.BatchOptions) ([]api.RouteResult, error) {
-		results, err := exec(p, ctxs, opts)
-		if err != nil {
-			return nil, err
-		}
-		wire := make([]api.RouteResult, len(results))
-		for i, r := range results {
-			wire[i] = api.FromRouteResult(r)
-		}
-		return wire, nil
-	}
-}
-
-func trivialRoute(pr ftrouting.Pair) api.RouteResult {
-	return api.FromRouteResult(ftrouting.TrivialRouteResult(pr))
-}
-
 func routeResponse(r []api.RouteResult, t *api.Timing) api.RouteResponse {
 	return api.RouteResponse{Results: r, Timing: t}
 }
@@ -124,8 +106,8 @@ var endpoints = []*endpoint{
 		},
 		func(r *api.EstimateResponse) ([]int64, *api.Timing) { return r.Estimates, r.Timing },
 		appendEstimateResponse),
-	newEndpoint("route", "router", routeWire((*ftrouting.BatchPlan).RouteBatch),
-		trivialRoute, routeResponse, routeResults, appendRouteResponse),
-	newEndpoint("route-forbidden", "router", routeWire((*ftrouting.BatchPlan).RouteForbiddenBatch),
-		trivialRoute, routeResponse, routeResults, appendRouteResponse),
+	newEndpoint("route", "router", (*ftrouting.BatchPlan).RouteBatch,
+		ftrouting.TrivialRouteResult, routeResponse, routeResults, appendRouteResponse),
+	newEndpoint("route-forbidden", "router", (*ftrouting.BatchPlan).RouteForbiddenBatch,
+		ftrouting.TrivialRouteResult, routeResponse, routeResults, appendRouteResponse),
 }

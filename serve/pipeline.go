@@ -107,12 +107,11 @@ func (t *tier) answerQuery(w http.ResponseWriter, r *http.Request, ep *endpoint,
 			"/v1/%s serves %s schemes; this server holds a %s scheme", ep.name, ep.kind, t.kind)
 	}
 	st := ro.now()
-	req, e := decodeQueryRequest(r.Body, t.maxBytes)
+	batch, e := decodeQueryRequest(r.Body, t.maxBytes)
 	if e != nil {
 		return e
 	}
 	ro.stage(stageDecode, st)
-	batch := req.Batch()
 	ro.setBatch(len(batch.Pairs), len(batch.Faults))
 	// Mirror the batch API: an empty pair list returns empty results
 	// without touching (or even validating) the fault set.

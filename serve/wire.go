@@ -77,13 +77,14 @@ type reqScratch struct {
 
 var reqScratches = sync.Pool{New: func() any { return new(reqScratch) }}
 
-// decodeQueryRequest parses a request body of at most maxBytes bytes.
-// Unknown fields, trailing data and oversized bodies are rejected; the
-// decoder never panics on malformed input (FuzzServeRequest). The body
-// is read whole, up to one byte past the limit; parseQueryRequest
-// decodes the canonical shape, and any other body replays through
-// decodeJSONRequest, which gives its answer or rejection.
-func decodeQueryRequest(body io.Reader, maxBytes int64) (api.QueryRequest, *apiError) {
+// decodeQueryRequest parses a request body of at most maxBytes bytes into
+// the batch it asks for. Unknown fields, trailing data and oversized
+// bodies are rejected; the decoder never panics on malformed input
+// (FuzzServeRequest). The body is read whole, up to one byte past the
+// limit; parseQueryRequest decodes the canonical shape, and any other
+// body replays through decodeJSONRequest, which gives its answer or
+// rejection.
+func decodeQueryRequest(body io.Reader, maxBytes int64) (ftrouting.QueryBatch, *apiError) {
 	sc := reqScratches.Get().(*reqScratch)
 	defer func() {
 		if cap(sc.body) <= maxPooledBytes && cap(sc.ints) <= maxPooledBytes/4 {
@@ -93,15 +94,19 @@ func decodeQueryRequest(body io.Reader, maxBytes int64) (api.QueryRequest, *apiE
 	var rerr error
 	sc.body, rerr = readLimited(sc.body[:0], body, maxBytes+1)
 	if rerr == nil && int64(len(sc.body)) <= maxBytes {
-		if req, ok := parseQueryRequest(sc.body, &sc.ints); ok {
-			return req, nil
+		if batch, ok := parseQueryRequest(sc.body, &sc.ints); ok {
+			return batch, nil
 		}
 	}
 	var r io.Reader = bytes.NewReader(sc.body)
 	if rerr != nil {
 		r = io.MultiReader(r, errReader{rerr})
 	}
-	return decodeJSONRequest(r, maxBytes)
+	req, e := decodeJSONRequest(r, maxBytes)
+	if e != nil {
+		return ftrouting.QueryBatch{}, e
+	}
+	return req.Batch(), nil
 }
 
 // readLimited appends r's bytes to dst until EOF, an error, or limit
@@ -173,10 +178,11 @@ func decodeJSONRequest(body io.Reader, maxBytes int64) (api.QueryRequest, *apiEr
 // token, and integers in int32 range without fraction or exponent. ok is false for any other input: null, case-
 // folded, escaped, unknown or repeated keys, inner arrays of another
 // length, and every invalid body. Those are left to encoding/json. An
-// accepted body decodes to exactly what encoding/json gives: an absent
-// key leaves its field nil, an empty array makes it empty and non-nil.
-// ints is scratch for the integers read.
-func parseQueryRequest(b []byte, ints *[]int32) (req api.QueryRequest, ok bool) {
+// accepted body decodes to exactly the batch encoding/json's request
+// gives through QueryRequest.Batch: Pairs is never nil, and Faults is nil
+// when its key is absent, empty and non-nil for an empty array. ints is
+// scratch for the integers read.
+func parseQueryRequest(b []byte, ints *[]int32) (req ftrouting.QueryBatch, ok bool) {
 	p := reqParser{b: b, ints: (*ints)[:0]}
 	defer func() { *ints = p.ints }()
 	pairsAt, faultsAt := -1, -1
@@ -215,11 +221,9 @@ func parseQueryRequest(b []byte, ints *[]int32) (req api.QueryRequest, ok bool) 
 	if p.ws(); p.i != len(b) {
 		return req, false
 	}
-	if pairsAt >= 0 {
-		req.Pairs = make([][2]int32, (pairsEnd-pairsAt)/2)
-		for i := range req.Pairs {
-			req.Pairs[i] = [2]int32{p.ints[pairsAt+2*i], p.ints[pairsAt+2*i+1]}
-		}
+	req.Pairs = make([]ftrouting.Pair, (pairsEnd-max(pairsAt, 0))/2) // none when absent
+	for i := range req.Pairs {
+		req.Pairs[i] = ftrouting.Pair{S: p.ints[pairsAt+2*i], T: p.ints[pairsAt+2*i+1]}
 	}
 	if faultsAt >= 0 {
 		req.Faults = make([]ftrouting.EdgeID, faultsEnd-faultsAt)

@@ -26,8 +26,9 @@ import (
 const fuzzMaxBytes = 64
 
 // checkDecodeMatchesJSON decodes data through the server's decoder and
-// through encoding/json alone and fails unless both give the same
-// request, or the same status, code and message.
+// through encoding/json alone and fails unless both give the same batch
+// (encoding/json's request through QueryRequest.Batch), or the same
+// status, code and message.
 func checkDecodeMatchesJSON(t *testing.T, data []byte, maxBytes int64) {
 	t.Helper()
 	checkBodyMatchesJSON(t, string(data), func() io.Reader { return bytes.NewReader(data) }, maxBytes)
@@ -38,7 +39,8 @@ func checkDecodeMatchesJSON(t *testing.T, data []byte, maxBytes int64) {
 func checkBodyMatchesJSON(t *testing.T, name string, body func() io.Reader, maxBytes int64) {
 	t.Helper()
 	got, gotErr := decodeQueryRequest(body(), maxBytes)
-	want, wantErr := decodeJSONRequest(body(), maxBytes)
+	req, wantErr := decodeJSONRequest(body(), maxBytes)
+	want := req.Batch()
 	if (gotErr == nil) != (wantErr == nil) {
 		t.Fatalf("%q: decoder error %v, encoding/json error %v", name, gotErr, wantErr)
 	}
@@ -203,22 +205,14 @@ func (w *discardWriter) Header() http.Header         { return w.h }
 func (w *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
 func (w *discardWriter) WriteHeader(status int)      { w.status = status }
 
-// TestServeWarmConnAllocs gates the allocations of a warm 16-pair
-// connectivity request through Server.ServeHTTP, net/http excluded: one
-// request whose body is rewound each run, a writer that discards the
-// body. The eval stage allocates nothing, so what is counted is the
-// request front half (decode, plan, context lookup) and the response.
-func TestServeWarmConnAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation gate: race instrumentation allocates")
-	}
-	const maxAllocs = 22
-	g := ftrouting.RingOfCliques(16, 8)
-	labels, err := ftrouting.BuildConnectivityLabels(g, ftrouting.ConnOptions{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := New(labels, Options{})
+// warmAllocs serves one 16-pair request for the scheme to path through
+// Server.ServeHTTP, net/http excluded, and returns its allocations once
+// warm: one request whose body is rewound each run, a writer that
+// discards the body. The warm-up run prepares the fault context and
+// fills the pools.
+func warmAllocs(t *testing.T, scheme any, g *ftrouting.Graph, path string, faults []ftrouting.EdgeID) float64 {
+	t.Helper()
+	s, err := New(scheme, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,28 +220,67 @@ func TestServeWarmConnAllocs(t *testing.T) {
 	for i := range pairs {
 		pairs[i] = [2]int32{int32(i * 7 % g.N()), int32((i*13 + g.N()/2) % g.N())}
 	}
-	raw, err := json.Marshal(api.QueryRequest{Pairs: pairs, Faults: ftrouting.RandomFaults(g, 4, 9)})
+	raw, err := json.Marshal(api.QueryRequest{Pairs: pairs, Faults: faults})
 	if err != nil {
 		t.Fatal(err)
 	}
 	body := bytes.NewReader(raw)
-	req := httptest.NewRequest(http.MethodPost, "/v1/connected", io.NopCloser(body))
+	req := httptest.NewRequest(http.MethodPost, path, io.NopCloser(body))
 	w := &discardWriter{h: http.Header{}}
 	serve := func() {
 		body.Reset(raw)
 		w.status = http.StatusOK
 		s.ServeHTTP(w, req)
 		if w.status != http.StatusOK {
-			t.Fatalf("status %d", w.status)
+			t.Fatalf("%s: status %d", path, w.status)
 		}
 	}
-	serve() // warm-up: prepares the context and fills the pools
+	serve()
 	if ct := w.h.Get("Content-Type"); ct != "application/json" {
-		t.Fatalf("Content-Type %q", ct)
+		t.Fatalf("%s: Content-Type %q", path, ct)
 	}
-	if allocs := testing.AllocsPerRun(100, serve); allocs > maxAllocs {
+	return testing.AllocsPerRun(100, serve)
+}
+
+// TestServeWarmConnAllocs gates the allocations of a warm 16-pair
+// connectivity request (warmAllocs). The eval stage allocates nothing, so
+// what is counted is the request front half (decode, plan, context
+// lookup) and the response: 17 measured.
+func TestServeWarmConnAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation gate: race instrumentation allocates")
+	}
+	const maxAllocs = 21
+	g := ftrouting.RingOfCliques(16, 8)
+	labels, err := ftrouting.BuildConnectivityLabels(g, ftrouting.ConnOptions{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := warmAllocs(t, labels, g, "/v1/connected", ftrouting.RandomFaults(g, 4, 9)); allocs > maxAllocs {
 		t.Fatalf("warm 16-pair conn request allocates %.1f, want <= %d", allocs, maxAllocs)
 	} else {
 		t.Logf("warm 16-pair conn request: %.1f allocs", allocs)
+	}
+}
+
+// TestServeWarmRouteAllocs gates the allocations of a warm 16-pair
+// known-fault routing request (warmAllocs): the front half and the
+// response, plus what routing the pairs allocates (each result's Trace
+// among it). 45 measured. Copying the parsed pairs into the batch, or the
+// result column into a separate wire type, costs one more each.
+func TestServeWarmRouteAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation gate: race instrumentation allocates")
+	}
+	const maxAllocs = 46
+	g, _ := ftrouting.FatTree(4)
+	router, err := ftrouting.NewRouter(g, 2, 2, ftrouting.RouterOptions{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := warmAllocs(t, router, g, "/v1/route-forbidden", ftrouting.RandomFaults(g, 2, 9)); allocs > maxAllocs {
+		t.Fatalf("warm 16-pair route-forbidden request allocates %.1f, want <= %d", allocs, maxAllocs)
+	} else {
+		t.Logf("warm 16-pair route-forbidden request: %.1f allocs", allocs)
 	}
 }

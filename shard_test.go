@@ -14,6 +14,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -263,7 +264,9 @@ func TestShardedErrorEquivalence(t *testing.T) {
 // TestPlanExecutorsRejectBadContexts hands each of the four plan
 // executors a context map with a planned shard missing, or with a
 // context of the wrong kind (or nil) in a planned shard's slot: every
-// case must be an error, never a panic, at any parallelism.
+// case must be an error, never a panic, at any parallelism. The error
+// names the shard and carries no pair index: the executor checks every
+// touched shard before any pair runs, so a pair never fails on it.
 func TestPlanExecutorsRejectBadContexts(t *testing.T) {
 	g := shardDisconn()
 	conn, err := BuildConnectivityLabels(g, ConnOptions{Scheme: CutBased, MaxFaults: 2, Seed: 7})
@@ -314,11 +317,11 @@ func TestPlanExecutorsRejectBadContexts(t *testing.T) {
 		run   func(p *BatchPlan, ctxs map[int]any, opts BatchOptions) error
 	}
 	executors := []executor{
-		{"ConnectedBatch", connM, routeCtx, func(p *BatchPlan, ctxs map[int]any, opts BatchOptions) error {
+		{"ConnectedBatch", connM, distCtx, func(p *BatchPlan, ctxs map[int]any, opts BatchOptions) error {
 			_, err := p.ConnectedBatch(ctxs, opts)
 			return err
 		}},
-		{"EstimateBatch", distM, connCtx, func(p *BatchPlan, ctxs map[int]any, opts BatchOptions) error {
+		{"EstimateBatch", distM, routeCtx, func(p *BatchPlan, ctxs map[int]any, opts BatchOptions) error {
 			_, err := p.EstimateBatch(ctxs, opts)
 			return err
 		}},
@@ -365,8 +368,15 @@ func TestPlanExecutorsRejectBadContexts(t *testing.T) {
 								t.Fatalf("%s shard %d %s par %d: panic: %v", ex.name, id, cname, par, r)
 							}
 						}()
-						if err := ex.run(plan, ctxs, BatchOptions{Parallelism: par}); err == nil {
+						err := ex.run(plan, ctxs, BatchOptions{Parallelism: par})
+						if err == nil {
 							t.Fatalf("%s shard %d %s par %d: no error", ex.name, id, cname, par)
+						}
+						if i := PairIndexOf(err); i != -1 {
+							t.Fatalf("%s shard %d %s par %d: error %q is scoped to pair %d", ex.name, id, cname, par, err, i)
+						}
+						if want := fmt.Sprintf("shard %d", id); !strings.Contains(err.Error(), want) {
+							t.Fatalf("%s shard %d %s par %d: error %q does not name the shard", ex.name, id, cname, par, err)
 						}
 					}()
 				}
