@@ -47,7 +47,7 @@ FUZZ_TARGETS = \
 	.:FuzzManifest \
 	.:FuzzShard
 
-.PHONY: all build test race bench bench-compare cover lint fuzz corpus-check perfbench-check shard-smoke proxy-smoke metrics-smoke remote-smoke loadgen-smoke
+.PHONY: all build test race bench bench-compare cover lint fuzz corpus-check perfbench-check loc shard-smoke proxy-smoke metrics-smoke remote-smoke loadgen-smoke
 
 all: build lint test
 
@@ -120,6 +120,13 @@ corpus-check:
 # perfbench job runs.
 perfbench-check:
 	cd perfbench && $(GO) vet . && $(GO) test .
+
+# loc prints the non-test and test Go line counts outside perfbench/ (its
+# own module), the size figure the ROADMAP re-anchors track. It is a
+# report, not a gate.
+loc:
+	@printf 'non-test %s\n' "$$(find . -path ./perfbench -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l)"
+	@printf 'test     %s\n' "$$(find . -path ./perfbench -prune -o -name '*_test.go' -print | xargs cat | wc -l)"
 
 # shard-smoke proves the serving pipeline end to end: build a
 # multi-component connectivity scheme under each labeling (sketch and

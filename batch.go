@@ -101,6 +101,15 @@ func PairIndexOf(err error) int {
 	return -1
 }
 
+// checkPair validates both endpoints of a pair against a graph of n
+// vertices, s first.
+func checkPair(s, t int32, n int) error {
+	if err := checkVertex("s", s, n); err != nil {
+		return err
+	}
+	return checkVertex("t", t, n)
+}
+
 // checkVertex validates a pair endpoint against the graph.
 func checkVertex(name string, v int32, n int) error {
 	if v < 0 || int(v) >= n {
@@ -140,10 +149,7 @@ func checkQuery(g *Graph, s, t int32, faults []EdgeID) error {
 	if err := checkFaults(faults, g.M(), -1); err != nil {
 		return err
 	}
-	if err := checkVertex("s", s, g.N()); err != nil {
-		return err
-	}
-	return checkVertex("t", t, g.N())
+	return checkPair(s, t, g.N())
 }
 
 // CanonicalFaults returns the canonical form of a fault list: the
@@ -167,6 +173,21 @@ func CanonicalFaults(faults []EdgeID) []EdgeID {
 		}
 	}
 	return out[:w]
+}
+
+// prepareThenEval is the body of every one-shot batch: an empty pair list
+// returns (nil, nil) without touching the fault set; otherwise the fault
+// set is prepared once and the pairs are evaluated against the context.
+func prepareThenEval[C, T any](b QueryBatch, opts BatchOptions,
+	prepare func([]EdgeID) (C, error), eval func(C, []Pair, BatchOptions) ([]T, error)) ([]T, error) {
+	if len(b.Pairs) == 0 {
+		return nil, nil
+	}
+	ctx, err := prepare(b.Faults)
+	if err != nil {
+		return nil, err
+	}
+	return eval(ctx, b.Pairs, opts)
 }
 
 // forEachPair fans the pair list out across the worker pool, writing
@@ -261,10 +282,7 @@ func (c *ConnLabels) PrepareFaults(faults []EdgeID) (*ConnFaultContext, error) {
 // bit-identically to ConnLabels.Connected with the same faults.
 func (x *ConnFaultContext) Connected(s, t int32) (bool, error) {
 	c := x.c
-	if err := checkVertex("s", s, c.g.N()); err != nil {
-		return false, err
-	}
-	if err := checkVertex("t", t, c.g.N()); err != nil {
+	if err := checkPair(s, t, c.g.N()); err != nil {
 		return false, err
 	}
 	if err := c.checkHeld(s, t); err != nil {
@@ -295,14 +313,7 @@ func (x *ConnFaultContext) ConnectedBatch(pairs []Pair, opts BatchOptions) ([]bo
 // sequential loop of Connected calls at any parallelism. An empty pair
 // list returns (nil, nil) without touching the fault set.
 func (c *ConnLabels) ConnectedBatch(b QueryBatch, opts BatchOptions) ([]bool, error) {
-	if len(b.Pairs) == 0 {
-		return nil, nil
-	}
-	ctx, err := c.PrepareFaults(b.Faults)
-	if err != nil {
-		return nil, err
-	}
-	return ctx.ConnectedBatch(b.Pairs, opts)
+	return prepareThenEval(b, opts, c.PrepareFaults, (*ConnFaultContext).ConnectedBatch)
 }
 
 // DistFaultContext is a fault set preprocessed against a distance
@@ -343,11 +354,7 @@ func (d *DistLabels) prepareFaults(faults []EdgeID, distinct int) (*DistFaultCon
 // Estimate answers one pair against the prepared fault set,
 // bit-identically to DistLabels.Estimate with the same faults.
 func (x *DistFaultContext) Estimate(s, t int32) (int64, error) {
-	g := x.d.inner.Graph()
-	if err := checkVertex("s", s, g.N()); err != nil {
-		return 0, err
-	}
-	if err := checkVertex("t", t, g.N()); err != nil {
+	if err := checkPair(s, t, x.d.inner.Graph().N()); err != nil {
 		return 0, err
 	}
 	return x.inner.Decode(s, t)
@@ -367,14 +374,7 @@ func (x *DistFaultContext) EstimateBatch(pairs []Pair, opts BatchOptions) ([]int
 // sequential loop of Estimate calls at any parallelism. An empty pair
 // list returns (nil, nil) without touching the fault set.
 func (d *DistLabels) EstimateBatch(b QueryBatch, opts BatchOptions) ([]int64, error) {
-	if len(b.Pairs) == 0 {
-		return nil, nil
-	}
-	ctx, err := d.PrepareFaults(b.Faults)
-	if err != nil {
-		return nil, err
-	}
-	return ctx.EstimateBatch(b.Pairs, opts)
+	return prepareThenEval(b, opts, d.PrepareFaults, (*DistFaultContext).EstimateBatch)
 }
 
 // RouteFaultContext is a fault set preprocessed against a router. The
@@ -407,11 +407,7 @@ func (r *Router) PrepareFaults(faults []EdgeID) (*RouteFaultContext, error) {
 // Route routes one pair under the prepared (unknown-fault) set,
 // bit-identically to Router.Route with the same faults.
 func (x *RouteFaultContext) Route(s, t int32) (RouteResult, error) {
-	g := x.r.inner.Graph()
-	if err := checkVertex("s", s, g.N()); err != nil {
-		return RouteResult{}, err
-	}
-	if err := checkVertex("t", t, g.N()); err != nil {
+	if err := checkPair(s, t, x.r.inner.Graph().N()); err != nil {
 		return RouteResult{}, err
 	}
 	return x.r.inner.RouteFT(s, t, x.faults)
@@ -426,11 +422,7 @@ func (x *RouteFaultContext) PrepareForbidden() error { return nil }
 // RouteForbidden routes one pair under the prepared known fault set,
 // bit-identically to Router.RouteForbidden with the same faults.
 func (x *RouteFaultContext) RouteForbidden(s, t int32) (RouteResult, error) {
-	g := x.r.inner.Graph()
-	if err := checkVertex("s", s, g.N()); err != nil {
-		return RouteResult{}, err
-	}
-	if err := checkVertex("t", t, g.N()); err != nil {
+	if err := checkPair(s, t, x.r.inner.Graph().N()); err != nil {
 		return RouteResult{}, err
 	}
 	return x.forbidden.Route(s, t)
@@ -458,14 +450,7 @@ func (x *RouteFaultContext) RouteForbiddenBatch(pairs []Pair, opts BatchOptions)
 // at any parallelism. An empty pair list returns (nil, nil) without
 // touching the fault set.
 func (r *Router) RouteBatch(b QueryBatch, opts BatchOptions) ([]RouteResult, error) {
-	if len(b.Pairs) == 0 {
-		return nil, nil
-	}
-	ctx, err := r.PrepareFaults(b.Faults)
-	if err != nil {
-		return nil, err
-	}
-	return ctx.RouteBatch(b.Pairs, opts)
+	return prepareThenEval(b, opts, r.PrepareFaults, (*RouteFaultContext).RouteBatch)
 }
 
 // RouteForbiddenBatch routes every pair of the batch under the known-fault
@@ -475,14 +460,7 @@ func (r *Router) RouteBatch(b QueryBatch, opts BatchOptions) ([]RouteResult, err
 // RouteForbidden calls at any parallelism. An empty pair list returns
 // (nil, nil) without touching the fault set.
 func (r *Router) RouteForbiddenBatch(b QueryBatch, opts BatchOptions) ([]RouteResult, error) {
-	if len(b.Pairs) == 0 {
-		return nil, nil
-	}
-	ctx, err := r.PrepareFaults(b.Faults)
-	if err != nil {
-		return nil, err
-	}
-	return ctx.RouteForbiddenBatch(b.Pairs, opts)
+	return prepareThenEval(b, opts, r.PrepareFaults, (*RouteFaultContext).RouteForbiddenBatch)
 }
 
 // Shard-aware batch planning. A QueryBatch against a sharded scheme
@@ -662,11 +640,7 @@ func (p *BatchPlan) FirstPairError() error {
 		if s != pairInvalid {
 			continue
 		}
-		pr := p.pairs[i]
-		if err := checkVertex("s", pr.S, n); err != nil {
-			return wrapPairError(i, err)
-		}
-		if err := checkVertex("t", pr.T, n); err != nil {
+		if err := checkPair(p.pairs[i].S, p.pairs[i].T, n); err != nil {
 			return wrapPairError(i, err)
 		}
 	}
@@ -723,10 +697,7 @@ func execPlan[C, T any](p *BatchPlan, ctxs map[int]any, opts BatchOptions,
 		var zero T
 		switch p.pairShard[i] {
 		case pairInvalid:
-			if err := checkVertex("s", pr.S, n); err != nil {
-				return zero, err
-			}
-			if err := checkVertex("t", pr.T, n); err != nil {
+			if err := checkPair(pr.S, pr.T, n); err != nil {
 				return zero, err
 			}
 			return zero, fmt.Errorf("ftrouting: pair (%d,%d) misclassified invalid", pr.S, pr.T)

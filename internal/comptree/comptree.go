@@ -94,10 +94,6 @@ func (t *Tree) NumComps() int { return len(t.reps) }
 // Parent returns the parent component of c (-1 for the root component).
 func (t *Tree) Parent(c int32) int32 { return t.parent[c] }
 
-// Rep returns the representative label of component c. For the root
-// component this is the synthetic whole-range label.
-func (t *Tree) Rep(c int32) ancestry.Label { return t.reps[c] }
-
 // Locate returns the component containing the vertex with ancestry label l,
 // in O(log f) time (binary search over the sorted tuples).
 func (t *Tree) Locate(l ancestry.Label) int32 {

@@ -21,7 +21,6 @@ import (
 
 	"ftrouting/internal/core"
 	"ftrouting/internal/graph"
-	"ftrouting/internal/parallel"
 	"ftrouting/internal/sketch"
 	"ftrouting/internal/treecover"
 	"ftrouting/internal/xrand"
@@ -77,45 +76,22 @@ func BuildWithHierarchy(g *graph.Graph, f, k int, opts Options, hier *treecover.
 	if f < 0 || k < 1 {
 		return nil, fmt.Errorf("distlabel: need f >= 0 and k >= 1, got %d, %d", f, k)
 	}
-	s := &Scheme{g: g, f: f, k: k, hier: hier, opts: opts}
-	// Instances are independent across scales and clusters; flatten the
-	// (scale, cluster) grid so large clusters of one scale do not
-	// serialize behind another scale's row. Each instance's seed depends
-	// only on its (i, j) coordinates, never on build order.
-	type coord struct {
-		i, j int
-	}
-	var coords []coord
-	for i, cover := range hier.Scales {
-		s.inst = append(s.inst, make([]*Instance, len(cover.Clusters)))
-		for j, cl := range cover.Clusters {
-			// A nil cluster slot marks an instance that lives in another
-			// shard of a partial (sharded) hierarchy; its slot stays to keep
-			// global (scale, cluster) indices — and hence instance seeds —
-			// stable, but nothing is built for it.
-			if cl == nil {
-				continue
-			}
-			coords = append(coords, coord{i, j})
-		}
-	}
-	err := parallel.ForEach(opts.Parallelism, len(coords), func(idx int) error {
-		i, j := coords[idx].i, coords[idx].j
-		cl := hier.Scales[i].Clusters[j]
+	// Each instance's seed depends only on its (i, j) coordinates, never
+	// on build order.
+	inst, err := treecover.BuildInstances(hier, opts.Parallelism, func(i, j int, cl *treecover.Cluster, _ int) (*Instance, error) {
 		conn, err := core.BuildSketch(cl.Sub.Local, cl.Tree, core.SketchOptions{
 			Seed:   xrand.DeriveSeed(opts.Seed, uint64(i), uint64(j)),
 			Params: opts.Params,
 		})
 		if err != nil {
-			return fmt.Errorf("distlabel: instance (%d,%d): %w", i, j, err)
+			return nil, fmt.Errorf("distlabel: instance (%d,%d): %w", i, j, err)
 		}
-		s.inst[i][j] = &Instance{Scale: i, Cluster: cl, Conn: conn}
-		return nil
+		return &Instance{Scale: i, Cluster: cl, Conn: conn}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return s, nil
+	return &Scheme{g: g, f: f, k: k, hier: hier, opts: opts, inst: inst}, nil
 }
 
 // Scales returns K+1, the number of distance scales.
@@ -135,9 +111,6 @@ func (s *Scheme) Graph() *graph.Graph { return s.g }
 
 // Hierarchy returns the tree-cover hierarchy the scheme is built on.
 func (s *Scheme) Hierarchy() *treecover.Hierarchy { return s.hier }
-
-// Instances returns the instance row of one scale (for experiments).
-func (s *Scheme) Instances(scale int) []*Instance { return s.inst[scale] }
 
 // VEntry is one per-instance connectivity vertex label inside a distance
 // label.

@@ -114,60 +114,22 @@ func BuildWithHierarchy(g *graph.Graph, f, k int, opts Options, hier *treecover.
 	if f < 0 || k < 1 {
 		return nil, fmt.Errorf("route: need f >= 0 and k >= 1, got %d, %d", f, k)
 	}
-	r := &Router{g: g, f: f, k: k, opts: opts, hier: hier}
 	gammaF := 0
 	if opts.Balanced {
 		gammaF = f
 	}
-	// Instances are independent across scales and clusters; flatten the
-	// (scale, cluster) grid so one scale's large clusters do not
-	// serialize behind another's. Seeds depend only on (scale, cluster).
-	type coord struct {
-		i, j int
-	}
-	var coords []coord
-	for i, cover := range hier.Scales {
-		r.inst = append(r.inst, make([]*Instance, len(cover.Clusters)))
-		for j, cl := range cover.Clusters {
-			// A nil cluster slot marks an instance owned by another shard of
-			// a partial (sharded) hierarchy; the slot stays so global
-			// (scale, cluster) indices — and hence instance seeds — remain
-			// stable, but nothing is built for it.
-			if cl == nil {
-				continue
-			}
-			coords = append(coords, coord{i, j})
-		}
-	}
-	// Split the worker budget between the instance fan-out and the
-	// per-vertex fan-out inside each instance so the total stays within
-	// Workers(Parallelism): outer instances run concurrently, and each
-	// gets budget/outer workers for its inner loops.
-	budget := parallel.Workers(opts.Parallelism)
-	outer := budget
-	if outer > len(coords) {
-		outer = len(coords)
-	}
-	inner := 1
-	if outer > 0 {
-		inner = budget / outer
-	}
-	if inner < 1 {
-		inner = 1
-	}
-	err := parallel.ForEach(outer, len(coords), func(idx int) error {
-		i, j := coords[idx].i, coords[idx].j
-		inst, err := buildInstance(g, i, int32(j), hier.Scales[i].Clusters[j], f, gammaF, inner, opts)
+	// Seeds depend only on (scale, cluster).
+	inst, err := treecover.BuildInstances(hier, opts.Parallelism, func(i, j int, cl *treecover.Cluster, workers int) (*Instance, error) {
+		inst, err := buildInstance(g, i, int32(j), cl, f, gammaF, workers, opts)
 		if err != nil {
-			return fmt.Errorf("route: instance (%d,%d): %w", i, j, err)
+			return nil, fmt.Errorf("route: instance (%d,%d): %w", i, j, err)
 		}
-		r.inst[i][j] = inst
-		return nil
+		return inst, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return r, nil
+	return &Router{g: g, f: f, k: k, opts: opts, hier: hier, inst: inst}, nil
 }
 
 // buildInstance builds one (scale, cluster) instance; parallelism bounds

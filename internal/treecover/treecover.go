@@ -200,3 +200,45 @@ func (h *Hierarchy) CheckHeld(s, t int32) error {
 	}
 	return nil
 }
+
+// BuildInstances builds one value per (scale, cluster) of h — the
+// per-instance labelings of the distance labels (Section 4) and the
+// routers (Section 5) — and returns them as rows indexed [scale][cluster].
+// A nil cluster slot of a partial (shard) hierarchy keeps its index, so
+// global (scale, cluster) coordinates and every seed derived from them
+// stay stable, but gets the zero T and no build call. The grid is
+// flattened, so one scale's large clusters do not serialize behind
+// another's, and fanned out over at most Workers(parallelism) builds at
+// once; each build gets an equal share of that budget (at least 1) for
+// its inner loops. A build's output must depend only on its arguments,
+// never on build order, which makes the rows bit-identical at any
+// parallelism; on failure the lowest-indexed error is returned.
+func BuildInstances[T any](h *Hierarchy, parallelism int, build func(i, j int, cl *Cluster, workers int) (T, error)) ([][]T, error) {
+	type coord struct{ i, j int }
+	rows := make([][]T, len(h.Scales))
+	var coords []coord
+	for i, cover := range h.Scales {
+		rows[i] = make([]T, len(cover.Clusters))
+		for j, cl := range cover.Clusters {
+			if cl != nil {
+				coords = append(coords, coord{i, j})
+			}
+		}
+	}
+	budget := parallel.Workers(parallelism)
+	outer := max(1, min(budget, len(coords)))
+	inner := max(1, budget/outer)
+	err := parallel.ForEach(outer, len(coords), func(idx int) error {
+		i, j := coords[idx].i, coords[idx].j
+		v, err := build(i, j, h.Scales[i].Clusters[j], inner)
+		if err != nil {
+			return err
+		}
+		rows[i][j] = v
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return rows, nil
+}

@@ -1,12 +1,16 @@
 package treecover
 
 import (
+	"errors"
 	"math"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"ftrouting/internal/graph"
+	"ftrouting/internal/parallel"
 )
 
 // checkCoverProperties asserts the three Definition 4.1 properties.
@@ -290,6 +294,111 @@ func TestHierarchyConcurrentBuilds(t *testing.T) {
 		}
 		if !reflect.DeepEqual(want, got[i]) {
 			t.Fatalf("concurrent build %d differs from sequential", i)
+		}
+	}
+}
+
+// partialHierarchy returns a copy of a built hierarchy with every other
+// cluster slot of each scale set to nil, the shape a shard's partial
+// hierarchy has, and the number of clusters it keeps.
+func partialHierarchy(t *testing.T) (*Hierarchy, int) {
+	t.Helper()
+	full, err := BuildHierarchyP(graph.RandomConnected(60, 100, 11), 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := &Hierarchy{G: full.G, K: full.K}
+	kept := 0
+	for _, cover := range full.Scales {
+		c := *cover
+		c.Clusters = append([]*Cluster(nil), cover.Clusters...)
+		for j := range c.Clusters {
+			if j%2 == 1 {
+				c.Clusters[j] = nil
+			} else {
+				kept++
+			}
+		}
+		h.Scales = append(h.Scales, &c)
+	}
+	return h, kept
+}
+
+func TestBuildInstancesPartial(t *testing.T) {
+	h, kept := partialHierarchy(t)
+	for _, par := range []int{1, 3} {
+		var calls atomic.Int64
+		rows, err := BuildInstances(h, par, func(i, j int, cl *Cluster, _ int) (*Cluster, error) {
+			calls.Add(1)
+			if cl == nil || cl != h.Scales[i].Clusters[j] {
+				t.Errorf("build (%d,%d) got cluster %p, want the hierarchy's", i, j, cl)
+			}
+			return cl, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := int(calls.Load()); got != kept {
+			t.Fatalf("parallelism %d: %d build calls, want one per held cluster (%d)", par, got, kept)
+		}
+		if len(rows) != len(h.Scales) {
+			t.Fatalf("parallelism %d: %d rows, want %d", par, len(rows), len(h.Scales))
+		}
+		for i, cover := range h.Scales {
+			// Held slots hold their build's value; nil slots the zero T.
+			if !reflect.DeepEqual(rows[i], cover.Clusters) {
+				t.Fatalf("parallelism %d: row %d differs from the hierarchy's cluster slots", par, i)
+			}
+		}
+	}
+}
+
+func TestBuildInstancesWorkerBudget(t *testing.T) {
+	h, kept := partialHierarchy(t)
+	for _, par := range []int{0, 1, 2, 3, 3 * kept} {
+		budget := parallel.Workers(par)
+		outer := min(budget, kept)
+		wantInner := max(1, budget/outer)
+		var inFlight, peak atomic.Int64
+		_, err := BuildInstances(h, par, func(i, j int, _ *Cluster, workers int) (struct{}, error) {
+			now := inFlight.Add(1)
+			defer inFlight.Add(-1)
+			for {
+				old := peak.Load()
+				if now <= old || peak.CompareAndSwap(old, now) {
+					break
+				}
+			}
+			if workers != wantInner {
+				t.Errorf("parallelism %d: build (%d,%d) got %d workers, want %d", par, i, j, workers, wantInner)
+			}
+			time.Sleep(200 * time.Microsecond) // let concurrent builds overlap
+			return struct{}{}, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := int(peak.Load()); got > outer {
+			t.Fatalf("parallelism %d: %d builds ran at once, want at most %d", par, got, outer)
+		}
+	}
+}
+
+func TestBuildInstancesError(t *testing.T) {
+	h, _ := partialHierarchy(t)
+	boom := errors.New("boom")
+	for _, par := range []int{1, 3} {
+		rows, err := BuildInstances(h, par, func(i, j int, _ *Cluster, _ int) (int, error) {
+			if i == 1 && j == 0 {
+				return 0, boom
+			}
+			return 1, nil
+		})
+		if !errors.Is(err, boom) {
+			t.Fatalf("parallelism %d: err = %v, want the failing build's", par, err)
+		}
+		if rows != nil {
+			t.Fatalf("parallelism %d: failed build returned rows %v", par, rows)
 		}
 	}
 }

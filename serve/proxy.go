@@ -19,7 +19,6 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"sort"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -81,47 +80,14 @@ type Proxy struct {
 	rr     atomic.Uint64
 }
 
-// PlanPlacement assigns shards to replicas balanced by shard bytes:
-// shards in decreasing byte order (ties to the lower id) each go to the
-// replication least-loaded replicas (ties to the lower index). The
-// result maps shard id to its replica indices and is deterministic in
-// its inputs. Replication is clamped to the replica count.
+// PlanPlacement assigns shards to replicas balanced by shard bytes with
+// ftrouting.PlaceBalanced: shards in decreasing byte order (ties to the
+// lower id) each go to the replication least-loaded replicas (ties to the
+// lower index). The result maps shard id to its replica indices and is
+// deterministic in its inputs. Replication is clamped to the replica
+// count.
 func PlanPlacement(shardBytes []int64, replicas, replication int) [][]int {
-	if replication < 1 {
-		replication = 1
-	}
-	if replication > replicas {
-		replication = replicas
-	}
-	order := make([]int, len(shardBytes))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		if shardBytes[order[a]] != shardBytes[order[b]] {
-			return shardBytes[order[a]] > shardBytes[order[b]]
-		}
-		return order[a] < order[b]
-	})
-	load := make([]int64, replicas)
-	assign := make([][]int, len(shardBytes))
-	ranked := make([]int, replicas)
-	for _, id := range order {
-		for i := range ranked {
-			ranked[i] = i
-		}
-		sort.SliceStable(ranked, func(a, b int) bool {
-			if load[ranked[a]] != load[ranked[b]] {
-				return load[ranked[a]] < load[ranked[b]]
-			}
-			return ranked[a] < ranked[b]
-		})
-		for _, rep := range ranked[:replication] {
-			assign[id] = append(assign[id], rep)
-			load[rep] += shardBytes[id]
-		}
-	}
-	return assign
+	return ftrouting.PlaceBalanced(shardBytes, replicas, replication)
 }
 
 // NewProxy builds the fan-out tier over a loaded manifest and the base

@@ -32,12 +32,12 @@ package ftrouting
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 	"strings"
 
 	"ftrouting/internal/blob"
@@ -55,7 +55,7 @@ const ManifestFileName = "manifest.ftm"
 // maxShardName bounds a shard file name on the wire.
 const maxShardName = 255
 
-// ShardOptions configures SaveShardedConn/SaveShardedDist/SaveShardedRouter.
+// ShardOptions configures SaveSharded and SaveShardedConn/SaveShardedDist/SaveShardedRouter.
 type ShardOptions struct {
 	// Shards is the target shard count. 0 (or a value of at least the
 	// component count) yields one shard per component; smaller values
@@ -189,38 +189,71 @@ func (m *Manifest) FaultBound() int {
 }
 
 // assignShards groups components into at most want shards, balancing by
-// vertex count: components in decreasing size order go to the currently
-// lightest shard (ties to the lowest id). Deterministic, and with
-// want >= ncomp (or want == 0) the assignment is the identity — one
-// shard per component.
+// vertex count with PlaceBalanced: components in decreasing size order
+// (ties to the lower id) each go to the currently lightest shard (ties to
+// the lowest id). Deterministic. With want >= ncomp (or want == 0) there
+// is one shard per component, but not in component order: the largest
+// component takes shard 0, the next largest shard 1, and so on.
 func assignShards(compVerts []int, want int) (shardOf []int32, nshards int) {
 	ncomp := len(compVerts)
 	if want <= 0 || want > ncomp {
 		want = ncomp
 	}
-	order := make([]int, ncomp)
+	weights := make([]int64, ncomp)
+	for ci, v := range compVerts {
+		weights[ci] = int64(v)
+	}
+	shardOf = make([]int32, ncomp)
+	for ci, bins := range PlaceBalanced(weights, want, 1) {
+		shardOf[ci] = int32(bins[0])
+	}
+	return shardOf, want
+}
+
+// PlaceBalanced assigns weighted items to bins greedily: items in
+// decreasing weight order (ties to the lower id) each go to the
+// replication least-loaded bins (ties to the lower index), which then
+// carry the item's weight. The result maps item id to its bins, least
+// loaded first, and is deterministic in its inputs. Replication is
+// clamped to [1, bins] (no bins leave every list empty). It places components in shards (SaveSharded) and
+// shards on replicas (serve.PlanPlacement).
+func PlaceBalanced(weights []int64, bins, replication int) [][]int {
+	r := min(max(replication, 1), bins)
+	order := make([]int, len(weights))
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		if compVerts[order[a]] != compVerts[order[b]] {
-			return compVerts[order[a]] > compVerts[order[b]]
-		}
-		return order[a] < order[b]
-	})
-	load := make([]int, want)
-	shardOf = make([]int32, ncomp)
-	for _, ci := range order {
-		best := 0
-		for s := 1; s < want; s++ {
-			if load[s] < load[best] {
-				best = s
+	// Stable sorts keep the lower id (index) first among equal weights
+	// (loads).
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(weights[b], weights[a]) })
+	load := make([]int64, bins)
+	ranked := make([]int, bins)
+	flat := make([]int, len(weights)*r)
+	assign := make([][]int, len(weights))
+	for _, id := range order {
+		picked := flat[id*r : (id+1)*r : (id+1)*r]
+		if r == 1 {
+			// One bin: a scan for the least loaded, no sort per item.
+			best := 0
+			for b := 1; b < bins; b++ {
+				if load[b] < load[best] {
+					best = b
+				}
 			}
+			picked[0] = best
+		} else {
+			for b := range ranked {
+				ranked[b] = b
+			}
+			slices.SortStableFunc(ranked, func(a, b int) int { return cmp.Compare(load[a], load[b]) })
+			copy(picked, ranked)
 		}
-		shardOf[ci] = int32(best)
-		load[best] += compVerts[ci]
+		for _, b := range picked {
+			load[b] += weights[id]
+		}
+		assign[id] = picked
 	}
-	return shardOf, want
+	return assign
 }
 
 // schemeDigest computes the CRC32-C binding shards to their manifest:
