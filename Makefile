@@ -6,7 +6,7 @@ FUZZTIME ?= 10s
 # bench-compare: revision to diff benchmarks against, and the rounds/gate
 # the CI job uses. The Serve pattern covers BenchmarkServe* and
 # BenchmarkServeSharded* alike; Obs covers the internal/obs instruments;
-# Load covers BenchmarkLoadShardCut (a cold shard load).
+# Load covers BenchmarkLoadShardCut/Sketch/Dist (cold shard loads).
 BASE ?= main
 BENCHCOUNT ?= 5
 BENCHFILTER ?= Query|Decode|Routing|Serve|Obs|Sketch|Hierarchy|Load
@@ -14,6 +14,8 @@ BENCHTHRESHOLD ?= 25
 
 # Every decoder has a FuzzUnmarshal*/FuzzDecode*/FuzzLoad* target,
 # FuzzSPDistance checks the pooled Opt search against graph.Distance,
+# FuzzSubgraphFromParts checks the subgraph constructor's pooled vertex
+# index against its binary-search reference,
 # FuzzSketchDecode checks the sketch decoder's Borůvka step against its
 # plain reference, FuzzInstanceFaultsDecode checks the fault contexts
 # prepared from edge ids at first reach against the label decoder,
@@ -25,6 +27,7 @@ BENCHTHRESHOLD ?= 25
 # requires).
 FUZZ_TARGETS = \
 	./internal/graph:FuzzSPDistance \
+	./internal/graph:FuzzSubgraphFromParts \
 	./internal/codec:FuzzDecodeGraph \
 	./internal/codec:FuzzDecodeTree \
 	./internal/codec:FuzzDecodeSubgraph \

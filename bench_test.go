@@ -1134,13 +1134,17 @@ func BenchmarkQueryBatchRouteFT(b *testing.B) {
 	}
 }
 
-// --- Shard load: BenchmarkLoadShardCut -----------------------------------
+// --- Shard load: BenchmarkLoadShard* -------------------------------------
 //
-// A cold shard load of the shard-churn serving workload: one shard per
-// island of Islands(16,1000,2000), cut labels at f=4, loaded round-robin
-// from a shard directory. Each op fetches, checks and decodes one shard
-// and rebuilds its cycle-space labels; allocs/op is the count
-// TestLoadShardAllocs bounds.
+// BenchmarkLoadShardCut is a cold shard load of the shard-churn serving
+// workload: one shard per island of Islands(16,1000,2000), cut labels at
+// f=4, loaded round-robin from a shard directory. Each op fetches, checks
+// and decodes one shard and rebuilds its cycle-space labels; allocs/op is
+// the count TestLoadShardAllocs bounds. BenchmarkLoadShardSketch and
+// BenchmarkLoadShardDist load the other shard kinds whose decoders
+// rebuild subgraphs (graph.SubgraphFromParts): sketch connectivity
+// shards and distance shards, whose tree-cover clusters are subgraphs
+// too.
 
 func loadShardCutFixture(tb testing.TB) *Manifest {
 	tb.Helper()
@@ -1167,13 +1171,50 @@ func BenchmarkLoadShardCut(b *testing.B) {
 	}
 }
 
+// benchLoadShards loads the shards of m round-robin, one per op.
+func benchLoadShards(b *testing.B, m *Manifest) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := m.LoadShard(i % m.NumShards()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkLoadShardSketch(b *testing.B) {
+	g := Islands(16, 1000, 2000, 1)
+	c, err := BuildConnectivityLabels(g, ConnOptions{Scheme: SketchBased, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := SaveShardedConn(b.TempDir(), c, ShardOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchLoadShards(b, m)
+}
+
+func BenchmarkLoadShardDist(b *testing.B) {
+	g := Islands(4, 200, 400, 1)
+	d, err := BuildDistanceLabels(g, 2, 2, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := SaveShardedDist(b.TempDir(), d, ShardOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchLoadShards(b, m)
+}
+
 // loadShardAllocCeiling bounds the allocations of one cold cut-shard load
-// of loadShardCutFixture: 46 measured, plus headroom. A load builds its
-// subgraph, tree and labels from a few slabs, so the count does not grow
-// with the shard's size; an allocation per edge or per vertex creeping
-// back in (a shard has 1000 vertices and 3000 edges) breaks the ceiling
-// many times over.
-const loadShardAllocCeiling = 100
+// of loadShardCutFixture: 45 measured, plus a small margin. A load builds
+// its subgraph, tree and labels from a few slabs, so the count does not
+// grow with the shard's size; an allocation per edge or per vertex
+// creeping back in (a shard has 1000 vertices and 3000 edges) breaks the
+// ceiling many times over.
+const loadShardAllocCeiling = 50
 
 func TestLoadShardAllocs(t *testing.T) {
 	if testing.Short() {

@@ -44,7 +44,7 @@ func (l *Labels) vec(i int32) bitvec.Vec {
 // Assign computes b-bit labels for every edge of the tree's graph. Edges
 // outside the tree's component get zero labels (the FT scheme is applied
 // per component; see Section 3 intro). Time O((m+n)b/64), in three
-// allocations.
+// allocations; both passes XOR the slab's words in place.
 func Assign(t *graph.Tree, b int, seed uint64) (*Labels, error) {
 	if b < 1 {
 		return nil, fmt.Errorf("cyclespace: b must be >= 1, got %d", b)
@@ -55,23 +55,29 @@ func Assign(t *graph.Tree, b int, seed uint64) (*Labels, error) {
 	treeEdges := max(t.Size()-1, 0)
 	k := bitvec.Words(b)
 	l := &Labels{B: b, k: k, words: make([]uint64, (n+m-treeEdges)*k), slot: make([]int32, m)}
+	w := l.words
 	// Accumulator slot v collects the XOR of the labels of the non-tree
 	// edges incident to v.
 	next := int32(n)
-	for id := graph.EdgeID(0); int(id) < m; id++ {
-		e := g.Edge(id)
+	edges := g.Edges()
+	for id := range edges {
 		if t.InTree[id] {
 			continue // filled below
 		}
+		e := &edges[id]
 		l.slot[id] = next
-		v := l.vec(next)
+		o := int(next) * k
 		next++
 		if !t.Contains(e.U) || !t.Contains(e.V) {
 			continue
 		}
-		v.Randomize(rng)
-		l.vec(e.U).XorInPlace(v)
-		l.vec(e.V).XorInPlace(v)
+		phi := w[o : o+k : o+k]
+		bitvec.View(b, phi).Randomize(rng)
+		u, v := w[int(e.U)*k:][:k], w[int(e.V)*k:][:k]
+		for i, x := range phi {
+			u[i] ^= x
+			v[i] ^= x
+		}
 	}
 	// Post-order aggregation: the subtree XOR of the accumulators gives,
 	// for the tree edge above each vertex, the XOR over non-tree edges
@@ -85,7 +91,10 @@ func Assign(t *graph.Tree, b int, seed uint64) (*Labels, error) {
 			continue
 		}
 		l.slot[t.ParentEdge[v]] = v
-		l.vec(t.Parent[v]).XorInPlace(l.vec(v))
+		acc, p := w[int(v)*k:][:k], w[int(t.Parent[v])*k:][:k]
+		for j, x := range acc {
+			p[j] ^= x
+		}
 	}
 	return l, nil
 }

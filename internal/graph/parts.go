@@ -76,32 +76,35 @@ func NewTreeFromParts(g *Graph, root int32, parent []int32, parentEdge []EdgeID,
 // canonical order Induced produces, which fixes local ids and hence local
 // ports bit-identically. Edge weights are taken from g. The subgraph
 // takes ownership of both lists, and its local graph is built in bulk
-// (FromEdges).
+// (FromEdges). Each edge endpoint is resolved with one load from a pooled
+// dense index of the vertex list, so the rebuild is linear in the size of
+// the subgraph.
 func SubgraphFromParts(g *Graph, toGlobal []int32, edgeToGlobal []EdgeID) (*Subgraph, error) {
-	prev := int32(-1)
-	for _, v := range toGlobal {
-		if v < 0 || int(v) >= g.N() {
-			return nil, fmt.Errorf("graph: subgraph vertex %d out of range", v)
-		}
-		if v <= prev {
-			return nil, fmt.Errorf("graph: subgraph vertices not strictly ascending at %d", v)
-		}
-		prev = v
+	idx, err := indexVertices(g, toGlobal)
+	if err != nil {
+		return nil, err
 	}
+	defer idx.release(toGlobal)
+	return subgraphFromIndex(g, idx.loc, toGlobal, edgeToGlobal)
+}
+
+// subgraphFromIndex is SubgraphFromParts past the vertex check: loc is
+// the dense index of toGlobal (indexVertices).
+func subgraphFromIndex(g *Graph, loc, toGlobal []int32, edgeToGlobal []EdgeID) (*Subgraph, error) {
 	edges := make([]Edge, len(edgeToGlobal))
+	ge := g.Edges()
 	prevE := EdgeID(-1)
 	for i, id := range edgeToGlobal {
-		if id < 0 || int(id) >= g.M() {
+		if id < 0 || int(id) >= len(ge) {
 			return nil, fmt.Errorf("graph: subgraph edge %d out of range", id)
 		}
 		if id <= prevE {
 			return nil, fmt.Errorf("graph: subgraph edges not strictly ascending at %d", id)
 		}
 		prevE = id
-		e := g.Edge(id)
-		lu, okU := search(toGlobal, e.U)
-		lv, okV := search(toGlobal, e.V)
-		if !okU || !okV {
+		e := &ge[id]
+		lu, lv := loc[e.U]-1, loc[e.V]-1
+		if lu < 0 || lv < 0 {
 			return nil, fmt.Errorf("graph: subgraph edge %d has an endpoint outside the vertex set", id)
 		}
 		edges[i] = Edge{U: lu, V: lv, W: e.W}

@@ -166,9 +166,10 @@ func TestSubgraphFromPartsMatchesInduced(t *testing.T) {
 }
 
 // checkLookups compares LocalVertex, Contains, LocalEdge and the
-// constructors' search with a linear scan of the ToGlobal/EdgeToGlobal
-// columns for every id from -2 to two past the parent's range: present
-// ids, negatives, ids below the minimum, in a gap and above the maximum.
+// reference constructor's search with a linear scan of the
+// ToGlobal/EdgeToGlobal columns for every id from -2 to two past the
+// parent's range: present ids, negatives, ids below the minimum, in a
+// gap and above the maximum.
 func checkLookups(t *testing.T, name string, g *Graph, s *Subgraph) {
 	t.Helper()
 	for v := int32(-2); v < int32(g.N())+2; v++ {

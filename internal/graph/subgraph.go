@@ -1,6 +1,10 @@
 package graph
 
-import "slices"
+import (
+	"fmt"
+	"slices"
+	"sync"
+)
 
 // Subgraph is an induced subgraph with local vertex numbering plus the
 // mappings back to the parent graph. Tree-cover instances G_{i,j} =
@@ -10,7 +14,9 @@ import "slices"
 // real port numbers (DESIGN.md, "Local instance graphs").
 //
 // Both columns are strictly ascending, so local ids follow global order
-// and LocalVertex/LocalEdge answer the reverse mapping by binary search.
+// and LocalVertex/LocalEdge answer the reverse mapping by binary search;
+// the constructors resolve edge endpoints through a pooled dense index
+// instead (vertexIndex).
 type Subgraph struct {
 	Local        *Graph
 	ToGlobal     []int32  // local vertex -> global vertex, ascending
@@ -22,21 +28,22 @@ type Subgraph struct {
 // must be strictly ascending (SortedCopy); local vertex IDs follow their
 // order, and local edge IDs the order of the global edge IDs.
 func Induced(g *Graph, vertices []int32, maxW int64) (*Subgraph, error) {
+	toGlobal := append([]int32(nil), vertices...)
+	idx, err := indexVertices(g, toGlobal)
+	if err != nil {
+		return nil, err
+	}
+	defer idx.release(toGlobal)
 	var edges []EdgeID
-	for _, v := range vertices {
-		if v < 0 || int(v) >= g.N() {
-			break // SubgraphFromParts rejects the vertex list
-		}
+	for _, v := range toGlobal {
 		for _, a := range g.Adj(v) {
-			if a.To > v && a.W <= maxW {
-				if _, ok := search(vertices, a.To); ok {
-					edges = append(edges, a.E)
-				}
+			if a.To > v && a.W <= maxW && idx.loc[a.To] != 0 {
+				edges = append(edges, a.E)
 			}
 		}
 	}
 	slices.Sort(edges)
-	return SubgraphFromParts(g, append([]int32(nil), vertices...), edges)
+	return subgraphFromIndex(g, idx.loc, toGlobal, edges)
 }
 
 // LocalVertex returns the local id of global vertex v, if v belongs to the
@@ -53,21 +60,48 @@ func (s *Subgraph) LocalEdge(id EdgeID) (EdgeID, bool) {
 	return EdgeID(i), ok
 }
 
-// search returns the index of x in the strictly ascending column col, if
-// present, narrowing the window by arithmetic instead of a branch. The
-// constructors' endpoint lookups into one cached column would mispredict
-// the branch; the point lookups above keep it for its speculative loads
-// on cold columns (DESIGN.md §4).
-func search(col []int32, x int32) (int32, bool) {
-	base, n := 0, len(col)
-	for n > 1 {
-		half := n >> 1
-		// Move up by half iff col[base+half] <= x: the sign of the 64-bit
-		// difference masks the step.
-		base += half &^ int((int64(x)-int64(col[base+half]))>>63)
-		n -= half
+// vertexIndex is a dense index of a vertex list of a parent graph:
+// loc[v] is v's position in the list plus one, and 0 for a vertex
+// outside it. The subgraph constructors resolve every edge endpoint with
+// one load from it. Indexes are pooled and all zero while in the pool;
+// release clears exactly the entries indexVertices set.
+type vertexIndex struct{ loc []int32 }
+
+var vertexIndexes = sync.Pool{New: func() any { return new(vertexIndex) }}
+
+// indexVertices checks that toGlobal is a strictly ascending list of
+// vertices of g and returns its index, taken from the pool. The caller
+// must release it.
+func indexVertices(g *Graph, toGlobal []int32) (*vertexIndex, error) {
+	n := g.N()
+	prev := int32(-1)
+	for _, v := range toGlobal {
+		if v < 0 || int(v) >= n {
+			return nil, fmt.Errorf("graph: subgraph vertex %d out of range", v)
+		}
+		if v <= prev {
+			return nil, fmt.Errorf("graph: subgraph vertices not strictly ascending at %d", v)
+		}
+		prev = v
 	}
-	return int32(base), n == 1 && col[base] == x
+	idx := vertexIndexes.Get().(*vertexIndex)
+	if cap(idx.loc) < n {
+		idx.loc = make([]int32, n)
+	}
+	idx.loc = idx.loc[:n]
+	for i, v := range toGlobal {
+		idx.loc[v] = int32(i) + 1
+	}
+	return idx, nil
+}
+
+// release clears the entries of the vertices of toGlobal, the list idx
+// was built from, and returns idx to the pool.
+func (idx *vertexIndex) release(toGlobal []int32) {
+	for _, v := range toGlobal {
+		idx.loc[v] = 0
+	}
+	vertexIndexes.Put(idx)
 }
 
 // Contains reports whether the global vertex v belongs to the subgraph.
